@@ -93,6 +93,10 @@ def _parse_float_list(raw: str):
 def _parse_grid(raw: str):
     if ":" in raw:
         start, stop, step = (float(v) for v in raw.split(":"))
+        if not step > 0:
+            raise ConfigError(f"cl_grid: step must be > 0, got '{raw}'")
+        if not start <= stop:
+            raise ConfigError(f"cl_grid: start must be <= stop, got '{raw}'")
         out = []
         v = start
         while v <= stop + 1e-9:

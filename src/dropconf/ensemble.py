@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import MLPModel, draw_masks, forward_batch
+from .net import MLPModel, draw_masks, forward_batch, input_layer
 from .seeds import rng_for
 
 
@@ -53,14 +53,18 @@ def mc_dropout_predict(model: MLPModel, features, n_passes: int, seed: int) -> E
     Each pass draws its masks from a stream derived from (seed, pass index),
     so the result is independent of execution order and deterministic per
     seed. dropout_p=0 degenerates to identical passes with zero spread.
+
+    Dropout applies to hidden layers only, so the input layer is computed
+    once per call and each pass costs only the layers after it.
     """
     if n_passes < 1:
         raise ValueError("n_passes must be >= 1")
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     n = X.shape[0]
+    h0 = input_layer(model, X)
     passes = np.empty((n, n_passes))
     for p in range(n_passes):
         rng = rng_for(seed, "pass", p)
         masks = draw_masks(model, n, rng)
-        passes[:, p] = forward_batch(model, X, masks)
+        passes[:, p] = forward_batch(model, X, masks, h0=h0)
     return from_passes(passes)

@@ -115,32 +115,38 @@ def draw_masks(model: MLPModel, n: int, rng: np.random.Generator) -> list:
     return masks
 
 
-def forward_batch(model: MLPModel, X: np.ndarray, masks=None) -> np.ndarray:
-    """Predictions for a batch; masks=None means deterministic (no dropout)."""
+def _features(model: MLPModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.input_dim:
         raise ValueError(f"expected {model.input_dim} features, got {X.shape[1]}")
+    return X
+
+
+def input_layer(model: MLPModel, X) -> np.ndarray:
+    """First hidden activation relu(X @ W0 + b0), before any dropout mask.
+
+    Dropout acts only after hidden layers, so this is the same in every pass
+    of a dropout ensemble and can be computed once per batch.
+    """
+    X = _features(model, X)
+    return np.maximum(X @ model.weights[0] + model.biases[0], 0.0)
+
+
+def forward_batch(model: MLPModel, X: np.ndarray, masks=None, h0=None) -> np.ndarray:
+    """Predictions for a batch; masks=None means deterministic (no dropout).
+
+    h0, if given, must be input_layer(model, X); the pass then starts from it
+    instead of recomputing the input layer. X is checked either way.
+    """
+    X = _features(model, X)
+    a = input_layer(model, X) if h0 is None else h0
     p = model.config.dropout_p
-    a = X
-    n_hidden = len(model.config.hidden_sizes)
-    for layer in range(n_hidden):
-        a = np.maximum(a @ model.weights[layer] + model.biases[layer], 0.0)
+    for layer in range(len(model.config.hidden_sizes)):
+        if layer:
+            a = np.maximum(a @ model.weights[layer] + model.biases[layer], 0.0)
         if masks is not None:
             a = a * masks[layer] / (1.0 - p)
     return (a @ model.weights[-1] + model.biases[-1]).ravel()
-
-
-def forward(model: MLPModel, x, rng: np.random.Generator | None = None):
-    """Single-instance prediction.
-
-    With rng=None the pass is deterministic (no dropout). With an rng, fresh
-    keep-masks are drawn for each hidden layer and returned for reuse by
-    gradient computation.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    masks = draw_masks(model, 1, rng) if rng is not None else None
-    pred = forward_batch(model, x, masks)[0]
-    return pred, masks
 
 
 def lr_at_epoch(config: NetConfig, epoch: int) -> float:
@@ -217,8 +223,8 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
     batch_size = max(1, math.ceil(config.batch_fraction * n))
     rng = rng_for(seed, "train")
 
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases  # the live arrays, updated in place
+    vel = [np.zeros_like(a) for a in params]
     mu = config.momentum
 
     log = TrainingLog(learning_rates=[], train_losses=[], val_rmses=[])
@@ -236,11 +242,18 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
             masks = draw_masks(model, len(idx), rng)
             w_grads, b_grads, loss = compute_gradients(model, X[idx], y[idx], masks)
             sq_err_sum += loss * len(idx)
-            for layer in range(len(model.weights)):
-                vel_w[layer] = mu * vel_w[layer] + w_grads[layer]
-                vel_b[layer] = mu * vel_b[layer] + b_grads[layer]
-                model.weights[layer] -= lr * (w_grads[layer] + mu * vel_w[layer])
-                model.biases[layer] -= lr * (b_grads[layer] + mu * vel_b[layer])
+            # Nesterov step a -= lr * (g + mu * v) after v = mu * v + g, with
+            # one temporary per array. Products and sums commute exactly, so
+            # this order gives the same bits as those expressions. A step
+            # buffer kept per array would hold a second copy of the network
+            # through training and raise peak memory by about as much.
+            for a, v, g in zip(params, vel, w_grads + b_grads):
+                v *= mu
+                v += g
+                step = v * mu
+                step += g
+                step *= lr
+                a -= step
         epoch_loss = sq_err_sum / n
         if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")

@@ -86,6 +86,7 @@ def test_criterion_01_dropout_validity(dnn_icp):
     report(1, f"dropout ICP validity (R^2 = {curve.r_squared:.5f})")
 
 
+@pytest.mark.slow  # uses the n=3000, 100-tree RF fixture
 def test_criterion_02_rf_validity(rf_result):
     result, test_set = rf_result
     curve = calibration_curve(result.intervals, test_set.labels, GRID)
@@ -205,6 +206,7 @@ def test_criterion_08_equation_unit_examples():
     report(8, "score and interval unit examples exact to 1e-12")
 
 
+@pytest.mark.slow  # uses the n=3000, 100-tree RF fixture
 def test_criterion_09_retrieval_partition(dnn_icp, rf_result):
     for result, test_set in (dnn_icp, rf_result):
         counts = screen_counts(result.intervals[0.8], test_set.labels, cutoffs=(5, 6, 7, 8, 9))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dropconf.ensemble import from_passes, mc_dropout_predict, pass_stats
-from dropconf.net import NetConfig, init_mlp
+from dropconf.net import NetConfig, draw_masks, forward_batch, init_mlp
+from dropconf.seeds import rng_for
 
 
 def tiny_model(dropout_p, seed=0):
@@ -88,6 +89,33 @@ class TestMcDropout:
             pred = mc_dropout_predict(model, X, 100, seed=5)
             mean_spread.append(pred.stds.mean())
         assert mean_spread[0] < mean_spread[1] < mean_spread[2]
+
+
+class TestInputLayerOnce:
+    """mc_dropout_predict reuses the input layer across passes; it must give
+    the same bits as full forward passes with the same masks."""
+
+    @staticmethod
+    def brute_force_passes(model, X, n_passes, seed):
+        return np.column_stack([
+            forward_batch(model, X, draw_masks(model, len(X), rng_for(seed, "pass", p)))
+            for p in range(n_passes)
+        ])
+
+    @pytest.mark.parametrize("hidden", [(9,), (12, 7, 4)])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.25])
+    def test_passes_bit_identical_to_full_forward(self, hidden, dropout_p):
+        model = init_mlp(5, NetConfig(hidden_sizes=hidden, dropout_p=dropout_p), seed=8)
+        for layer, b in enumerate(model.biases):
+            b[:] = np.random.default_rng(layer).standard_normal(b.shape) * 0.1
+        X = np.random.default_rng(6).standard_normal((11, 5))
+        pred = mc_dropout_predict(model, X, 16, seed=21)
+        assert np.array_equal(pred.passes, self.brute_force_passes(model, X, 16, seed=21))
+
+    def test_wrong_feature_width_rejected(self):
+        model = tiny_model(0.25)
+        with pytest.raises(ValueError, match="expected 3 features"):
+            mc_dropout_predict(model, np.ones((4, 5)), 3, seed=0)
 
 
 class TestFromPasses:

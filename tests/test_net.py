@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from dropconf.net import (
     NetConfig,
     compute_gradients,
     draw_masks,
-    forward,
     forward_batch,
     init_mlp,
     load_mlp,
@@ -47,11 +47,10 @@ class TestInit:
 class TestForward:
     def test_no_dropout_limit(self):
         model = init_mlp(4, NetConfig(hidden_sizes=(6, 3), dropout_p=0.0), seed=2)
-        x = np.arange(4.0)
-        det, _ = forward(model, x)
-        sto, masks = forward(model, x, rng=rng_for(0, "m"))
-        assert sto == det
+        x = np.arange(4.0).reshape(1, -1)
+        masks = draw_masks(model, 1, rng_for(0, "m"))
         assert all(m.all() for m in masks)
+        assert forward_batch(model, x, masks)[0] == forward_batch(model, x)[0]
 
     def test_inverted_dropout_expectation_linear(self):
         # single hidden layer, weights arranged so activations stay positive:
@@ -61,9 +60,9 @@ class TestForward:
         model.weights[0] = np.abs(model.weights[0])
         model.weights[1] = np.abs(model.weights[1])
         x = np.array([0.5, 1.0, 2.0])
-        det, _ = forward(model, x)
-        rng = rng_for(9, "mc")
-        outs = np.array([forward(model, x, rng=rng)[0] for _ in range(10000)])
+        det = forward_batch(model, x)[0]
+        X = np.tile(x, (10000, 1))  # one row per stochastic pass
+        outs = forward_batch(model, X, draw_masks(model, len(X), rng_for(9, "mc")))
         se = outs.std() / math.sqrt(len(outs))
         assert abs(outs.mean() - det) < 3 * se
 
@@ -72,8 +71,9 @@ class TestForward:
         for w in model.weights:
             w[:] = 0.0
         model.biases[-1][:] = 7.25
-        det, _ = forward(model, np.ones(4))
-        sto, _ = forward(model, np.ones(4), rng=rng_for(1, "z"))
+        x = np.ones((1, 4))
+        det = forward_batch(model, x)[0]
+        sto = forward_batch(model, x, draw_masks(model, 1, rng_for(1, "z")))[0]
         assert det == 7.25 and sto == 7.25
 
     def test_dimension_mismatch(self):
@@ -214,6 +214,24 @@ class TestTrain:
         m2, _ = train(ds.subset(sp.train), ds.subset(sp.validation), cfg, seed=11)
         assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
         assert all(np.array_equal(a, b) for a, b in zip(m1.biases, m2.biases))
+
+    def test_returned_weights_are_best_epoch_snapshot(self):
+        # Training runs past the best epoch and stops early; a run cut off at
+        # the best epoch ends on that epoch's weights. Equal results show the
+        # snapshot is not changed by the in-place steps that follow it.
+        ds = make_synthetic(120, 3, "homoscedastic", 0.5, seed=12)
+        sp = random_split(120, seed=12)
+        tr, va = ds.subset(sp.train), ds.subset(sp.validation)
+        cfg = NetConfig(hidden_sizes=(6, 4), dropout_p=0.2, lr0=0.02, max_epochs=300, patience=3)
+        model, log = train(tr, va, cfg, seed=13)
+        assert log.stop_reason == "early_stop" and log.best_epoch < log.n_epochs - 1
+        cut = dataclasses.replace(cfg, max_epochs=log.best_epoch + 1)
+        ref, ref_log = train(tr, va, cut, seed=13)
+        assert ref_log.best_epoch == log.best_epoch
+        assert all(np.array_equal(a, b) for a, b in zip(model.weights, ref.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(model.biases, ref.biases))
+        pred = forward_batch(model, va.features)
+        assert float(np.sqrt(np.mean((pred - va.labels) ** 2))) == log.best_val_rmse
 
 
 class TestSerialization:

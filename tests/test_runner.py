@@ -39,6 +39,19 @@ class TestParseConfig:
         cfg = parse_config_text("dataset = x.csv\ncl_grid = 0.1:0.9:0.2\n")
         assert cfg.cl_grid == (0.1, 0.3, 0.5, 0.7, 0.8, 0.9)  # default_cl merged in
 
+    @pytest.mark.parametrize("grid", ["0.1:0.9:0", "0.1:0.9:-0.1", "0.1:0.9:nan"])
+    def test_grid_step_must_be_positive(self, grid):
+        with pytest.raises(ConfigError, match="cl_grid: step"):
+            parse_config_text(f"dataset = x.csv\ncl_grid = {grid}\n")
+
+    def test_grid_start_after_stop_rejected(self):
+        with pytest.raises(ConfigError, match="cl_grid: start"):
+            parse_config_text("dataset = x.csv\ncl_grid = 0.9:0.1:0.1\n")
+
+    def test_grid_single_point_range(self):
+        cfg = parse_config_text("dataset = x.csv\ncl_grid = 0.8:0.8:0.05\n")
+        assert cfg.cl_grid == (0.8,)
+
     def test_fixture_config_parses(self):
         cfg = parse_config(os.path.join(FIXTURES, "synthetic.cfg"))
         assert cfg.synthetic_n == 240
