@@ -90,6 +90,12 @@ def _parse_float_list(raw: str):
     return tuple(float(v) for v in raw.split(",") if v.strip())
 
 
+# A start:stop:step range may expand to at most this many confidence levels
+# (100x the 99 of a 0.01:0.99:0.01 grid); finer ranges are rejected before any
+# level is built.
+MAX_GRID_LEVELS = 10_000
+
+
 def _parse_grid(raw: str):
     if ":" in raw:
         start, stop, step = (float(v) for v in raw.split(":"))
@@ -97,6 +103,8 @@ def _parse_grid(raw: str):
             raise ConfigError(f"cl_grid: step must be > 0, got '{raw}'")
         if not start <= stop:
             raise ConfigError(f"cl_grid: start must be <= stop, got '{raw}'")
+        if (stop - start) / step >= MAX_GRID_LEVELS:
+            raise ConfigError(f"cl_grid: range '{raw}' has more than {MAX_GRID_LEVELS} levels")
         out = []
         v = start
         while v <= stop + 1e-9:

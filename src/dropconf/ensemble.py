@@ -26,14 +26,6 @@ class EnsemblePrediction:
             raise ValueError("pass matrix shape does not match summaries")
 
 
-def pass_stats(passes_row) -> tuple[float, float]:
-    """Arithmetic mean and population standard deviation (divide by N)."""
-    row = np.asarray(passes_row, dtype=np.float64)
-    if row.size == 0:
-        raise ValueError("pass_stats requires a non-empty sequence")
-    return float(row.mean()), float(row.std())
-
-
 def from_passes(passes: np.ndarray) -> EnsemblePrediction:
     """Summarize an n_instances x n_members pass matrix."""
     passes = np.asarray(passes, dtype=np.float64)
@@ -52,7 +44,9 @@ def mc_dropout_predict(model: MLPModel, features, n_passes: int, seed: int) -> E
 
     Each pass draws its masks from a stream derived from (seed, pass index),
     so the result is independent of execution order and deterministic per
-    seed. dropout_p=0 degenerates to identical passes with zero spread.
+    seed. dropout_p=0 degenerates to identical passes with zero spread, so
+    one deterministic pass fills every column; it has the bits of a masked
+    pass, since ``(a * 1) / 1.0 == a``.
 
     Dropout applies to hidden layers only, so the input layer is computed
     once per call and each pass costs only the layers after it.
@@ -63,6 +57,9 @@ def mc_dropout_predict(model: MLPModel, features, n_passes: int, seed: int) -> E
     n = X.shape[0]
     h0 = input_layer(model, X)
     passes = np.empty((n, n_passes))
+    if model.config.dropout_p == 0:
+        passes[:] = forward_batch(model, X, None, h0=h0)[:, None]
+        return from_passes(passes)
     for p in range(n_passes):
         rng = rng_for(seed, "pass", p)
         masks = draw_masks(model, n, rng)

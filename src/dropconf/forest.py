@@ -7,9 +7,8 @@ spread plays the same role as dropout-pass spread in the network pipeline.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,18 +51,20 @@ class RegressionTree:
         return len(self.feature)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Route all rows down together, one tree level per step.
+
+        Rows equal to a threshold go left; NaN features go right.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out = np.empty(X.shape[0])
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if self.feature[node] < 0:
-                out[rows] = self.value[node]
-                continue
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], rows[go_left]))
-            stack.append((self.right[node], rows[~go_left]))
-        return out
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0])
+        while rows.size:
+            at = node[rows]
+            f = self.feature[at]
+            inner = f >= 0
+            rows, at, f = rows[inner], at[inner], f[inner]
+            node[rows] = np.where(X[rows, f] <= self.threshold[at], self.left[at], self.right[at])
+        return self.value[node]
 
 
 @dataclass
@@ -72,6 +73,11 @@ class Forest:
     config: ForestConfig
     seed: int
     n_features: int
+
+
+def _mean(values) -> float:
+    """``float(values.mean())`` bit for bit, without np.mean's call overhead."""
+    return float(values.sum() / len(values))
 
 
 def _exact_sse(values) -> float:
@@ -85,68 +91,98 @@ def _exact_sse(values) -> float:
     return math.fsum((v - mean) ** 2 for v in values)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, feat_indices, min_leaf: int):
+def _best_split(Xt, y, ysub, order, feats, min_leaf: int, member):
     """Greedy best (feature, threshold) minimizing summed child SSE.
+
+    ``order`` holds the node's row ids once per candidate feature ``feats``,
+    each row of it sorted by that feature with ties in row-id order; ``ysub``
+    is the node's labels in row-id order and ``member`` an all-False scratch
+    array over row ids.
 
     Thresholds are midpoints between consecutive distinct sorted values.
     Ties break to the lowest feature index, then the lowest threshold.
     Returns None when no split strictly reduces the parent SSE.
 
-    All candidate features are scanned in one vectorized block: sort each
-    column, form prefix sums of y and y^2 in sorted order, and score every
-    boundary between distinct values. Candidates within rounding error of
-    the minimum are then re-scored exactly so ties resolve consistently.
+    Every boundary of every candidate feature is scored in one vectorized
+    block from prefix sums of y and y^2 in sorted order. Candidates within
+    rounding error ``tol`` of the minimum are then re-scored exactly so ties
+    resolve consistently, unless they all cut the node into the same two row
+    sets and the split clears the parent by more than the rounding error:
+    then they all score the same and the first one wins.
     """
-    m = len(y)
-    if m < 2:
-        return None
-    feats = np.asarray(feat_indices, dtype=np.intp)
-    Xf = X[:, feats]
-    tot = y.sum()
-    tot2 = (y * y).sum()
-    order = np.argsort(Xf, axis=0, kind="stable")
-    xs = np.take_along_axis(Xf, order, axis=0)
+    m = len(ysub)
+    tot = ysub.sum()
+    tot2 = (ysub * ysub).sum()
+    xs = Xt[feats[:, None], order]
     ys = y[order]
-    cum = np.cumsum(ys, axis=0)[:-1]
-    cum2 = np.cumsum(ys * ys, axis=0)[:-1]
-    nl = np.arange(1, m, dtype=np.float64)[:, None]
+    cum = ys.cumsum(axis=1)[:, :-1]
+    cum2 = (ys * ys).cumsum(axis=1)[:, :-1]
+    nl = np.arange(1, m, dtype=np.float64)
     nr = m - nl
     sse = (cum2 - cum * cum / nl) + ((tot2 - cum2) - (tot - cum) ** 2 / nr)
-    invalid = xs[1:] <= xs[:-1]
+    invalid = xs[:, 1:] <= xs[:, :-1]
     if min_leaf > 1:
         k = np.arange(1, m)
-        invalid |= ((k < min_leaf) | (m - k < min_leaf))[:, None]
+        invalid |= (k < min_leaf) | (m - k < min_leaf)
     sse[invalid] = math.inf
     best = sse.min()
     if math.isinf(best):
         return None
-    # re-score everything the fast scan cannot reliably rank, then apply the
-    # tie rules in feature-major order
     tol = 1e-9 * (tot2 + tot * tot / m) + 1e-300
-    winner = None
-    best_exact = math.inf
-    for f_local, pos in np.argwhere(sse.T <= best + tol):
-        score = _exact_sse(ys[: pos + 1, f_local]) + _exact_sse(ys[pos + 1 :, f_local])
-        if score < best_exact:
-            best_exact = score
-            winner = (int(f_local), int(pos))
-    if not best_exact < _exact_sse(y):
-        return None
-    f_local, pos = winner
-    return int(feats[f_local]), (xs[pos, f_local] + xs[pos + 1, f_local]) / 2.0
+    cand_f, cand_pos = np.nonzero(sse <= best + tol)
+    if (tot2 - tot * tot / m) - best > 2 * tol and _one_partition(order, cand_f, cand_pos, member):
+        f_local, pos = cand_f[0], cand_pos[0]
+    else:
+        # re-score everything the fast scan cannot reliably rank, then apply
+        # the tie rules in feature-major order
+        winner = None
+        best_exact = math.inf
+        for f_local, pos in zip(cand_f, cand_pos):
+            score = _exact_sse(ys[f_local, : pos + 1]) + _exact_sse(ys[f_local, pos + 1 :])
+            if score < best_exact:
+                best_exact = score
+                winner = (f_local, pos)
+        if not best_exact < _exact_sse(ysub):
+            return None
+        f_local, pos = winner
+    return int(feats[f_local]), (xs[f_local, pos] + xs[f_local, pos + 1]) / 2.0
+
+
+def _one_partition(order, cand_f, cand_pos, member) -> bool:
+    """True when every candidate (feature, position) puts the same row set on
+    one side of its cut as the first candidate does."""
+    if len(cand_f) == 1:
+        return True
+    first = order[cand_f[0], : cand_pos[0] + 1]
+    member[first] = True
+    inside = member[order[cand_f]]
+    member[first] = False
+    agree = inside == (np.arange(order.shape[1]) <= cand_pos[:, None])
+    return bool((agree == agree[:, :1]).all())
 
 
 def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.Generator) -> RegressionTree:
-    """Grow a CART regression tree; leaves predict the mean of their rows."""
+    """Grow a CART regression tree; leaves predict the mean of their rows.
+
+    Each column is argsorted once at the root. A node's sorted row ids are
+    split between its children in order, so every node sees its rows sorted
+    by each feature with ties in row-id order, as a stable per-node argsort
+    of its ascending rows would give.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if len(y) < 1:
         raise ValueError("fit_cart requires at least one row")
+    if X.shape[0] != len(y):
+        raise ValueError(f"fit_cart got {X.shape[0]} feature rows for {len(y)} labels")
     d = X.shape[1]
     if config.max_features == "all":
         n_feat = d
     else:
         n_feat = min(int(config.max_features), d)
+    all_feats = np.arange(d)
+    Xt = np.ascontiguousarray(X.T)
+    member = np.zeros(X.shape[0], dtype=bool)
 
     feature, threshold, left, right, value = [], [], [], [], []
 
@@ -159,28 +195,35 @@ def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.
         return len(feature) - 1
 
     root = new_node()
-    stack = [(root, np.arange(len(y)))]
+    stack = [(root, np.arange(len(y)), np.argsort(Xt, axis=1, kind="stable"))]
     while stack:
-        node, rows = stack.pop()
+        node, rows, order = stack.pop()
         ysub = y[rows]
         split = None
         if len(rows) >= config.min_samples_split and ysub.min() < ysub.max():
             if n_feat == d:
-                feats = range(d)
+                split = _best_split(Xt, y, ysub, order, all_feats, config.min_samples_leaf, member)
             else:
                 feats = np.sort(rng.choice(d, size=n_feat, replace=False))
-            split = _best_split(X[rows], ysub, feats, config.min_samples_leaf)
+                split = _best_split(Xt, y, ysub, order[feats], feats, config.min_samples_leaf, member)
         if split is None:
-            value[node] = float(ysub.mean())
+            value[node] = _mean(ysub)
             continue
         f, thr = split
         feature[node] = f
         threshold[node] = thr
-        go_left = X[rows, f] <= thr
+        go_left = Xt[f, rows] <= thr
+        member[rows] = go_left
+        in_left = member[order]
+        member[rows] = False
         left[node] = new_node()
         right[node] = new_node()
-        stack.append((left[node], rows[go_left]))
-        stack.append((right[node], rows[~go_left]))
+        for child, side, mask in ((left[node], go_left, in_left), (right[node], ~go_left, ~in_left)):
+            sub = rows[side]
+            if len(sub) < config.min_samples_split:
+                value[child] = _mean(y[sub])
+            else:
+                stack.append((child, sub, order[mask].reshape(d, len(sub))))
 
     return RegressionTree(
         feature=np.array(feature, dtype=np.int32),
@@ -250,44 +293,3 @@ def oof_calibration(train: Dataset, config: ForestConfig, k: int, seed: int) -> 
         sigma[held_out] = pred.stds
         fold_of[held_out] = i
     return OofCalibrationData(y=train.labels.copy(), y_hat=y_hat, sigma=sigma, fold=fold_of)
-
-
-FOREST_FORMAT_VERSION = 1
-
-
-def save_forest(forest: Forest, path) -> None:
-    """Versioned binary serialization, round-trip exact."""
-    meta = {
-        "format_version": FOREST_FORMAT_VERSION,
-        "kind": "forest",
-        "config": asdict(forest.config),
-        "seed": forest.seed,
-        "n_features": forest.n_features,
-    }
-    arrays = {"meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)}
-    for i, tree in enumerate(forest.trees):
-        arrays[f"t{i}_feature"] = tree.feature
-        arrays[f"t{i}_threshold"] = tree.threshold
-        arrays[f"t{i}_left"] = tree.left
-        arrays[f"t{i}_right"] = tree.right
-        arrays[f"t{i}_value"] = tree.value
-    np.savez(path, **arrays)
-
-
-def load_forest(path) -> Forest:
-    with np.load(path) as npz:
-        meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
-        if meta.get("kind") != "forest" or meta.get("format_version") != FOREST_FORMAT_VERSION:
-            raise ValueError(f"{path}: not a version-{FOREST_FORMAT_VERSION} forest file")
-        config = ForestConfig(**meta["config"])
-        trees = [
-            RegressionTree(
-                feature=npz[f"t{i}_feature"],
-                threshold=npz[f"t{i}_threshold"],
-                left=npz[f"t{i}_left"],
-                right=npz[f"t{i}_right"],
-                value=npz[f"t{i}_value"],
-            )
-            for i in range(config.n_trees)
-        ]
-    return Forest(trees=trees, config=config, seed=int(meta["seed"]), n_features=int(meta["n_features"]))

@@ -1,43 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from dropconf.ensemble import from_passes, mc_dropout_predict, pass_stats
+from dropconf import ensemble
+from dropconf.ensemble import from_passes, mc_dropout_predict
 from dropconf.net import NetConfig, draw_masks, forward_batch, init_mlp
 from dropconf.seeds import rng_for
 
 
 def tiny_model(dropout_p, seed=0):
     return init_mlp(3, NetConfig(hidden_sizes=(6, 4), dropout_p=dropout_p), seed=seed)
-
-
-class TestPassStats:
-    def test_constant_sequence(self):
-        assert pass_stats([1, 1, 1]) == (1.0, 0.0)
-
-    def test_two_point_population_std(self):
-        assert pass_stats([0, 2]) == (1.0, 1.0)
-
-    def test_single_member(self):
-        assert pass_stats([5]) == (5.0, 0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pass_stats([])
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        row=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
-        shift=st.floats(-100, 100),
-    )
-    def test_order_invariance_and_shift_equivariance(self, row, shift):
-        mean, std = pass_stats(row)
-        mean_r, std_r = pass_stats(list(reversed(row)))
-        assert mean == pytest.approx(mean_r, rel=1e-9, abs=1e-9)
-        assert std == pytest.approx(std_r, rel=1e-9, abs=1e-9)
-        mean_s, std_s = pass_stats([v + shift for v in row])
-        assert mean_s == pytest.approx(mean + shift, rel=1e-9, abs=1e-6)
-        assert std_s == pytest.approx(std, rel=1e-6, abs=1e-6)
 
 
 class TestMcDropout:
@@ -48,6 +19,29 @@ class TestMcDropout:
         assert np.all(pred.passes == pred.passes[:, [0]])
         # identical passes; std is 0 up to the mean's rounding noise
         assert np.all(pred.stds < 1e-12)
+
+    def test_zero_dropout_one_forward_pass(self, monkeypatch):
+        # p=0 computes one pass for all columns; the bits match a per-pass
+        # loop over all-ones masks, summaries included
+        model = init_mlp(4, NetConfig(hidden_sizes=(7, 5), dropout_p=0.0), seed=3)
+        X = np.random.default_rng(5).standard_normal((9, 4))
+        loop = np.column_stack([
+            forward_batch(model, X, draw_masks(model, len(X), rng_for(2, "pass", p)))
+            for p in range(12)
+        ])
+        calls = []
+
+        def counting_forward_batch(*args, **kwargs):
+            calls.append(1)
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "forward_batch", counting_forward_batch)
+        pred = mc_dropout_predict(model, X, 12, seed=2)
+        assert len(calls) == 1
+        assert np.array_equal(pred.passes, loop)
+        expected = from_passes(loop)
+        assert np.array_equal(pred.means, expected.means)
+        assert np.array_equal(pred.stds, expected.stds)
 
     def test_default_member_count(self):
         model = tiny_model(0.2)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,11 @@ from dropconf.data import make_synthetic
 from dropconf.forest import (
     Forest,
     ForestConfig,
+    RegressionTree,
     fit_cart,
     fit_forest,
     forest_predict,
-    load_forest,
     oof_calibration,
-    save_forest,
 )
 from dropconf.seeds import rng_for
 
@@ -19,6 +20,129 @@ from oracles import oracle_cart, oracle_cart_predict
 
 def small_dataset(n=30, d=3, seed=0, noise=0.3):
     return make_synthetic(n, d, "homoscedastic", noise, seed=seed)
+
+
+# Reference learner: a stable argsort of every candidate column at every
+# node, and an fsum re-score of every candidate within tol of the best. The
+# presorted learner must build the same trees bit for bit.
+
+
+def reference_exact_sse(values):
+    mean = math.fsum(values) / len(values)
+    return math.fsum((v - mean) ** 2 for v in values)
+
+
+def reference_best_split(X, y, feat_indices, min_leaf):
+    m = len(y)
+    if m < 2:
+        return None
+    feats = np.asarray(feat_indices, dtype=np.intp)
+    Xf = X[:, feats]
+    tot = y.sum()
+    tot2 = (y * y).sum()
+    order = np.argsort(Xf, axis=0, kind="stable")
+    xs = np.take_along_axis(Xf, order, axis=0)
+    ys = y[order]
+    cum = np.cumsum(ys, axis=0)[:-1]
+    cum2 = np.cumsum(ys * ys, axis=0)[:-1]
+    nl = np.arange(1, m, dtype=np.float64)[:, None]
+    nr = m - nl
+    sse = (cum2 - cum * cum / nl) + ((tot2 - cum2) - (tot - cum) ** 2 / nr)
+    invalid = xs[1:] <= xs[:-1]
+    if min_leaf > 1:
+        k = np.arange(1, m)
+        invalid |= ((k < min_leaf) | (m - k < min_leaf))[:, None]
+    sse[invalid] = math.inf
+    best = sse.min()
+    if math.isinf(best):
+        return None
+    tol = 1e-9 * (tot2 + tot * tot / m) + 1e-300
+    winner = None
+    best_exact = math.inf
+    for f_local, pos in np.argwhere(sse.T <= best + tol):
+        score = reference_exact_sse(ys[: pos + 1, f_local]) + reference_exact_sse(ys[pos + 1 :, f_local])
+        if score < best_exact:
+            best_exact = score
+            winner = (int(f_local), int(pos))
+    if not best_exact < reference_exact_sse(y):
+        return None
+    f_local, pos = winner
+    return int(feats[f_local]), (xs[pos, f_local] + xs[pos + 1, f_local]) / 2.0
+
+
+def reference_fit_cart(X, y, config, rng):
+    d = X.shape[1]
+    n_feat = d if config.max_features == "all" else min(int(config.max_features), d)
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+    stack = [(0, np.arange(len(y)))]
+    while stack:
+        node, rows = stack.pop()
+        ysub = y[rows]
+        split = None
+        if len(rows) >= config.min_samples_split and ysub.min() < ysub.max():
+            feats = range(d) if n_feat == d else np.sort(rng.choice(d, size=n_feat, replace=False))
+            split = reference_best_split(X[rows], ysub, feats, config.min_samples_leaf)
+        if split is None:
+            value[node] = float(ysub.mean())
+            continue
+        feature[node], threshold[node] = split
+        go_left = X[rows, split[0]] <= split[1]
+        for arrays, fill in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (value, 0.0)):
+            arrays += [fill, fill]
+        left[node], right[node] = len(feature) - 2, len(feature) - 1
+        stack.append((left[node], rows[go_left]))
+        stack.append((right[node], rows[~go_left]))
+    return RegressionTree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+    )
+
+
+def walk_predict(tree, X):
+    """One row at a time from the root; ties go left, NaN goes right."""
+    out = []
+    for row in np.atleast_2d(X):
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out.append(tree.value[node])
+    return np.array(out, dtype=np.float64)
+
+
+def assert_same_tree(a, b):
+    for name in ("feature", "threshold", "left", "right", "value"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+
+
+def tie_heavy_table(rng):
+    """A small table drawn to produce exact and near ties in the split scan."""
+    n = int(rng.integers(2, 50))
+    d = int(rng.integers(1, 5))
+    kind = int(rng.integers(0, 6))
+    X = rng.random((n, d))
+    if kind in (0, 4):  # integer-valued features: many equal values
+        X = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+    if kind in (1, 4) and d > 1:  # a duplicated column
+        X[:, -1] = X[:, 0]
+    y = rng.random(n)
+    if kind in (2, 4):  # three distinct labels
+        y = rng.integers(0, 3, size=n).astype(np.float64)
+    if kind == 3:  # a large offset: cancellation in the fast scan
+        y = y + 1e6
+    if kind == 5:  # subnormal labels
+        y = rng.integers(0, 3, size=n) * 5e-324
+    config = ForestConfig(
+        max_features="all" if rng.random() < 0.5 else int(rng.integers(1, d + 1)),
+        min_samples_split=int(rng.integers(2, 6)),
+        min_samples_leaf=int(rng.integers(1, 4)),
+    )
+    return X, y, config
 
 
 class TestFitCart:
@@ -36,6 +160,10 @@ class TestFitCart:
         tree = fit_cart(X, y, ForestConfig(), rng_for(0))
         assert tree.n_nodes == 1
         assert tree.value[0] == 3.25
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="3 feature rows for 2 labels"):
+            fit_cart(np.zeros((3, 1)), np.array([0.0, 1.0]), ForestConfig(), rng_for(0))
 
     def test_oracle_equivalence_small_tables(self):
         rng = np.random.default_rng(42)
@@ -65,6 +193,64 @@ class TestFitCart:
             leaf_of.setdefault(node, 0)
             leaf_of[node] += 1
         assert min(leaf_of.values()) >= 3
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_tables_match_reference(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        for table in range(100):
+            X, y, config = tie_heavy_table(rng)
+            tree = fit_cart(X, y, config, rng_for(seed, table))
+            assert_same_tree(tree, reference_fit_cart(X, y, config, rng_for(seed, table)))
+
+    def test_bootstrap_forest_matches_reference(self):
+        ds = make_synthetic(300, 4, "heteroscedastic", 0.5, seed=2)
+        config = ForestConfig(n_trees=3, max_features=2)
+        forest = fit_forest(ds, config, seed=4)
+        for t, tree in enumerate(forest.trees):
+            rng = rng_for(4, "tree", t)
+            idx = rng.integers(0, ds.n_rows, size=ds.n_rows)
+            assert_same_tree(tree, reference_fit_cart(ds.features[idx], ds.labels[idx], config, rng))
+
+    def test_subnormal_two_rows_stay_a_leaf(self):
+        # the parent SSE underflows to 0, so no split strictly reduces it
+        X = np.array([[0.0], [1.0]])
+        y = np.array([0.0, 5e-324])
+        tree = fit_cart(X, y, ForestConfig(), rng_for(0))
+        assert tree.n_nodes == 1
+        assert_same_tree(tree, reference_fit_cart(X, y, ForestConfig(), rng_for(0)))
+
+
+class TestPredict:
+    def test_matches_row_walk(self):
+        rng = np.random.default_rng(7)
+        for table in range(40):
+            X, y, config = tie_heavy_table(rng)
+            tree = fit_cart(X, y, config, rng_for(table))
+            queries = np.vstack([X, rng.random((6, X.shape[1])), np.full((1, X.shape[1]), np.nan)])
+            assert np.array_equal(tree.predict(queries), walk_predict(tree, queries))
+
+    def test_threshold_ties_go_left_and_nan_goes_right(self):
+        tree = fit_cart(np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 6.0]]), np.array([0.0, 1.0, 4.0]),
+                        ForestConfig(), rng_for(0))
+        inner = tree.feature >= 0
+        at_threshold = np.zeros((inner.sum(), 2))
+        at_threshold[np.arange(inner.sum()), tree.feature[inner]] = tree.threshold[inner]
+        queries = np.vstack([at_threshold, [[np.nan, np.nan], [np.nan, 0.0], [0.0, np.nan]]])
+        assert np.array_equal(tree.predict(queries), walk_predict(tree, queries))
+        assert tree.predict([[np.nan, np.nan]])[0] == walk_predict(tree, [[np.inf, np.inf]])[0]
+
+    def test_zero_rows(self):
+        tree = fit_cart(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), ForestConfig(), rng_for(0))
+        out = tree.predict(np.empty((0, 1)))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_single_leaf_tree(self):
+        tree = fit_cart(np.zeros((3, 2)), np.array([1.5, 1.5, 1.5]), ForestConfig(), rng_for(0))
+        assert tree.n_nodes == 1
+        queries = np.array([[0.0, 0.0], [np.nan, 7.0]])
+        assert np.array_equal(tree.predict(queries), [1.5, 1.5])
 
 
 class TestForest:
@@ -148,19 +334,6 @@ class TestOofCalibration:
             oof_calibration(ds, ForestConfig(n_trees=1), k=1, seed=0)
         with pytest.raises(ValueError):
             oof_calibration(ds, ForestConfig(n_trees=1), k=11, seed=0)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        ds = small_dataset(18)
-        forest = fit_forest(ds, ForestConfig(n_trees=4), seed=12)
-        path = tmp_path / "forest.npz"
-        save_forest(forest, path)
-        back = load_forest(path)
-        assert back.config == forest.config
-        pa = forest_predict(forest, ds.features)
-        pb = forest_predict(back, ds.features)
-        assert np.array_equal(pa.passes, pb.passes)
 
 
 class TestConfigInvariants:

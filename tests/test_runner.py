@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -51,6 +52,23 @@ class TestParseConfig:
     def test_grid_single_point_range(self):
         cfg = parse_config_text("dataset = x.csv\ncl_grid = 0.8:0.8:0.05\n")
         assert cfg.cl_grid == (0.8,)
+
+    @pytest.mark.parametrize("grid", ["0.01:0.99:1e-5", "0.01:0.99:1e-12"])
+    def test_grid_too_many_levels_rejected_before_building(self, grid):
+        # 98001 and ~1e12 levels; a built list would need megabytes (or hang)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="cl_grid: range"):
+                parse_config_text(f"dataset = x.csv\ncl_grid = {grid}\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
+
+    def test_grid_percent_steps_still_parse(self):
+        cfg = parse_config_text("dataset = x.csv\ncl_grid = 0.01:0.99:0.01\n")
+        assert len(cfg.cl_grid) == 99
+        assert cfg.cl_grid[0] == 0.01 and cfg.cl_grid[-1] == 0.99
 
     def test_fixture_config_parses(self):
         cfg = parse_config(os.path.join(FIXTURES, "synthetic.cfg"))
