@@ -12,11 +12,10 @@ from .ensemble import EnsemblePrediction, mc_dropout_predict
 from .forest import ForestConfig, Forest, fit_forest, forest_predict, oof_calibration
 from .conformal import (
     CalibrationModel,
-    PredictionInterval,
     nonconformity,
     build_calibration,
     alpha_at_level,
-    predict_interval,
+    intervals_for,
     dropout_icp,
     rf_ccp,
 )
@@ -26,7 +25,6 @@ from .evaluate import (
     coverage,
     calibration_curve,
     width_stats,
-    screen_classify,
     screen_counts,
     aggregate_runs,
 )

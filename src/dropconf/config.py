@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .data import DataError, check_fractions, check_synthetic
 from .net import NetConfig
 from .forest import ForestConfig
 
@@ -46,6 +47,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dataset is None and self.synthetic_n is None:
             raise ConfigError("dataset: either a dataset path or synthetic.n is required")
+        if self.dataset is None:
+            try:
+                check_synthetic(self.synthetic_n, self.synthetic_d, self.synthetic_noise,
+                                self.synthetic_scale)
+            except DataError as exc:
+                raise ConfigError(f"synthetic.*: {exc}") from None
+        try:
+            check_fractions(self.fractions)
+        except DataError as exc:
+            raise ConfigError(f"train_fraction, val_fraction, test_fraction: {exc}") from None
         if self.n_runs < 1:
             raise ConfigError("n_runs: must be >= 1")
         if self.retry_limit < 0:

@@ -1,11 +1,17 @@
-"""Conformal calculus: exponential-normalized nonconformity scores,
-percentile calibration, interval construction, and the two end-to-end
-pipelines (dropout ICP and random-forest cross-conformal).
+"""Conformal calculus on arrays: exponential-normalized nonconformity
+scores, percentile calibration, interval bounds, and the two end-to-end
+pipelines (dropout ICP and random-forest cross-conformal), which share one
+calibration builder.
 
 The score for an instance is |y - y_hat| / e^sigma, where sigma is the
 ensemble standard deviation of that instance's own passes. Since e^sigma >= 1
 every score is bounded by the raw residual, so the largest calibration score
-never exceeds the largest calibration residual.
+never exceeds the largest calibration residual. The interval at level cl is
+y_hat +/- e^sigma * alpha_cl, kept as an (n_test, 2) array of
+[lower, upper] per level.
+
+e^sigma is taken with math.exp, one instance at a time: np.exp can differ
+from it in the last bit, and every emitted byte derives from these values.
 """
 
 from __future__ import annotations
@@ -46,28 +52,6 @@ class CalibrationModel:
 
 
 @dataclass(frozen=True)
-class PredictionInterval:
-    center: float
-    half_width: float
-    lower: float
-    upper: float
-    cl: float
-
-    @property
-    def unbounded(self) -> bool:
-        return math.isinf(self.half_width)
-
-    def covers(self, y: float) -> bool:
-        # closed-interval convention; the relative slack absorbs the rounding
-        # of the e^sigma round trip so a calibration point sitting exactly on
-        # its own bound still counts as covered
-        if self.unbounded:
-            return True
-        slack = 1e-12 * max(1.0, abs(y), abs(self.center), self.half_width)
-        return abs(y - self.center) <= self.half_width + slack
-
-
-@dataclass(frozen=True)
 class CalibrationDetail:
     """Per-instance calibration triples in original row order (for dumps)."""
 
@@ -82,27 +66,27 @@ class CalibrationDetail:
 class ConformalResult:
     """Intervals per confidence level plus the calibration artifacts."""
 
-    intervals: dict  # cl -> list[PredictionInterval], one per test instance
+    intervals: dict  # cl -> ndarray (n_test, 2) of [lower, upper]
     calibration: CalibrationModel
     calibration_detail: CalibrationDetail
     test_prediction: EnsemblePrediction
 
 
-def _check_cl(cl: float) -> float:
-    if not 0.0 < cl < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {cl}")
-    return float(cl)
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of every element of x."""
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def nonconformity(y: float, y_hat: float, sigma: float) -> float:
-    """alpha = |y - y_hat| / e^sigma."""
-    if sigma < 0:
+def nonconformity(y, y_hat, sigma):
+    """alpha = |y - y_hat| / e^sigma, element-wise."""
+    y, y_hat, sigma = (np.asarray(a, dtype=np.float64) for a in (y, y_hat, sigma))
+    if np.any(sigma < 0):
         raise ValueError("sigma must be >= 0")
-    if not (math.isfinite(y) and math.isfinite(y_hat) and math.isfinite(sigma)):
+    if not (np.isfinite(y).all() and np.isfinite(y_hat).all() and np.isfinite(sigma).all()):
         raise ValueError("nonconformity inputs must be finite")
     # exp(-sigma) underflows to 0 for huge sigma, giving alpha ~ 0 without
     # overflow; equivalent to clamping the exponent.
-    return abs(y - y_hat) * math.exp(-min(sigma, 745.0))
+    return np.abs(y - y_hat) * _exp(-np.minimum(sigma, 745.0))
 
 
 def build_calibration(y, preds: EnsemblePrediction, source: str, ids=None):
@@ -110,9 +94,7 @@ def build_calibration(y, preds: EnsemblePrediction, source: str, ids=None):
     y = np.asarray(y, dtype=np.float64)
     if len(y) != len(preds.means):
         raise ValueError("labels and predictions must have the same length")
-    alphas = np.array(
-        [nonconformity(yi, mi, si) for yi, mi, si in zip(y, preds.means, preds.stds)]
-    )
+    alphas = nonconformity(y, preds.means, preds.stds)
     if ids is None:
         ids = tuple(range(len(y)))
     detail = CalibrationDetail(
@@ -127,38 +109,24 @@ def alpha_at_level(cal: CalibrationModel, cl: float) -> float:
     The +inf case yields an unbounded interval, preserving validity when the
     calibration set is too small for the requested confidence level.
     """
-    cl = _check_cl(cl)
+    if not 0.0 < cl < 1.0:
+        raise ValueError(f"confidence level must be in (0, 1), got {cl}")
     k = math.ceil(cl * (cal.n + 1) - 1e-9)
     if k > cal.n:
         return math.inf
     return float(cal.alphas[k - 1])
 
 
-def predict_interval(y_hat: float, sigma: float, alpha_cl: float, cl: float) -> PredictionInterval:
-    """Interval y_hat +/- e^sigma * alpha_cl; +inf alpha gives the whole line."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if not math.isfinite(y_hat):
-        raise ValueError("y_hat must be finite")
-    cl = _check_cl(cl)
-    half = math.exp(min(sigma, 700.0)) * alpha_cl if not math.isinf(alpha_cl) else math.inf
-    return PredictionInterval(
-        center=y_hat,
-        half_width=half,
-        lower=y_hat - half,
-        upper=y_hat + half,
-        cl=cl,
-    )
-
-
 def intervals_for(preds: EnsemblePrediction, cal: CalibrationModel, cl_list) -> dict:
-    """Per-instance intervals for every requested confidence level."""
+    """Intervals y_hat +/- e^sigma * alpha_cl per confidence level, each an
+    (n_test, 2) array of [lower, upper]; +inf alpha gives the whole line."""
+    if not np.isfinite(preds.means).all():
+        raise ValueError("y_hat must be finite")
+    scale = _exp(np.minimum(preds.stds, 700.0))
     out = {}
     for cl in cl_list:
-        a = alpha_at_level(cal, cl)
-        out[float(cl)] = [
-            predict_interval(m, s, a, cl) for m, s in zip(preds.means, preds.stds)
-        ]
+        half = scale * alpha_at_level(cal, cl)
+        out[float(cl)] = np.column_stack((preds.means - half, preds.means + half))
     return out
 
 
@@ -202,13 +170,7 @@ def rf_ccp(
     training data.
     """
     oof = oof_calibration(train, config, k, derive_seed(seed, "oof"))
-    alphas = np.array(
-        [nonconformity(yi, mi, si) for yi, mi, si in zip(oof.y, oof.y_hat, oof.sigma)]
-    )
-    detail = CalibrationDetail(
-        ids=tuple(train.ids), y=oof.y, y_hat=oof.y_hat, sigma=oof.sigma, alpha=alphas
-    )
-    cal = CalibrationModel(alphas=np.sort(alphas, kind="stable"), source="rf_crossconformal")
+    cal, detail = build_calibration(train.labels, oof, "rf_crossconformal", ids=train.ids)
     final = fit_forest(train, config, derive_seed(seed, "final"))
     test_pred = forest_predict(final, test.features)
     return ConformalResult(

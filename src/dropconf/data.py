@@ -154,17 +154,23 @@ def save_table(dataset: Dataset, path, id_column: str = "id", label_column: str 
             )
 
 
+def check_fractions(fractions) -> None:
+    """Raise DataError unless the three split fractions are positive and sum to 1."""
+    f_train, f_val, f_test = fractions
+    if min(f_train, f_val, f_test) <= 0:
+        raise DataError("split fractions must be positive")
+    if abs(f_train + f_val + f_test - 1.0) > 1e-9:
+        raise DataError("split fractions must sum to 1.0")
+
+
 def random_split(n_rows: int, fractions=(0.70, 0.15, 0.15), seed: int = 0) -> SplitIndices:
     """Partition 0..n_rows-1 into seeded train/validation/test index sets.
 
     Cut points are floor(n*f_train) and floor(n*(f_train+f_val)); remainder
     rows after flooring go to the test partition.
     """
-    f_train, f_val, f_test = fractions
-    if min(f_train, f_val, f_test) <= 0:
-        raise DataError("split fractions must be positive")
-    if abs(f_train + f_val + f_test - 1.0) > 1e-9:
-        raise DataError("split fractions must sum to 1.0")
+    check_fractions(fractions)
+    f_train, f_val, _ = fractions
     if n_rows < 3:
         raise DataError("need at least 3 rows to populate all three partitions")
     perm = rng_for(seed, "split").permutation(n_rows)
@@ -187,6 +193,16 @@ def _target_function(X: np.ndarray) -> np.ndarray:
     return y
 
 
+def check_synthetic(n: int, d: int, noise: str, scale: float) -> None:
+    """Raise DataError for make_synthetic arguments it cannot use."""
+    if n < 10 or d < 1:
+        raise DataError("synthetic data needs n >= 10 and d >= 1")
+    if scale < 0:
+        raise DataError("noise scale must be >= 0")
+    if noise not in ("homoscedastic", "heteroscedastic"):
+        raise DataError(f"unknown noise model '{noise}'")
+
+
 def make_synthetic(
     n: int,
     d: int,
@@ -200,12 +216,7 @@ def make_synthetic(
     (per-row std = scale * (0.25 + |x0|), so ensemble spread has signal to
     exploit). scale=0 gives labels exactly equal to the generating function.
     """
-    if n < 10 or d < 1:
-        raise DataError("synthetic data needs n >= 10 and d >= 1")
-    if scale < 0:
-        raise DataError("noise scale must be >= 0")
-    if noise not in ("homoscedastic", "heteroscedastic"):
-        raise DataError(f"unknown noise model '{noise}'")
+    check_synthetic(n, d, noise, scale)
     rng = rng_for(seed, "synthetic")
     X = rng.standard_normal((n, d))
     y = _target_function(X)

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .conformal import PredictionInterval
 from .ensemble import EnsemblePrediction
 
 
@@ -36,6 +34,9 @@ class WidthStats:
     n_finite: int
 
 
+CATEGORIES = ("true_positive", "false_positive", "false_negative", "true_negative", "uncertain")
+
+
 @dataclass(frozen=True)
 class RetrievalCounts:
     """Interval-vs-cutoff classification tallies for one potency cutoff.
@@ -53,13 +54,7 @@ class RetrievalCounts:
 
     @property
     def n_total(self) -> int:
-        return (
-            self.uncertain
-            + self.true_positive
-            + self.false_positive
-            + self.false_negative
-            + self.true_negative
-        )
+        return sum(getattr(self, cat) for cat in CATEGORIES)
 
     @property
     def tp_percent_of_test(self) -> float:
@@ -92,13 +87,32 @@ def rmse(y_true, y_hat) -> float:
     return float(np.sqrt(np.mean((y_true - y_hat) ** 2)))
 
 
-def coverage(intervals, y_true) -> float:
-    """Fraction of instances with lower <= y <= upper (closed intervals)."""
+def _bounds(intervals):
+    """(lower, upper) columns of an (n, 2) array of [lower, upper] rows."""
+    bounds = np.asarray(intervals, dtype=np.float64).reshape(len(intervals), 2)
+    return bounds[:, 0], bounds[:, 1]
+
+
+def _labels(y_true, n: int) -> np.ndarray:
     y_true = np.asarray(y_true, dtype=np.float64)
-    if len(intervals) != len(y_true):
+    if len(y_true) != n:
         raise ValueError("intervals and labels must have the same length")
-    hits = sum(1 for iv, y in zip(intervals, y_true) if iv.covers(y))
-    return hits / len(y_true)
+    return y_true
+
+
+def coverage(intervals, y_true) -> float:
+    """Fraction of instances with lower <= y <= upper (closed intervals).
+
+    A relative slack of 1e-12 absorbs the rounding of the e^sigma round trip,
+    so a calibration point sitting exactly on its own bound still counts as
+    covered; unbounded intervals cover everything.
+    """
+    lower, upper = _bounds(intervals)
+    y = _labels(y_true, len(lower))
+    magnitude = np.maximum(np.abs(lower), np.abs(upper))
+    slack = 1e-12 * np.maximum(magnitude, np.maximum(np.abs(y), 1.0))
+    hits = int(np.count_nonzero((lower - slack <= y) & (y <= upper + slack)))
+    return hits / len(y)
 
 
 def calibration_curve(intervals_by_cl: dict, y_true, cl_grid) -> CalibrationCurve:
@@ -118,9 +132,10 @@ def calibration_curve(intervals_by_cl: dict, y_true, cl_grid) -> CalibrationCurv
 
 def width_stats(intervals) -> WidthStats:
     """Summary of interval widths; unbounded intervals counted separately."""
-    if not intervals:
+    lower, upper = _bounds(intervals)
+    if len(lower) == 0:
         raise ValueError("width_stats requires at least one interval")
-    widths = np.array([iv.upper - iv.lower for iv in intervals])
+    widths = upper - lower
     finite = widths[np.isfinite(widths)]
     frac_unbounded = 1.0 - len(finite) / len(widths)
     if len(finite) == 0:
@@ -138,45 +153,35 @@ def width_stats(intervals) -> WidthStats:
     )
 
 
-CATEGORIES = ("true_positive", "false_positive", "false_negative", "true_negative", "uncertain")
-
-
-def screen_classify(interval: PredictionInterval, y_true: float, cutoff: float) -> str:
-    """Classify one instance against a potency cutoff.
+def screen_counts(intervals, y_true, cutoffs=(5, 6, 7, 8, 9)) -> list:
+    """RetrievalCounts per cutoff over the whole test set.
 
     Strict inequalities throughout: an interval whose lower bound exceeds the
     cutoff is a positive call, one whose upper bound is below it is a
     negative call, anything spanning the cutoff is uncertain.
     """
-    if not math.isfinite(y_true):
-        raise ValueError("y_true must be finite")
-    if interval.lower > cutoff:
-        return "true_positive" if y_true > cutoff else "false_positive"
-    if interval.upper < cutoff:
-        return "false_negative" if y_true > cutoff else "true_negative"
-    return "uncertain"
-
-
-def screen_counts(intervals, y_true, cutoffs=(5, 6, 7, 8, 9)) -> list:
-    """RetrievalCounts per cutoff over the whole test set."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    if len(intervals) != len(y_true) or len(y_true) == 0:
+    lower, upper = _bounds(intervals)
+    y = _labels(y_true, len(lower))
+    if len(y) == 0:
         raise ValueError("intervals and labels must be equal-length and non-empty")
+    if not np.isfinite(y).all():
+        raise ValueError("y_true must be finite")
     out = []
     for cutoff in cutoffs:
-        tally = dict.fromkeys(CATEGORIES, 0)
-        for iv, y in zip(intervals, y_true):
-            tally[screen_classify(iv, y, cutoff)] += 1
-        out.append(
-            RetrievalCounts(
-                cutoff=float(cutoff),
-                uncertain=tally["uncertain"],
-                true_positive=tally["true_positive"],
-                false_positive=tally["false_positive"],
-                false_negative=tally["false_negative"],
-                true_negative=tally["true_negative"],
-            )
-        )
+        positive = lower > cutoff
+        negative = ~positive & (upper < cutoff)
+        active = y > cutoff
+        calls = {
+            "true_positive": positive & active,
+            "false_positive": positive & ~active,
+            "false_negative": negative & active,
+            "true_negative": negative & ~active,
+            "uncertain": ~positive & ~negative,
+        }
+        out.append(RetrievalCounts(
+            cutoff=float(cutoff),
+            **{cat: int(np.count_nonzero(mask)) for cat, mask in calls.items()},
+        ))
     return out
 
 
@@ -218,7 +223,10 @@ def evaluate_model(
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    """JSON-serializable form, exact enough to re-aggregate from disk."""
+    """JSON-serializable form, exact enough to re-aggregate from disk.
+
+    Width stats and retrieval counts keep their field names as keys.
+    """
     return {
         "model": report.model,
         "rmse": report.rmse,
@@ -228,27 +236,10 @@ def report_to_dict(report: EvaluationReport) -> dict:
             "coverage": list(report.curve.coverages),
             "r_squared": report.curve.r_squared,
         },
-        "width_stats": {
-            repr(cl): {
-                "mean": ws.mean,
-                "median": ws.median,
-                "q1": ws.q1,
-                "q3": ws.q3,
-                "min": ws.min,
-                "max": ws.max,
-                "fraction_unbounded": ws.fraction_unbounded,
-                "n_finite": ws.n_finite,
-            }
-            for cl, ws in report.width_stats.items()
-        },
+        "width_stats": {repr(cl): asdict(ws) for cl, ws in report.width_stats.items()},
         "retrieval": [
             {
-                "cutoff": rc.cutoff,
-                "uncertain": rc.uncertain,
-                "true_positive": rc.true_positive,
-                "false_positive": rc.false_positive,
-                "false_negative": rc.false_negative,
-                "true_negative": rc.true_negative,
+                **asdict(rc),
                 "tp_percent_of_test": rc.tp_percent_of_test,
                 "tp_percent_of_calls": rc.tp_percent_of_calls,
             }
@@ -266,28 +257,9 @@ def report_from_dict(d: dict) -> EvaluationReport:
         coverages=tuple(d["curve"]["coverage"]),
         r_squared=d["curve"]["r_squared"],
     )
-    widths = {
-        float(cl): WidthStats(
-            mean=ws["mean"],
-            median=ws["median"],
-            q1=ws["q1"],
-            q3=ws["q3"],
-            min=ws["min"],
-            max=ws["max"],
-            fraction_unbounded=ws["fraction_unbounded"],
-            n_finite=ws["n_finite"],
-        )
-        for cl, ws in d["width_stats"].items()
-    }
+    widths = {float(cl): WidthStats(**ws) for cl, ws in d["width_stats"].items()}
     retrieval = [
-        RetrievalCounts(
-            cutoff=rc["cutoff"],
-            uncertain=rc["uncertain"],
-            true_positive=rc["true_positive"],
-            false_positive=rc["false_positive"],
-            false_negative=rc["false_negative"],
-            true_negative=rc["true_negative"],
-        )
+        RetrievalCounts(**{key: rc[key] for key in ("cutoff",) + CATEGORIES})
         for rc in d["retrieval"]
     ]
     return EvaluationReport(

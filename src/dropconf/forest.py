@@ -1,7 +1,7 @@
 """Random forest regression baseline built from scratch.
 
 CART trees with variance-reduction splitting on bootstrap resamples, plus
-10-fold out-of-fold calibration data for cross-conformal prediction. Per-tree
+k-fold out-of-fold predictions for cross-conformal calibration. Per-tree
 spread plays the same role as dropout-pass spread in the network pipeline.
 """
 
@@ -99,7 +99,8 @@ def _best_split(Xt, y, ysub, order, feats, min_leaf: int, member):
     is the node's labels in row-id order and ``member`` an all-False scratch
     array over row ids.
 
-    Thresholds are midpoints between consecutive distinct sorted values.
+    Thresholds are midpoints between consecutive distinct sorted values, or
+    the lower value where the midpoint is not strictly between them.
     Ties break to the lowest feature index, then the lowest threshold.
     Returns None when no split strictly reduces the parent SSE.
 
@@ -145,7 +146,13 @@ def _best_split(Xt, y, ysub, order, feats, min_leaf: int, member):
         if not best_exact < _exact_sse(ysub):
             return None
         f_local, pos = winner
-    return int(feats[f_local]), (xs[f_local, pos] + xs[f_local, pos + 1]) / 2.0
+    a, b = xs[f_local, pos], xs[f_local, pos + 1]
+    thr = (a + b) / 2.0
+    if not a < thr < b:
+        # adjacent floats round the midpoint to a or b, and values near
+        # +/-1e308 overflow it; a keeps the scored partition
+        thr = a
+    return int(feats[f_local]), thr
 
 
 def _one_partition(order, cand_f, cand_pos, member) -> bool:
@@ -258,23 +265,10 @@ def forest_predict(forest: Forest, features) -> EnsemblePrediction:
     return from_passes(passes)
 
 
-@dataclass
-class OofCalibrationData:
-    """Out-of-fold (y, y_hat, sigma) per training instance, aligned to row order."""
-
-    y: np.ndarray
-    y_hat: np.ndarray
-    sigma: np.ndarray
-    fold: np.ndarray  # which fold each instance was held out in
-
-    def __post_init__(self):
-        if not (len(self.y) == len(self.y_hat) == len(self.sigma) == len(self.fold)):
-            raise ValueError("out-of-fold arrays must be aligned")
-
-
-def oof_calibration(train: Dataset, config: ForestConfig, k: int, seed: int) -> OofCalibrationData:
-    """k-fold out-of-fold predictions: each instance is predicted by the one
-    forest fit on the other k-1 folds."""
+def oof_calibration(train: Dataset, config: ForestConfig, k: int, seed: int) -> EnsemblePrediction:
+    """k-fold out-of-fold predictions in row order: each instance's row of
+    the pass matrix holds the trees of the one forest fit on the other k-1
+    folds."""
     n = train.n_rows
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -282,14 +276,9 @@ def oof_calibration(train: Dataset, config: ForestConfig, k: int, seed: int) -> 
         raise ValueError("need at least k training rows")
     perm = rng_for(seed, "folds").permutation(n)
     folds = np.array_split(perm, k)
-    y_hat = np.empty(n)
-    sigma = np.empty(n)
-    fold_of = np.empty(n, dtype=np.int32)
+    passes = np.empty((n, config.n_trees))
     for i, held_out in enumerate(folds):
         rest = np.concatenate([folds[j] for j in range(k) if j != i])
         model = fit_forest(train.subset(rest), config, derive_seed(seed, "fold", i))
-        pred = forest_predict(model, train.features[held_out])
-        y_hat[held_out] = pred.means
-        sigma[held_out] = pred.stds
-        fold_of[held_out] = i
-    return OofCalibrationData(y=train.labels.copy(), y_hat=y_hat, sigma=sigma, fold=fold_of)
+        passes[held_out] = forest_predict(model, train.features[held_out]).passes
+    return from_passes(passes)

@@ -9,9 +9,8 @@ same expectation scale.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,10 +68,6 @@ class MLPModel:
     input_dim: int
     trained_epochs: int = 0
     best_val_rmse: float = math.inf
-
-    def layer_dims(self):
-        dims = [self.input_dim] + list(self.config.hidden_sizes) + [1]
-        return list(zip(dims[:-1], dims[1:]))
 
 
 @dataclass
@@ -283,43 +278,3 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
     log.converged = best_rmse < config.rmse_gate
     return model, log
 
-
-MODEL_FORMAT_VERSION = 1
-
-
-def save_mlp(model: MLPModel, path) -> None:
-    """Versioned binary serialization, round-trip exact."""
-    meta = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": "mlp",
-        "input_dim": model.input_dim,
-        "config": asdict(model.config),
-        "trained_epochs": model.trained_epochs,
-        "best_val_rmse": model.best_val_rmse,
-    }
-    arrays = {"meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)}
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-    np.savez(path, **arrays)
-
-
-def load_mlp(path) -> MLPModel:
-    with np.load(path) as npz:
-        meta = json.loads(bytes(npz["meta"]).decode("utf-8"))
-        if meta.get("kind") != "mlp" or meta.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"{path}: not a version-{MODEL_FORMAT_VERSION} mlp file")
-        cfg = meta["config"]
-        cfg["hidden_sizes"] = tuple(cfg["hidden_sizes"])
-        config = NetConfig(**cfg)
-        n_layers = len(config.hidden_sizes) + 1
-        weights = [npz[f"w{i}"] for i in range(n_layers)]
-        biases = [npz[f"b{i}"] for i in range(n_layers)]
-    return MLPModel(
-        weights=weights,
-        biases=biases,
-        config=config,
-        input_dim=int(meta["input_dim"]),
-        trained_epochs=int(meta["trained_epochs"]),
-        best_val_rmse=float(meta["best_val_rmse"]),
-    )

@@ -20,6 +20,7 @@ from .config import ExperimentConfig
 from .conformal import ConformalResult, dropout_icp, rf_ccp
 from .data import Dataset, load_table, make_synthetic, random_split
 from .evaluate import (
+    CATEGORIES,
     aggregate_runs,
     evaluate_model,
     report_from_dict,
@@ -99,16 +100,13 @@ def _dump_conformal(prefix: str, result: ConformalResult, test_ids, run_dir) -> 
             for i in order
         ],
     )
+    y_hat = result.test_prediction.means
     rows = []
     for cl in sorted(result.intervals):
-        for tid, iv in zip(test_ids, result.intervals[cl]):
-            rows.append(
-                [tid, float(cl), float(iv.center),
-                 float(iv.upper - iv.center) if not iv.unbounded else "inf",
-                 float(iv.lower) if not iv.unbounded else "-inf",
-                 float(iv.upper) if not iv.unbounded else "inf",
-                 int(iv.unbounded)]
-            )
+        lower, upper = result.intervals[cl].T
+        half = upper - y_hat
+        rows += zip(test_ids, [float(cl)] * len(y_hat), y_hat.tolist(), half.tolist(),
+                    lower.tolist(), upper.tolist(), np.isinf(half).astype(int).tolist())
     write_csv(
         os.path.join(run_dir, f"{prefix}_intervals.csv"),
         ["id", "cl", "y_hat", "half_width", "lower", "upper", "unbounded"],
@@ -201,36 +199,36 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
     dataset = load_experiment_dataset(cfg)
 
     run_indices = [only_run] if only_run is not None else list(range(cfg.n_runs))
-    per_run = {}
-    failures = []
-    if cfg.workers > 1 and len(run_indices) > 1:
+    jobs = [(cfg, dataset, r, out_dir) for r in run_indices]
+    if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            jobs = [(cfg, dataset, r, out_dir) for r in run_indices]
-            for r, (reports, fails) in zip(run_indices, pool.map(_run_single_star, jobs)):
-                per_run[r] = reports
-                failures.extend(fails)
+            per_run = list(pool.map(_run_single_star, jobs))
     else:
-        for r in run_indices:
-            reports, fails = run_single(cfg, dataset, r, out_dir)
-            per_run[r] = reports
-            failures.extend(fails)
+        per_run = [run_single(*job) for job in jobs]
+    failures = [f for _reports, fails in per_run for f in fails]
+
+    if only_run is not None:
+        # the summary covers every run on disk, not only the one just repeated
+        kept = [f for f in _summary(out_dir).get("failures", []) if f["run"] != only_run]
+        failures = sorted([(f["run"], f["model"], f["reason"]) for f in kept] + failures,
+                          key=lambda f: f[0])
+        return reaggregate(cfg, out_dir, failures)
 
     reports_by_model = {}
-    for r in sorted(per_run):
-        for key, rd in per_run[r].items():
+    for reports, _fails in per_run:
+        for key, rd in reports.items():
             reports_by_model.setdefault(key, []).append(report_from_dict(rd))
+    return _finish(reports_by_model, failures, out_dir, cfg.seed, cfg.n_runs, cfg.plots)
 
-    aggregate = _aggregate_and_emit(
-        reports_by_model, failures, out_dir,
-        seed=cfg.seed, n_runs=cfg.n_runs, plots=cfg.plots,
-    )
-    manifest = build_manifest(out_dir)
+
+def _finish(reports_by_model, failures, out_dir, seed, n_runs, plots) -> RunArtifacts:
+    aggregate = _aggregate_and_emit(reports_by_model, failures, out_dir, seed, n_runs, plots)
     return RunArtifacts(
         out_dir=out_dir,
         reports=reports_by_model,
         failures=failures,
         aggregate=aggregate,
-        manifest=manifest,
+        manifest=build_manifest(out_dir),
     )
 
 
@@ -256,19 +254,14 @@ def _aggregate_and_emit(reports_by_model, failures, out_dir, seed, n_runs, plots
             fu = agg["fraction_unbounded"][cl]
             width_rows.append([key, float(cl), ms["mean"], ms["std"], fu["mean"]])
         for cutoff, cats in sorted(agg["retrieval"].items(), key=lambda kv: float(kv[0])):
-            row = [key, float(cutoff)]
-            for cat in ("true_positive", "false_positive", "false_negative",
-                        "true_negative", "uncertain"):
-                row.append(cats[cat]["mean"])
-            retr_rows.append(row)
+            retr_rows.append([key, float(cutoff)] + [cats[cat]["mean"] for cat in CATEGORIES])
     write_csv(os.path.join(out_dir, "calibration_curve.csv"),
               ["model", "cl", "coverage_mean", "coverage_std"], curve_rows)
     write_csv(os.path.join(out_dir, "width_stats.csv"),
               ["model", "cl", "mean_width_mean", "mean_width_std", "fraction_unbounded_mean"],
               width_rows)
     write_csv(os.path.join(out_dir, "retrieval_counts.csv"),
-              ["model", "cutoff", "true_positive", "false_positive", "false_negative",
-               "true_negative", "uncertain"], retr_rows)
+              ["model", "cutoff", *CATEGORIES], retr_rows)
 
     if plots:
         _emit_calibration_svg(aggregate, os.path.join(out_dir, "calibration_curve.svg"))
@@ -318,8 +311,20 @@ def build_manifest(out_dir) -> dict:
     return manifest
 
 
-def reaggregate(cfg_or_none, out_dir) -> dict:
-    """Rebuild summary + manifest from per-run report JSONs on disk."""
+def _summary(out_dir) -> dict:
+    path = os.path.join(out_dir, "summary.json")
+    if not os.path.exists(path):
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def reaggregate(cfg_or_none, out_dir, failures=None) -> RunArtifacts:
+    """Rebuild summary + manifest from per-run report JSONs on disk.
+
+    Seed, run count and failures come from cfg_or_none and ``failures`` when
+    given, else from the summary already on disk.
+    """
     reports_by_model = {}
     run_dirs = sorted(
         d for d in os.listdir(out_dir)
@@ -333,18 +338,10 @@ def reaggregate(cfg_or_none, out_dir) -> dict:
                 with open(os.path.join(out_dir, rd, name), "r", encoding="utf-8") as fh:
                     report = report_from_dict(json.load(fh))
                 reports_by_model.setdefault(report.model, []).append(report)
-    summary_path = os.path.join(out_dir, "summary.json")
-    seed, n_runs, plots = 0, len(run_dirs), False
-    failures = []
-    if os.path.exists(summary_path):
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            old = json.load(fh)
-        seed = old.get("seed", 0)
-        n_runs = old.get("n_runs", n_runs)
+    old = _summary(out_dir)
+    seed, n_runs, plots = old.get("seed", 0), old.get("n_runs", len(run_dirs)), False
+    if failures is None:
         failures = [(f["run"], f["model"], f["reason"]) for f in old.get("failures", [])]
     if cfg_or_none is not None:
         seed, n_runs, plots = cfg_or_none.seed, cfg_or_none.n_runs, cfg_or_none.plots
-    aggregate = _aggregate_and_emit(reports_by_model, failures, out_dir,
-                                    seed=seed, n_runs=n_runs, plots=plots)
-    build_manifest(out_dir)
-    return aggregate
+    return _finish(reports_by_model, failures, out_dir, seed, n_runs, plots)

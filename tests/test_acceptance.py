@@ -17,13 +17,13 @@ from dropconf.conformal import (
     CalibrationModel,
     alpha_at_level,
     dropout_icp,
+    intervals_for,
     nonconformity,
-    predict_interval,
     rf_ccp,
 )
 from dropconf.data import make_synthetic, random_split
-from dropconf.ensemble import mc_dropout_predict
-from dropconf.evaluate import calibration_curve, rmse, screen_classify, screen_counts
+from dropconf.ensemble import EnsemblePrediction, mc_dropout_predict
+from dropconf.evaluate import CATEGORIES, calibration_curve, coverage, rmse, screen_counts
 from dropconf.forest import ForestConfig, fit_cart, fit_forest, forest_predict
 from dropconf.net import NetConfig, compute_gradients, draw_masks, init_mlp, lr_at_epoch, train
 from dropconf.seeds import rng_for
@@ -41,6 +41,13 @@ GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 def report(number, label):
     print(f"ACCEPTANCE {number:02d} PASS - {label}")
+
+
+def summary(y_hat, sigma):
+    """Ensemble summary with the given per-instance mean and spread."""
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    return EnsemblePrediction(means=y_hat, stds=np.asarray(sigma, dtype=np.float64),
+                              passes=y_hat[:, None], n_members=1)
 
 
 def coverage_floor_ok(curve, n_test):
@@ -168,10 +175,7 @@ def test_criterion_06_self_calibration_count():
         for cl in (0.5, 0.8, 0.9):
             a_cl = alpha_at_level(cal, cl)
             assert math.isfinite(a_cl)
-            covered = sum(
-                predict_interval(b, s, a_cl, cl).covers(a)
-                for a, b, s in zip(y, y_hat, sigma)
-            )
+            covered = round(coverage(intervals_for(summary(y_hat, sigma), cal, [cl])[cl], y) * n)
             assert covered == math.ceil(cl * (n + 1) - 1e-9)
     report(6, "self-calibration covers exactly k = ceil(cl*(n+1)) instances")
 
@@ -197,12 +201,14 @@ def test_criterion_08_equation_unit_examples():
     assert nonconformity(5.0, 5.5, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert nonconformity(7.0, 6.0, math.log(2)) == pytest.approx(0.5, abs=1e-12)
     assert nonconformity(3.0, 3.0, 5.0) == pytest.approx(0.0, abs=1e-12)
-    iv = predict_interval(6.0, 0.0, 0.5, 0.8)
-    assert iv.lower == pytest.approx(5.5, abs=1e-12) and iv.upper == pytest.approx(6.5, abs=1e-12)
-    iv = predict_interval(7.0, math.log(2), 0.5, 0.8)
-    assert iv.lower == pytest.approx(6.0, abs=1e-12) and iv.upper == pytest.approx(8.0, abs=1e-12)
-    iv = predict_interval(6.0, 0.0, math.inf, 0.8)
-    assert iv.lower == -math.inf and iv.upper == math.inf
+    half = CalibrationModel(alphas=np.full(9, 0.5), source="dropout")  # alpha_0.8 = 0.5
+    (lower, upper), (lower2, upper2) = intervals_for(
+        summary([6.0, 7.0], [0.0, math.log(2)]), half, [0.8])[0.8]
+    assert lower == pytest.approx(5.5, abs=1e-12) and upper == pytest.approx(6.5, abs=1e-12)
+    assert lower2 == pytest.approx(6.0, abs=1e-12) and upper2 == pytest.approx(8.0, abs=1e-12)
+    one = CalibrationModel(alphas=np.array([0.5]), source="dropout")  # k = 2 > n: alpha = inf
+    ((lower, upper),) = intervals_for(summary([6.0], [0.0]), one, [0.8])[0.8]
+    assert lower == -math.inf and upper == math.inf
     report(8, "score and interval unit examples exact to 1e-12")
 
 
@@ -212,15 +218,14 @@ def test_criterion_09_retrieval_partition(dnn_icp, rf_result):
         counts = screen_counts(result.intervals[0.8], test_set.labels, cutoffs=(5, 6, 7, 8, 9))
         for rc in counts:
             assert rc.n_total == test_set.n_rows
-    from dropconf.conformal import PredictionInterval
 
-    def iv(lo, hi):
-        return PredictionInterval(center=(lo + hi) / 2, half_width=(hi - lo) / 2,
-                                  lower=lo, upper=hi, cl=0.8)
+    def screen_one(lo, hi, y, cutoff):
+        (rc,) = screen_counts([(lo, hi)], [y], cutoffs=(cutoff,))
+        return next(cat for cat in CATEGORIES if getattr(rc, cat))
 
-    assert screen_classify(iv(7.5, 8.5), 8.0, 7) == "true_positive"
-    assert screen_classify(iv(6.0, 8.0), 7.5, 7) == "uncertain"
-    assert screen_classify(iv(4.0, 6.5), 7.2, 7) == "false_negative"
+    assert screen_one(7.5, 8.5, 8.0, 7) == "true_positive"
+    assert screen_one(6.0, 8.0, 7.5, 7) == "uncertain"
+    assert screen_one(4.0, 6.5, 7.2, 7) == "false_negative"
     report(9, "retrieval categories partition the test set at every cutoff")
 
 

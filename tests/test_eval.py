@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dropconf.conformal import PredictionInterval
 from dropconf.ensemble import from_passes
 from dropconf.evaluate import (
+    CATEGORIES,
     CalibrationCurve,
     EvaluationReport,
     RetrievalCounts,
@@ -15,17 +15,20 @@ from dropconf.evaluate import (
     calibration_curve,
     coverage,
     rmse,
-    screen_classify,
     screen_counts,
     sigma_error_pairs,
     width_stats,
 )
 
 
-def interval(lower, upper, cl=0.8):
-    center = (lower + upper) / 2 if math.isfinite(lower) else 0.0
-    half = (upper - lower) / 2 if math.isfinite(lower) else math.inf
-    return PredictionInterval(center=center, half_width=half, lower=lower, upper=upper, cl=cl)
+def interval(lower, upper):
+    return (lower, upper)
+
+
+def classify_one(interval, y_true, cutoff):
+    """The retrieval category screen_counts gives one instance."""
+    (rc,) = screen_counts([interval], [y_true], cutoffs=(cutoff,))
+    return next(cat for cat in CATEGORIES if getattr(rc, cat))
 
 
 class TestRmse:
@@ -108,18 +111,18 @@ class TestWidthStats:
 
 class TestScreenClassify:
     def test_spanning_is_uncertain(self):
-        assert screen_classify(interval(6, 8), 7.5, 7) == "uncertain"
-        assert screen_classify(interval(6, 8), 6.5, 7) == "uncertain"
+        assert classify_one(interval(6, 8), 7.5, 7) == "uncertain"
+        assert classify_one(interval(6, 8), 6.5, 7) == "uncertain"
 
     def test_true_positive(self):
-        assert screen_classify(interval(7.5, 8.5), 8.0, 7) == "true_positive"
+        assert classify_one(interval(7.5, 8.5), 8.0, 7) == "true_positive"
 
     def test_false_negative(self):
-        assert screen_classify(interval(4.0, 6.5), 7.2, 7) == "false_negative"
+        assert classify_one(interval(4.0, 6.5), 7.2, 7) == "false_negative"
 
     def test_false_positive_and_true_negative(self):
-        assert screen_classify(interval(7.5, 8.5), 6.0, 7) == "false_positive"
-        assert screen_classify(interval(4.0, 6.5), 5.0, 7) == "true_negative"
+        assert classify_one(interval(7.5, 8.5), 6.0, 7) == "false_positive"
+        assert classify_one(interval(4.0, 6.5), 5.0, 7) == "true_negative"
 
     def test_raising_cutoff_never_fn_to_tp(self):
         rng = np.random.default_rng(0)
@@ -127,7 +130,7 @@ class TestScreenClassify:
             lo = rng.uniform(3, 9)
             hi = lo + rng.uniform(0, 3)
             y = rng.uniform(3, 12)
-            cats = [screen_classify(interval(lo, hi), y, c) for c in (5, 6, 7, 8, 9)]
+            cats = [classify_one(interval(lo, hi), y, c) for c in (5, 6, 7, 8, 9)]
             for a, b in zip(cats, cats[1:]):
                 assert not (a == "false_negative" and b == "true_positive")
 

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from dropconf.forest import (
     forest_predict,
     oof_calibration,
 )
-from dropconf.seeds import rng_for
+from dropconf.seeds import derive_seed, rng_for
 
 from oracles import oracle_cart, oracle_cart_predict
 
@@ -305,28 +309,70 @@ class TestForest:
             forest_predict(forest, np.zeros((2, 4)))
 
 
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+FIT_TWO_ROWS = """
+import json, sys
+import numpy as np
+from dropconf.forest import ForestConfig, fit_cart
+from dropconf.seeds import rng_for
+X = np.array(json.loads(sys.argv[1]))
+tree = fit_cart(X, np.array([0.0, 1.0]), ForestConfig(), rng_for(0))
+print(json.dumps([tree.feature.tolist(), tree.threshold.tolist(), tree.value.tolist()]))
+"""
+
+
+class TestUnrepresentableMidpoint:
+    # The fit runs in a child process with a timeout: a regression would make
+    # fit_cart loop forever, and the suite has no per-test timeout.
+    @pytest.mark.parametrize("a, b", [
+        (1 + 2**-52, 1 + 2**-51),  # adjacent floats: the midpoint rounds to b
+        (1e308, 1.5e308),  # a + b overflows to inf
+        (-1.5e308, -1e308),  # a + b overflows to -inf
+    ])
+    def test_split_uses_lower_value(self, a, b):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", FIT_TWO_ROWS, json.dumps([[a], [b]])],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        feature, threshold, value = json.loads(proc.stdout)
+        assert feature == [0, -1, -1]
+        assert threshold[0] == a
+        assert value[1:] == [0.0, 1.0]
+
+
 class TestOofCalibration:
     def test_minimal_two_fold(self):
         ds = small_dataset(10)
         oof = oof_calibration(ds, ForestConfig(n_trees=3), k=2, seed=9)
-        assert len(oof.y) == 10
-        assert set(oof.fold.tolist()) == {0, 1}
+        assert oof.passes.shape == (10, 3) and oof.n_members == 3
+        assert len(oof.means) == len(oof.stds) == 10
 
     def test_partition_property(self):
         ds = small_dataset(23)
-        oof = oof_calibration(ds, ForestConfig(n_trees=2), k=5, seed=10)
-        # every instance predicted exactly once, fold sizes near-equal
-        counts = np.bincount(oof.fold, minlength=5)
-        assert counts.sum() == 23
+        config, k, seed = ForestConfig(n_trees=2), 5, 10
+        oof = oof_calibration(ds, config, k=k, seed=seed)
+        # brute force: every instance is predicted by the forest fit without
+        # its own fold, and fold sizes are near-equal
+        folds = np.array_split(rng_for(seed, "folds").permutation(23), k)
+        counts = np.array([len(f) for f in folds])
+        assert counts.sum() == 23 and len(np.unique(np.concatenate(folds))) == 23
         assert counts.max() - counts.min() <= 1
-        assert np.array_equal(oof.y, ds.labels)
+        for i, held_out in enumerate(folds):
+            rest = np.concatenate([folds[j] for j in range(k) if j != i])
+            forest = fit_forest(ds.subset(rest), config, derive_seed(seed, "fold", i))
+            pred = forest_predict(forest, ds.features[held_out])
+            assert np.array_equal(oof.means[held_out], pred.means)
+            assert np.array_equal(oof.stds[held_out], pred.stds)
 
     def test_exclusivity(self):
         # an instance's own fold never contributes to the forest predicting it:
         # with distinctive labels, a leak would reproduce the label exactly
         ds = small_dataset(12, noise=1.0)
         oof = oof_calibration(ds, ForestConfig(n_trees=1, bootstrap=False), k=3, seed=11)
-        assert not np.allclose(oof.y_hat, ds.labels)
+        assert not np.allclose(oof.means, ds.labels)
 
     def test_k_bounds(self):
         ds = small_dataset(10)

@@ -11,9 +11,7 @@ from dropconf.net import (
     draw_masks,
     forward_batch,
     init_mlp,
-    load_mlp,
     lr_at_epoch,
-    save_mlp,
     train,
 )
 from dropconf.seeds import rng_for
@@ -232,21 +230,6 @@ class TestTrain:
         assert all(np.array_equal(a, b) for a, b in zip(model.biases, ref.biases))
         pred = forward_batch(model, va.features)
         assert float(np.sqrt(np.mean((pred - va.labels) ** 2))) == log.best_val_rmse
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        model = init_mlp(6, NetConfig(hidden_sizes=(7, 3), dropout_p=0.25), seed=12)
-        model.trained_epochs = 17
-        model.best_val_rmse = 0.321
-        path = tmp_path / "model.npz"
-        save_mlp(model, path)
-        back = load_mlp(path)
-        assert back.input_dim == 6
-        assert back.config == model.config
-        assert back.trained_epochs == 17 and back.best_val_rmse == 0.321
-        assert all(np.array_equal(a, b) for a, b in zip(back.weights, model.weights))
-        assert all(np.array_equal(a, b) for a, b in zip(back.biases, model.biases))
 
 
 class TestConfigInvariants:

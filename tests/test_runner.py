@@ -206,6 +206,34 @@ class TestCli:
         rc = main(["report", "--in", out])
         assert rc == 0
 
+    @pytest.mark.parametrize("lines, key", [
+        ("synthetic.n = 5\nsynthetic.noise = bogus\n", "synthetic.*"),
+        ("synthetic.n = 100\ntrain_fraction = 0.8\nval_fraction = 0.2\n"
+         "test_fraction = 0.2\n", "train_fraction"),
+    ])
+    def test_validate_config_rejects_what_run_rejects(self, tmp_path, capsys, lines, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(lines)
+        assert main(["validate-config", "--config", str(bad)]) == 2
+        assert f"error: {key}" in capsys.readouterr().err
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+
+    def test_only_run_keeps_summary_of_all_runs(self, tmp_path):
+        # the failing dnn model also checks that the other run's failure stays
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            "synthetic.n = 120\nsynthetic.d = 3\nseed = 3\nn_runs = 2\n"
+            "models = dnn,rf\ndropout_p = 0.25\nforest.n_trees = 5\ncv_folds = 3\n"
+            "cl_grid = 0.5,0.8\nn_passes = 10\nretry_limit = 0\n"
+            "net.hidden_sizes = 4\nnet.lr0 = 0\nnet.max_epochs = 3\nnet.rmse_gate = 1e-9\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 0
+        full = {name: (out / name).read_bytes() for name in ("summary.json", "manifest.json")}
+        assert len(json.loads(full["summary.json"])["failures"]) == 2
+        assert main(["run", "--config", str(cfg_file), "--out", str(out), "--only-run", "1"]) == 0
+        assert {name: (out / name).read_bytes() for name in full} == full
+
     def test_run_missing_config(self, capsys):
         rc = main(["run", "--config", "/nope.cfg"])
         assert rc == 2
