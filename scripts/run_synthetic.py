@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Run the synthetic benchmark end to end and print the aggregate summary.
+"""Run the synthetic benchmark end to end and print the aggregate summary
+and the sha256 of the manifest.json it wrote.
 
 By default this uses the small deterministic experiment in
 fixtures/synthetic.cfg; point --config at another file for a bigger sweep.
+The manifest digest is what a change that must keep every output byte
+compares: `python3 scripts/run_synthetic.py --seed 7` before and after.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -34,7 +38,10 @@ def main(argv=None):
     out_dir = artifacts.out_dir
     with open(os.path.join(out_dir, "summary.json")) as fh:
         summary = json.load(fh)
+    with open(os.path.join(out_dir, "manifest.json"), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     print(f"results written to {out_dir}")
+    print(f"manifest.json sha256 {digest}")
     for model, agg in summary.get("models", {}).items():
         rmse = agg["rmse"]["mean"]
         r2 = agg["r_squared"]["mean"]

@@ -7,9 +7,10 @@ grid may also be written as ``start:stop:step``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .data import DataError, check_fractions, check_synthetic
+from .data import DataError, check_folds, check_fractions, check_split, check_synthetic
 from .net import NetConfig
 from .forest import ForestConfig
 
@@ -80,8 +81,23 @@ class ExperimentConfig:
                 raise ConfigError(f"cl_grid: {cl} not in (0, 1)")
         if not 0.0 < self.default_cl < 1.0:
             raise ConfigError(f"default_cl: {self.default_cl} not in (0, 1)")
-        if self.default_cl not in self.cl_grid:
-            object.__setattr__(self, "cl_grid", tuple(sorted(set(self.cl_grid) | {self.default_cl})))
+        for c in self.cutoffs:
+            if not math.isfinite(c):
+                raise ConfigError(f"cutoffs: {c} is not finite")
+        object.__setattr__(self, "cl_grid", tuple(sorted(set(self.cl_grid) | {self.default_cl})))
+        object.__setattr__(self, "cutoffs", tuple(sorted(set(self.cutoffs))))
+        if self.dataset is None:
+            # the row count is known up front, so run's split and fold
+            # checks can be made here
+            try:
+                _c1, c2 = check_split(self.synthetic_n, self.fractions)
+            except DataError as exc:
+                raise ConfigError(f"synthetic.n: {exc}") from None
+            if "rf" in self.models:
+                try:
+                    check_folds(c2, self.cv_folds)  # rf fits on train + validation
+                except DataError as exc:
+                    raise ConfigError(f"cv_folds: {exc}") from None
 
     @property
     def fractions(self):
@@ -114,11 +130,16 @@ def _parse_grid(raw: str):
             raise ConfigError(f"cl_grid: step must be > 0, got '{raw}'")
         if not start <= stop:
             raise ConfigError(f"cl_grid: start must be <= stop, got '{raw}'")
+        too_many = ConfigError(f"cl_grid: range '{raw}' has more than {MAX_GRID_LEVELS} levels")
         if (stop - start) / step >= MAX_GRID_LEVELS:
-            raise ConfigError(f"cl_grid: range '{raw}' has more than {MAX_GRID_LEVELS} levels")
+            raise too_many
         out = []
         v = start
         while v <= stop + 1e-9:
+            # the check above misses a step too small to advance v (below half
+            # the float spacing near v) and the levels in the 1e-9 slack
+            if len(out) == MAX_GRID_LEVELS:
+                raise too_many
             out.append(round(v, 10))
             v += step
         return tuple(out)

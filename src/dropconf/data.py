@@ -99,7 +99,7 @@ def load_table(path, id_column: str = "id", label_column: str = "y") -> Dataset:
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -126,6 +126,15 @@ def load_table(path, id_column: str = "id", label_column: str = "y") -> Dataset:
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate id values")
     return Dataset(ids=tuple(ids), labels=np.array(labels), features=np.array(rows))
+
+
+def _csv_rows(fh, path):
+    """The rows of csv.reader, with undecodable bytes and malformed CSV
+    raised as DataError."""
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from None
 
 
 def _parse_cell(cell: str, path, rownum: int, colname: str) -> float:
@@ -156,28 +165,43 @@ def save_table(dataset: Dataset, path, id_column: str = "id", label_column: str 
 
 def check_fractions(fractions) -> None:
     """Raise DataError unless the three split fractions are positive and sum to 1."""
-    f_train, f_val, f_test = fractions
-    if min(f_train, f_val, f_test) <= 0:
+    if not all(f > 0 for f in fractions):
         raise DataError("split fractions must be positive")
-    if abs(f_train + f_val + f_test - 1.0) > 1e-9:
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
         raise DataError("split fractions must sum to 1.0")
 
 
-def random_split(n_rows: int, fractions=(0.70, 0.15, 0.15), seed: int = 0) -> SplitIndices:
-    """Partition 0..n_rows-1 into seeded train/validation/test index sets.
+def check_split(n_rows: int, fractions) -> tuple:
+    """The cut points (c1, c2) random_split uses for n_rows rows.
 
     Cut points are floor(n*f_train) and floor(n*(f_train+f_val)); remainder
-    rows after flooring go to the test partition.
+    rows after flooring go to the test partition. Raises DataError unless
+    every partition gets at least one row.
     """
     check_fractions(fractions)
     f_train, f_val, _ = fractions
     if n_rows < 3:
         raise DataError("need at least 3 rows to populate all three partitions")
-    perm = rng_for(seed, "split").permutation(n_rows)
     c1 = int(math.floor(n_rows * f_train))
     c2 = int(math.floor(n_rows * (f_train + f_val)))
     if c1 < 1 or c2 - c1 < 1 or n_rows - c2 < 1:
         raise DataError(f"n_rows={n_rows} too small for fractions {fractions}")
+    return c1, c2
+
+
+def check_folds(n_rows: int, k: int) -> None:
+    """Raise DataError unless n_rows rows can be cut into k non-empty folds."""
+    if k < 2:
+        raise DataError("k must be >= 2")
+    if n_rows < k:
+        raise DataError(f"need at least k={k} training rows, got {n_rows}")
+
+
+def random_split(n_rows: int, fractions=(0.70, 0.15, 0.15), seed: int = 0) -> SplitIndices:
+    """Partition 0..n_rows-1 into seeded train/validation/test index sets
+    cut at check_split's cut points."""
+    c1, c2 = check_split(n_rows, fractions)
+    perm = rng_for(seed, "split").permutation(n_rows)
     return SplitIndices(train=perm[:c1], validation=perm[c1:c2], test=perm[c2:], seed=seed)
 
 
@@ -197,8 +221,8 @@ def check_synthetic(n: int, d: int, noise: str, scale: float) -> None:
     """Raise DataError for make_synthetic arguments it cannot use."""
     if n < 10 or d < 1:
         raise DataError("synthetic data needs n >= 10 and d >= 1")
-    if scale < 0:
-        raise DataError("noise scale must be >= 0")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise DataError("noise scale must be finite and >= 0")
     if noise not in ("homoscedastic", "heteroscedastic"):
         raise DataError(f"unknown noise model '{noise}'")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_folds
 from .ensemble import EnsemblePrediction, from_passes
 from .seeds import derive_seed, rng_for
 
@@ -270,10 +270,7 @@ def oof_calibration(train: Dataset, config: ForestConfig, k: int, seed: int) -> 
     the pass matrix holds the trees of the one forest fit on the other k-1
     folds."""
     n = train.n_rows
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n < k:
-        raise ValueError("need at least k training rows")
+    check_folds(n, k)
     perm = rng_for(seed, "folds").permutation(n)
     folds = np.array_split(perm, k)
     passes = np.empty((n, config.n_trees))

@@ -39,18 +39,40 @@ class RunArtifacts:
     manifest: dict
 
 
-def _fmt(value) -> str:
-    # plain-float repr keeps every bit and avoids numpy scalar reprs
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+class _Cells(list):
+    """A column already formatted as CSV cell strings."""
 
 
-def write_csv(path, header, rows) -> None:
+def _format_column(column) -> _Cells:
+    """One column as CSV cell strings; a _Cells column is returned as is, so
+    a column shared by many blocks can be formatted once up front.
+
+    Float arrays go through repr() of plain Python floats, so every bit
+    survives; integer arrays through str(). Other columns keep a per-cell
+    rule: repr(float(v)) for floats (numpy float64 scalars included, never
+    their numpy repr), str(v) for anything else.
+    """
+    if isinstance(column, _Cells):
+        return column
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        return _Cells(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return _Cells([repr(float(v)) if isinstance(v, float) else str(v) for v in column])
+
+
+def write_csv(path, header, blocks) -> None:
+    """Write a table given as blocks of equal-length columns, one column per
+    header name; the rows of each block follow those of the block before.
+
+    Each column is formatted once (see _format_column) and each block is written
+    before the next is read, so a generator of blocks keeps only one block's
+    strings in memory.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for block in blocks:
+            if len(block) != len(header) or len({len(col) for col in block}) > 1:
+                raise ValueError(f"{path}: a block needs {len(header)} equal-length columns")
+            fh.writelines(",".join(row) + "\n" for row in zip(*map(_format_column, block)))
 
 
 def write_json(path, obj) -> None:
@@ -94,24 +116,26 @@ def _dump_conformal(prefix: str, result: ConformalResult, test_ids, run_dir) -> 
     write_csv(
         os.path.join(run_dir, f"{prefix}_calibration.csv"),
         ["id", "y", "y_hat", "sigma", "alpha"],
-        [
-            [detail.ids[i], float(detail.y[i]), float(detail.y_hat[i]),
-             float(detail.sigma[i]), float(detail.alpha[i])]
-            for i in order
-        ],
+        [[[detail.ids[i] for i in order.tolist()], detail.y[order], detail.y_hat[order],
+          detail.sigma[order], detail.alpha[order]]],
     )
-    y_hat = result.test_prediction.means
-    rows = []
-    for cl in sorted(result.intervals):
-        lower, upper = result.intervals[cl].T
-        half = upper - y_hat
-        rows += zip(test_ids, [float(cl)] * len(y_hat), y_hat.tolist(), half.tolist(),
-                    lower.tolist(), upper.tolist(), np.isinf(half).astype(int).tolist())
     write_csv(
         os.path.join(run_dir, f"{prefix}_intervals.csv"),
         ["id", "cl", "y_hat", "half_width", "lower", "upper", "unbounded"],
-        rows,
+        _interval_blocks(result, test_ids),
     )
+
+
+def _interval_blocks(result: ConformalResult, test_ids):
+    """One block of interval-table columns per confidence level, ascending;
+    the id and y_hat cells are formatted once and shared by every level."""
+    y_hat = result.test_prediction.means
+    ids, y_hat_cells = _format_column(test_ids), _format_column(y_hat)
+    for cl in sorted(result.intervals):
+        lower, upper = result.intervals[cl].T
+        half = upper - y_hat
+        yield [ids, _Cells([repr(float(cl))] * len(ids)), y_hat_cells, half, lower, upper,
+               np.isinf(half).astype(int)]
 
 
 def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir: str):
@@ -124,14 +148,13 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
     split = random_split(
         dataset.n_rows, cfg.fractions, derive_seed(cfg.seed, "run", run_index, "split")
     )
+    partition = np.empty(dataset.n_rows, dtype=object)
+    for name in ("train", "validation", "test"):
+        partition[getattr(split, name)] = name
     write_csv(
         os.path.join(run_dir, "split.csv"),
         ["index", "partition"],
-        sorted(
-            [(int(i), "train") for i in split.train]
-            + [(int(i), "validation") for i in split.validation]
-            + [(int(i), "test") for i in split.test]
-        ),
+        [[np.arange(dataset.n_rows), partition]],
     )
     train_set = dataset.subset(split.train)
     val_set = dataset.subset(split.validation)
@@ -153,10 +176,8 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
                 write_csv(
                     os.path.join(run_dir, f"{key}_training_log.csv"),
                     ["epoch", "lr", "train_loss", "val_rmse"],
-                    [
-                        [e, log.learning_rates[e], log.train_losses[e], log.val_rmses[e]]
-                        for e in range(log.n_epochs)
-                    ],
+                    [[range(log.n_epochs), log.learning_rates, log.train_losses,
+                      log.val_rmses]],
                 )
             if model is None:
                 failures.append((run_index, key, f"not converged after {attempts} attempts"))
@@ -245,23 +266,29 @@ def _aggregate_and_emit(reports_by_model, failures, out_dir, seed, n_runs, plots
         aggregate["models"][key] = aggregate_runs(reports)
     write_json(os.path.join(out_dir, "summary.json"), aggregate)
 
-    # Flat aggregate CSVs, one per table.
-    curve_rows, width_rows, retr_rows = [], [], []
+    # Flat aggregate CSVs, one per table and one block per model.
+    curve, width, retrieval = [], [], []
     for key, agg in sorted(aggregate["models"].items()):
-        for cl, ms in sorted(agg["coverage"].items(), key=lambda kv: float(kv[0])):
-            curve_rows.append([key, float(cl), ms["mean"], ms["std"]])
-        for cl, ms in sorted(agg["mean_width"].items(), key=lambda kv: float(kv[0])):
-            fu = agg["fraction_unbounded"][cl]
-            width_rows.append([key, float(cl), ms["mean"], ms["std"], fu["mean"]])
-        for cutoff, cats in sorted(agg["retrieval"].items(), key=lambda kv: float(kv[0])):
-            retr_rows.append([key, float(cutoff)] + [cats[cat]["mean"] for cat in CATEGORIES])
+        cls = sorted(agg["coverage"], key=float)
+        curve.append([[key] * len(cls), [float(cl) for cl in cls],
+                      [agg["coverage"][cl]["mean"] for cl in cls],
+                      [agg["coverage"][cl]["std"] for cl in cls]])
+        cls = sorted(agg["mean_width"], key=float)
+        width.append([[key] * len(cls), [float(cl) for cl in cls],
+                      [agg["mean_width"][cl]["mean"] for cl in cls],
+                      [agg["mean_width"][cl]["std"] for cl in cls],
+                      [agg["fraction_unbounded"][cl]["mean"] for cl in cls]])
+        cutoffs = sorted(agg["retrieval"], key=float)
+        retrieval.append([[key] * len(cutoffs), [float(c) for c in cutoffs]]
+                         + [[agg["retrieval"][c][cat]["mean"] for c in cutoffs]
+                            for cat in CATEGORIES])
     write_csv(os.path.join(out_dir, "calibration_curve.csv"),
-              ["model", "cl", "coverage_mean", "coverage_std"], curve_rows)
+              ["model", "cl", "coverage_mean", "coverage_std"], curve)
     write_csv(os.path.join(out_dir, "width_stats.csv"),
               ["model", "cl", "mean_width_mean", "mean_width_std", "fraction_unbounded_mean"],
-              width_rows)
+              width)
     write_csv(os.path.join(out_dir, "retrieval_counts.csv"),
-              ["model", "cutoff", *CATEGORIES], retr_rows)
+              ["model", "cutoff", *CATEGORIES], retrieval)
 
     if plots:
         _emit_calibration_svg(aggregate, os.path.join(out_dir, "calibration_curve.svg"))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dropconf.data import (
     DataError,
     Dataset,
+    check_folds,
+    check_split,
     load_table,
     make_synthetic,
     random_split,
@@ -68,6 +72,16 @@ class TestLoadTable:
         with pytest.raises(DataError, match="header"):
             load_table(p)
 
+    @pytest.mark.parametrize("content", [
+        b"id,y,f0\na,1.0,\x80\n",  # not UTF-8
+        b'id,y,f0\na,1.0,"' + b"9" * 200_000 + b'"\n',  # field over csv's size limit
+    ])
+    def test_unreadable_file_raises_data_error(self, tmp_path, content):
+        p = tmp_path / "t.csv"
+        p.write_bytes(content)
+        with pytest.raises(DataError, match="not a readable UTF-8 CSV"):
+            load_table(p)
+
     def test_round_trip_exact(self, tmp_path):
         ds = make_synthetic(50, 3, "homoscedastic", 0.4, seed=9)
         p = tmp_path / "rt.csv"
@@ -107,6 +121,23 @@ class TestRandomSplit:
         with pytest.raises(DataError):
             random_split(100, (0.5, 0.3, 0.1), seed=0)
 
+    @pytest.mark.parametrize("fractions", [(math.nan, 0.5, 0.5), (math.inf, 0.1, 0.1)])
+    def test_nonfinite_fractions(self, fractions):
+        with pytest.raises(DataError, match="split fractions"):
+            random_split(100, fractions, seed=0)
+
+    def test_check_split_returns_the_cut_points(self):
+        assert check_split(100, (0.70, 0.15, 0.15)) == (70, 85)
+        with pytest.raises(DataError, match="too small"):
+            check_split(10, (0.98, 0.01, 0.01))
+
+    def test_check_folds(self):
+        check_folds(3, 3)
+        with pytest.raises(DataError, match="k=4"):
+            check_folds(3, 4)
+        with pytest.raises(DataError, match="k must be >= 2"):
+            check_folds(10, 1)
+
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(min_value=10, max_value=500), seed=st.integers(0, 2**32))
     def test_partition_property(self, n, seed):
@@ -145,6 +176,11 @@ class TestMakeSynthetic:
             make_synthetic(5, 4, seed=0)
         with pytest.raises(DataError):
             make_synthetic(100, 0, seed=0)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, -0.1])
+    def test_invalid_scale(self, scale):
+        with pytest.raises(DataError, match="noise scale"):
+            make_synthetic(100, 2, scale=scale, seed=0)
 
 
 class TestDatasetInvariants:

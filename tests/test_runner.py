@@ -1,12 +1,16 @@
 import json
+import math
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from dropconf.cli import main
 from dropconf.config import ConfigError, ExperimentConfig, parse_config, parse_config_text
-from dropconf.runner import run_experiment, reaggregate
+from dropconf.conformal import CalibrationModel, ConformalResult, build_calibration
+from dropconf.ensemble import from_passes
+from dropconf.runner import _dump_conformal, reaggregate, run_experiment, write_csv
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -64,6 +68,23 @@ class TestParseConfig:
         finally:
             tracemalloc.stop()
         assert peak < 200_000
+
+    @pytest.mark.parametrize("grid", ["0.5:0.5:1e-17", "0.125:0.12500000000001:1e-17",
+                                      "0.5:0.5:1e-15"])
+    def test_grid_step_below_float_spacing_rejected(self, grid):
+        # v + step == v near v looped forever; 1e-15 built 1e6 levels in the 1e-9 slack
+        with pytest.raises(ConfigError, match="cl_grid: range"):
+            parse_config_text(f"dataset = x.csv\ncl_grid = {grid}\n")
+
+    def test_grid_and_cutoffs_sorted_and_deduplicated(self):
+        cfg = parse_config_text("dataset = x.csv\ncl_grid = 0.8,0.5,0.8\ncutoffs = 7,5,7\n")
+        assert cfg.cl_grid == (0.5, 0.8)
+        assert cfg.cutoffs == (5.0, 7.0)
+
+    @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf"])
+    def test_nonfinite_cutoff_rejected(self, cutoff):
+        with pytest.raises(ConfigError, match="cutoffs"):
+            parse_config_text(f"dataset = x.csv\ncutoffs = 5,{cutoff}\n")
 
     def test_grid_percent_steps_still_parse(self):
         cfg = parse_config_text("dataset = x.csv\ncl_grid = 0.01:0.99:0.01\n")
@@ -210,6 +231,11 @@ class TestCli:
         ("synthetic.n = 5\nsynthetic.noise = bogus\n", "synthetic.*"),
         ("synthetic.n = 100\ntrain_fraction = 0.8\nval_fraction = 0.2\n"
          "test_fraction = 0.2\n", "train_fraction"),
+        ("synthetic.n = 100\ntrain_fraction = nan\n", "train_fraction"),
+        ("synthetic.n = 100\nsynthetic.scale = inf\n", "synthetic.*"),
+        ("synthetic.n = 10\ntrain_fraction = 0.98\nval_fraction = 0.01\n"
+         "test_fraction = 0.01\n", "synthetic.n"),
+        ("synthetic.n = 20\ncv_folds = 30\n", "cv_folds"),
     ])
     def test_validate_config_rejects_what_run_rejects(self, tmp_path, capsys, lines, key):
         bad = tmp_path / "bad.cfg"
@@ -237,3 +263,122 @@ class TestCli:
     def test_run_missing_config(self, capsys):
         rc = main(["run", "--config", "/nope.cfg"])
         assert rc == 2
+
+
+def _old_write_csv(path, header, rows):
+    """The row-wise writer write_csv replaced, kept as the byte oracle."""
+    def _fmt(value):
+        if isinstance(value, float):
+            return repr(float(value))
+        return str(value)
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _old_dump_conformal(prefix, result, test_ids, run_dir):
+    """The row construction _dump_conformal replaced, on the old writer."""
+    detail = result.calibration_detail
+    order = np.argsort(detail.alpha, kind="stable")
+    _old_write_csv(
+        os.path.join(run_dir, f"{prefix}_calibration.csv"),
+        ["id", "y", "y_hat", "sigma", "alpha"],
+        [
+            [detail.ids[i], float(detail.y[i]), float(detail.y_hat[i]),
+             float(detail.sigma[i]), float(detail.alpha[i])]
+            for i in order
+        ],
+    )
+    y_hat = result.test_prediction.means
+    rows = []
+    for cl in sorted(result.intervals):
+        lower, upper = result.intervals[cl].T
+        half = upper - y_hat
+        rows += zip(test_ids, [float(cl)] * len(y_hat), y_hat.tolist(), half.tolist(),
+                    lower.tolist(), upper.tolist(), np.isinf(half).astype(int).tolist())
+    _old_write_csv(
+        os.path.join(run_dir, f"{prefix}_intervals.csv"),
+        ["id", "cl", "y_hat", "half_width", "lower", "upper", "unbounded"],
+        rows,
+    )
+
+
+def _conformal_result(n_cal, n_test, cls, seed=0):
+    """A ConformalResult with random predictions; the levels above 0.9
+    have infinite half-widths, as an undersized calibration set gives."""
+    rng = np.random.default_rng(seed)
+    cal_pred = from_passes(rng.standard_normal((n_cal, 4)))
+    _cal, detail = build_calibration(rng.standard_normal(n_cal), cal_pred, "dropout",
+                                     ids=[f"c{i}" for i in range(n_cal)])
+    test_pred = from_passes(rng.standard_normal((n_test, 4)))
+    intervals = {}
+    for cl in cls:
+        half = math.inf if cl > 0.9 else cl * np.exp(test_pred.stds)
+        intervals[float(cl)] = np.column_stack((test_pred.means - half, test_pred.means + half))
+    return ConformalResult(intervals=intervals,
+                           calibration=CalibrationModel(np.sort(detail.alpha), "dropout"),
+                           calibration_detail=detail, test_prediction=test_pred)
+
+
+class TestWriteCsv:
+    def _both(self, tmp_path, header, blocks):
+        rows = [row for block in blocks for row in zip(*block)]
+        _old_write_csv(tmp_path / "old.csv", header, rows)
+        write_csv(tmp_path / "new.csv", header, blocks)
+        return (tmp_path / "old.csv").read_bytes(), (tmp_path / "new.csv").read_bytes()
+
+    def test_float_edge_values_match_row_writer(self, tmp_path):
+        values = np.array([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e22, 0.1 + 0.2, 1.0])
+        old, new = self._both(tmp_path, ["a", "b"], [[values, values[::-1].copy()]])
+        assert new == old
+        assert b"-0.0,1.0\n" in new and b"nan" in new and b"5e-324" in new
+
+    def test_mixed_object_columns_match_row_writer(self, tmp_path):
+        blocks = [
+            [["x", "y", "z"], [np.float64(0.1), 2.5, None], np.array([3, -4, 5]),
+             [1, np.int64(7), True], np.array([0.5, 1e-300, -2.0])],
+            [["w"], [None], np.array([0]), [np.float64(-0.0)], np.array([math.inf])],
+        ]
+        old, new = self._both(tmp_path, list("abcde"), blocks)
+        assert new == old
+        assert b"x,0.1,3,1,0.5\n" in new and b"None" in new
+
+    @pytest.mark.parametrize("blocks", [[], [[[], np.array([])]]])
+    def test_zero_rows_write_the_header_only(self, tmp_path, blocks):
+        old, new = self._both(tmp_path, ["a", "b"], blocks)
+        assert new == old == b"a,b\n"
+
+    @pytest.mark.parametrize("block", [[[1, 2]], [[1, 2], [3]]])
+    def test_ragged_block_rejected(self, tmp_path, block):
+        with pytest.raises(ValueError, match="equal-length columns"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [block])
+
+    def test_dump_conformal_matches_row_construction(self, tmp_path):
+        result = _conformal_result(n_cal=7, n_test=5, cls=(0.5, 0.8, 0.95, 0.2))
+        ids = tuple(f"t{i}" for i in range(5))
+        (tmp_path / "old").mkdir()
+        (tmp_path / "new").mkdir()
+        _old_dump_conformal("m", result, ids, tmp_path / "old")
+        _dump_conformal("m", result, ids, tmp_path / "new")
+        for name in ("m_calibration.csv", "m_intervals.csv"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+        assert b",0.95," in (tmp_path / "new" / "m_intervals.csv").read_bytes()
+        assert b"-inf,inf,1\n" in (tmp_path / "new" / "m_intervals.csv").read_bytes()
+
+    def test_interval_table_streams_one_level_at_a_time(self, tmp_path):
+        # 99 levels x 750 rows is about 7 MB; holding all rows' strings at
+        # once would peak above that
+        cls = [round(0.01 * i, 2) for i in range(1, 100)]
+        result = _conformal_result(n_cal=10, n_test=750, cls=cls)
+        ids = tuple(f"s{i:06d}" for i in range(750))
+        tracemalloc.start()
+        try:
+            _dump_conformal("m", result, ids, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(tmp_path / "m_intervals.csv")
+        assert size > 5_000_000
+        assert peak < size / 10
