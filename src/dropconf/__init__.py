@@ -6,7 +6,7 @@ prediction intervals with guaranteed coverage, alongside a random-forest
 cross-conformal baseline and a full evaluation/reporting harness.
 """
 
-from .data import Dataset, SplitIndices, load_table, save_table, make_synthetic, random_split
+from .data import Dataset, SplitIndices, load_table, make_synthetic, random_split
 from .net import NetConfig, MLPModel, TrainingLog, init_mlp, lr_at_epoch, train
 from .ensemble import EnsemblePrediction, mc_dropout_predict
 from .forest import ForestConfig, Forest, fit_forest, forest_predict, oof_calibration

@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, parse_config
-from .data import DataError
+from .data import DataError, load_table
 from .runner import reaggregate, run_experiment
 
 
@@ -53,7 +53,13 @@ def main(argv=None) -> int:
             print(f"re-aggregated {args.in_dir}")
             return 0
         if args.command == "validate-config":
-            parse_config(args.config)
+            cfg = parse_config(args.config)
+            if cfg.dataset is not None:  # run's row checks, on the table's row count
+                try:
+                    n_rows = load_table(cfg.dataset).n_rows
+                except DataError as exc:
+                    raise ConfigError(f"dataset: {exc}") from None
+                cfg.check_rows(n_rows, "train_fraction, val_fraction, test_fraction")
             print("config ok")
             return 0
     except (ConfigError, DataError, FileNotFoundError, OSError, ValueError) as exc:

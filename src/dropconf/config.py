@@ -86,18 +86,24 @@ class ExperimentConfig:
                 raise ConfigError(f"cutoffs: {c} is not finite")
         object.__setattr__(self, "cl_grid", tuple(sorted(set(self.cl_grid) | {self.default_cl})))
         object.__setattr__(self, "cutoffs", tuple(sorted(set(self.cutoffs))))
+        # a repeated rate would train twice into the same files
+        object.__setattr__(self, "dropout_p", tuple(sorted(set(self.dropout_p))))
         if self.dataset is None:
-            # the row count is known up front, so run's split and fold
-            # checks can be made here
+            # the row count is known up front
+            self.check_rows(self.synthetic_n, "synthetic.n")
+
+    def check_rows(self, n_rows: int, key: str) -> None:
+        """Raise ConfigError, naming ``key`` or ``cv_folds``, unless run can
+        split ``n_rows`` rows and cut the forest's rows into cv_folds folds."""
+        try:
+            _c1, c2 = check_split(n_rows, self.fractions)
+        except DataError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+        if "rf" in self.models:
             try:
-                _c1, c2 = check_split(self.synthetic_n, self.fractions)
+                check_folds(c2, self.cv_folds)  # rf fits on train + validation
             except DataError as exc:
-                raise ConfigError(f"synthetic.n: {exc}") from None
-            if "rf" in self.models:
-                try:
-                    check_folds(c2, self.cv_folds)  # rf fits on train + validation
-                except DataError as exc:
-                    raise ConfigError(f"cv_folds: {exc}") from None
+                raise ConfigError(f"cv_folds: {exc}") from None
 
     @property
     def fractions(self):

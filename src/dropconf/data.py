@@ -149,20 +149,6 @@ def _parse_cell(cell: str, path, rownum: int, colname: str) -> float:
     return value
 
 
-def save_table(dataset: Dataset, path, id_column: str = "id", label_column: str = "y") -> None:
-    """Write a Dataset back to CSV, exactly round-trippable via load_table."""
-    d = dataset.n_features
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([id_column, label_column] + [f"f{j}" for j in range(d)])
-        for i in range(dataset.n_rows):
-            # repr() keeps every float bit-exact through the round trip
-            writer.writerow(
-                [dataset.ids[i], repr(float(dataset.labels[i]))]
-                + [repr(float(v)) for v in dataset.features[i]]
-            )
-
-
 def check_fractions(fractions) -> None:
     """Raise DataError unless the three split fractions are positive and sum to 1."""
     if not all(f > 0 for f in fractions):
@@ -205,18 +191,6 @@ def random_split(n_rows: int, fractions=(0.70, 0.15, 0.15), seed: int = 0) -> Sp
     return SplitIndices(train=perm[:c1], validation=perm[c1:c2], test=perm[c2:], seed=seed)
 
 
-def _target_function(X: np.ndarray) -> np.ndarray:
-    # Smooth, low-effective-dimension target: learnable by both a small MLP
-    # and an axis-aligned forest at desk scale.
-    d = X.shape[1]
-    y = X[:, 0].copy()
-    if d >= 2:
-        y = y + np.sin(2.0 * X[:, 1])
-    if d >= 3:
-        y = y + 0.5 * X[:, 2]
-    return y
-
-
 def check_synthetic(n: int, d: int, noise: str, scale: float) -> None:
     """Raise DataError for make_synthetic arguments it cannot use."""
     if n < 10 or d < 1:
@@ -243,7 +217,13 @@ def make_synthetic(
     check_synthetic(n, d, noise, scale)
     rng = rng_for(seed, "synthetic")
     X = rng.standard_normal((n, d))
-    y = _target_function(X)
+    # Smooth, low-effective-dimension target: learnable by both a small MLP
+    # and an axis-aligned forest at desk scale.
+    y = X[:, 0].copy()
+    if d >= 2:
+        y = y + np.sin(2.0 * X[:, 1])
+    if d >= 3:
+        y = y + 0.5 * X[:, 2]
     if scale > 0:
         if noise == "homoscedastic":
             sd = np.full(n, scale)
@@ -253,7 +233,3 @@ def make_synthetic(
     ids = tuple(f"s{i:06d}" for i in range(n))
     return Dataset(ids=ids, labels=y, features=X)
 
-
-def synthetic_target(X: np.ndarray) -> np.ndarray:
-    """The noise-free generating function used by make_synthetic."""
-    return _target_function(np.asarray(X, dtype=np.float64))

@@ -3,6 +3,9 @@
 CART trees with variance-reduction splitting on bootstrap resamples, plus
 k-fold out-of-fold predictions for cross-conformal calibration. Per-tree
 spread plays the same role as dropout-pass spread in the network pipeline.
+Trees grow breadth-first, a fixed number of array passes per depth over row
+ids presorted once per tree (SLIQ's layout, Mehta et al. 1996); features
+drawn under ``max_features`` are keyed to each node's place in the tree.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import numpy as np
 from .data import Dataset, check_folds
 from .ensemble import EnsemblePrediction, from_passes
 from .seeds import derive_seed, rng_for
+
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -75,106 +80,142 @@ class Forest:
     n_features: int
 
 
-def _mean(values) -> float:
-    """``float(values.mean())`` bit for bit, without np.mean's call overhead."""
-    return float(values.sum() / len(values))
-
-
 def _exact_sse(values) -> float:
-    """Sum of squared deviations via exactly-rounded summation.
-
-    fsum makes the result a pure function of the value multiset, so two
-    splits inducing the same row partition score identically — which is what
-    lets the lowest-feature/lowest-threshold tie rule fire deterministically.
-    """
+    """Sum of squared deviations via exactly-rounded summation: a pure function
+    of the value multiset, so splits inducing the same row partition tie."""
     mean = math.fsum(values) / len(values)
     return math.fsum((v - mean) ** 2 for v in values)
 
 
-def _best_split(Xt, y, ysub, order, feats, min_leaf: int, member):
-    """Greedy best (feature, threshold) minimizing summed child SSE.
+def _counts_before(flags, P, st, m) -> np.ndarray:
+    """Per row and column of ``P``, how many earlier columns of the same
+    block (blocks start at ``st`` and span ``m`` columns) hold a row id whose
+    ``flags`` entry is set."""
+    c = np.zeros((P.shape[0], P.shape[1] + 1), dtype=np.intp)
+    np.cumsum(flags[P], axis=1, out=c[:, 1:])
+    return c[:, :-1] - np.repeat(c[:, st], m, axis=1)
 
-    ``order`` holds the node's row ids once per candidate feature ``feats``,
-    each row of it sorted by that feature with ties in row-id order; ``ysub``
-    is the node's labels in row-id order and ``member`` an all-False scratch
-    array over row ids.
 
-    Thresholds are midpoints between consecutive distinct sorted values, or
-    the lower value where the midpoint is not strictly between them.
-    Ties break to the lowest feature index, then the lowest threshold.
-    Returns None when no split strictly reduces the parent SSE.
+def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
+    """Greedy best (feature, threshold) minimizing summed child SSE for every
+    node of one depth; feature -1 marks a node no split strictly improves.
 
-    Every boundary of every candidate feature is scored in one vectorized
-    block from prefix sums of y and y^2 in sorted order. Candidates within
-    rounding error ``tol`` of the minimum are then re-scored exactly so ties
-    resolve consistently, unless they all cut the node into the same two row
-    sets and the split clears the parent by more than the rounding error:
-    then they all score the same and the first one wins.
+    Node i owns columns st[i]:st[i] + m[i] of ``P``: its row ids sorted by
+    each feature in rows 0..d-1, ties in row-id order, and ascending in row
+    d. ``allowed`` is None or a (d, nodes) mask of the features each node may
+    use. Thresholds are midpoints between consecutive distinct sorted values,
+    or the lower value where the midpoint is not strictly between them. Ties
+    break to the lowest feature index, then the lowest threshold.
+
+    All cuts are scored in one block from running sums of y and y^2 over the
+    whole array, minus each block's offset; a block whose sums that could
+    blur by tol/4 is re-summed on its own. Candidates within rounding error
+    ``tol`` of a node's minimum are re-scored exactly so ties resolve
+    consistently, unless they all cut the node into the same two row sets
+    and the split clears the parent by more than ``tol``: then the first wins.
     """
-    m = len(ysub)
-    tot = ysub.sum()
-    tot2 = (ysub * ysub).sum()
-    xs = Xt[feats[:, None], order]
-    ys = y[order]
-    cum = ys.cumsum(axis=1)[:, :-1]
-    cum2 = (ys * ys).cumsum(axis=1)[:, :-1]
-    nl = np.arange(1, m, dtype=np.float64)
-    nr = m - nl
-    sse = (cum2 - cum * cum / nl) + ((tot2 - cum2) - (tot - cum) ** 2 / nr)
-    invalid = xs[:, 1:] <= xs[:, :-1]
-    if min_leaf > 1:
-        k = np.arange(1, m)
-        invalid |= (k < min_leaf) | (m - k < min_leaf)
-    sse[invalid] = math.inf
-    best = sse.min()
-    if math.isinf(best):
-        return None
+    d, M, k = P.shape[0] - 1, P.shape[1], len(st)
+    seg, ends = np.repeat(np.arange(k), m), st + m
+    nl = np.arange(1, M + 1) - st[seg]  # left rows of the cut after each column
+    nr = m[seg] - nl
+    ys = y[P[:d]]
+    y2 = ys * ys
+    cum, cum2 = np.zeros((d, M + 1)), np.zeros((d, M + 1))
+    np.cumsum(ys, axis=1, out=cum[:, 1:])
+    np.cumsum(y2, axis=1, out=cum2[:, 1:])
+    reach = cum2[:, ends].max(axis=0)
+    cum = cum[:, 1:] - np.repeat(cum[:, st], m, axis=1)
+    cum2 = cum2[:, 1:] - np.repeat(cum2[:, st], m, axis=1)
+    tot, tot2 = cum[0, ends - 1], cum2[0, ends - 1]
     tol = 1e-9 * (tot2 + tot * tot / m) + 1e-300
-    cand_f, cand_pos = np.nonzero(sse <= best + tol)
-    if (tot2 - tot * tot / m) - best > 2 * tol and _one_partition(order, cand_f, cand_pos, member):
-        f_local, pos = cand_f[0], cand_pos[0]
-    else:
-        # re-score everything the fast scan cannot reliably rank, then apply
-        # the tie rules in feature-major order
-        winner = None
-        best_exact = math.inf
-        for f_local, pos in zip(cand_f, cand_pos):
-            score = _exact_sse(ys[f_local, : pos + 1]) + _exact_sse(ys[f_local, pos + 1 :])
+    # the global prefix puts at most 3 m eps (reach + sqrt(M reach tot2)) of
+    # rounding error into a block's SSE
+    for s in np.flatnonzero(~(3 * m * _EPS * (reach + np.sqrt(M * reach * tot2)) < tol / 4)):
+        a, b = st[s], ends[s]
+        np.cumsum(ys[:, a:b], axis=1, out=cum[:, a:b])
+        np.cumsum(y2[:, a:b], axis=1, out=cum2[:, a:b])
+        ysub = y[P[d, a:b]]
+        tot[s], tot2[s] = ysub.sum(), (ysub * ysub).sum()
+        tol[s] = 1e-9 * (tot2[s] + tot[s] * tot[s] / m[s]) + 1e-300
+    sse = (cum2 - cum * cum / nl) + ((tot2[seg] - cum2) - (tot[seg] - cum) ** 2 / np.maximum(nr, 1))
+    xs = Xt[np.arange(d)[:, None], P[:d]]
+    invalid = np.ones((d, M), dtype=bool)
+    np.less_equal(xs[:, 1:], xs[:, :-1], out=invalid[:, :-1])
+    invalid |= (nl < min_leaf) | (nr < min_leaf)
+    if allowed is not None:
+        invalid |= ~allowed[:, seg]
+    np.copyto(sse, math.inf, where=invalid)
+    best = np.minimum.reduceat(sse.min(axis=0), st)
+    cf, cp = np.nonzero(sse <= np.where(np.isfinite(best), best + tol, np.nan)[seg])
+    cs = seg[cp]  # candidates in feature-major order, and their nodes
+    nodes, first = np.unique(cs, return_index=True)
+    f, p = np.full(k, -1), np.zeros(k, dtype=np.intp)
+    f[nodes], p[nodes] = cf[first], cp[first]
+    fast = (f >= 0) & ((tot2 - tot * tot / m) - best > 2 * tol)
+    if fast.any():
+        # the first candidate's left rows are every candidate's left or right rows
+        left0 = np.zeros(len(y), dtype=bool)
+        col = np.flatnonzero(fast[seg] & (np.arange(M) <= p[seg]))
+        left0[P[f[seg[col]], col]] = True
+        c = np.flatnonzero(fast[cs])
+        node = cs[c]
+        kc, k0 = cp[c] - st[node], p[node] - st[node]
+        n0 = _counts_before(left0, P[:d], st, m)[cf[c], cp[c] + 1]
+        agree = ((kc == k0) & (n0 == kc + 1)) | ((kc + k0 + 2 == m[node]) & (n0 == 0))
+        fast &= np.bincount(node[~agree], minlength=k) == 0
+    for s in np.flatnonzero((f >= 0) & ~fast):
+        a, b = st[s], ends[s]
+        best_exact, winner = math.inf, -1
+        for j in np.flatnonzero(cs == s):
+            score = _exact_sse(ys[cf[j], a : cp[j] + 1]) + _exact_sse(ys[cf[j], cp[j] + 1 : b])
             if score < best_exact:
-                best_exact = score
-                winner = (f_local, pos)
-        if not best_exact < _exact_sse(ysub):
-            return None
-        f_local, pos = winner
-    a, b = xs[f_local, pos], xs[f_local, pos + 1]
-    thr = (a + b) / 2.0
-    if not a < thr < b:
-        # adjacent floats round the midpoint to a or b, and values near
-        # +/-1e308 overflow it; a keeps the scored partition
-        thr = a
-    return int(feats[f_local]), thr
+                best_exact, winner = score, j
+        f[s], p[s] = (cf[winner], cp[winner]) if best_exact < _exact_sse(ys[0, a:b]) else (-1, 0)
+    split = f >= 0
+    lo, hi = xs[f[split], p[split]], xs[f[split], p[split] + 1]
+    mid, thr = (lo + hi) / 2.0, np.zeros(k)
+    # adjacent floats round the midpoint to lo or hi, and values near +/-1e308
+    # overflow it; lo keeps the scored partition
+    thr[split] = np.where((lo < mid) & (mid < hi), mid, lo)
+    return f, thr
 
 
-def _one_partition(order, cand_f, cand_pos, member) -> bool:
-    """True when every candidate (feature, position) puts the same row set on
-    one side of its cut as the first candidate does."""
-    if len(cand_f) == 1:
-        return True
-    first = order[cand_f[0], : cand_pos[0] + 1]
-    member[first] = True
-    inside = member[order[cand_f]]
-    member[first] = False
-    agree = inside == (np.arange(order.shape[1]) <= cand_pos[:, None])
-    return bool((agree == agree[:, :1]).all())
+def _depth_first(features, thresholds, values) -> RegressionTree:
+    """The tree of per-depth node arrays, each depth holding the children of
+    the splits above in left-right pairs, numbered as a depth-first build
+    numbers it: that build pops the right child first and gives a node's
+    children the next two ids when the node splits."""
+    split = [f >= 0 for f in features]
+    below = [s.astype(np.intp) for s in split]  # splits in each node's subtree
+    for i in range(len(split) - 2, -1, -1):
+        below[i][split[i]] += below[i + 1].reshape(-1, 2).sum(axis=1)
+    ids, rank = [np.zeros(1, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
+    for i in range(len(split) - 1):
+        r = rank[i][split[i]]  # the place of each split in the pop order
+        rank.append(np.column_stack([r + 1 + below[i + 1][1::2], r + 1]).ravel())
+        ids.append(np.column_stack([2 * r + 1, 2 * r + 2]).ravel())
+    order = np.argsort(np.concatenate(ids))
+    feature, threshold, value, rank = (
+        np.concatenate(a)[order] for a in (features, thresholds, values, rank))
+    left = np.where(feature >= 0, 2 * rank + 1, -1).astype(np.int32)
+    right = np.where(feature >= 0, left + 1, -1).astype(np.int32)
+    return RegressionTree(feature, threshold, left, right, value)
 
 
 def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.Generator) -> RegressionTree:
     """Grow a CART regression tree; leaves predict the mean of their rows.
 
-    Each column is argsorted once at the root. A node's sorted row ids are
-    split between its children in order, so every node sees its rows sorted
-    by each feature with ties in row-id order, as a stable per-node argsort
-    of its ascending rows would give.
+    The tree grows breadth-first, all nodes of one depth per pass. Each
+    column is argsorted once at the root. A (d + 1, rows) array holds one
+    column block per node: its row ids sorted by each feature, plus a row in
+    ascending order. A split moves its block's columns to its two children by
+    a stable counting partition, so every node sees its rows sorted as a
+    stable per-node argsort of its ascending rows would. The arrays and node
+    ids are those of a depth-first build.
+
+    With ``max_features`` below d, a node draws its features from
+    ``default_rng([base, heap])``: ``base`` is drawn from ``rng`` once per
+    tree, ``heap`` is 1 at the root and 2h, 2h + 1 at the children of node h.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
@@ -182,63 +223,48 @@ def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.
         raise ValueError("fit_cart requires at least one row")
     if X.shape[0] != len(y):
         raise ValueError(f"fit_cart got {X.shape[0]} feature rows for {len(y)} labels")
-    d = X.shape[1]
-    if config.max_features == "all":
-        n_feat = d
-    else:
-        n_feat = min(int(config.max_features), d)
-    all_feats = np.arange(d)
+    n, d = X.shape
+    n_feat = d if config.max_features == "all" else min(int(config.max_features), d)
+    base = int(rng.integers(2**63)) if n_feat < d else None
     Xt = np.ascontiguousarray(X.T)
-    member = np.zeros(X.shape[0], dtype=bool)
-
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(root, np.arange(len(y)), np.argsort(Xt, axis=1, kind="stable"))]
-    while stack:
-        node, rows, order = stack.pop()
-        ysub = y[rows]
-        split = None
-        if len(rows) >= config.min_samples_split and ysub.min() < ysub.max():
-            if n_feat == d:
-                split = _best_split(Xt, y, ysub, order, all_feats, config.min_samples_leaf, member)
-            else:
-                feats = np.sort(rng.choice(d, size=n_feat, replace=False))
-                split = _best_split(Xt, y, ysub, order[feats], feats, config.min_samples_leaf, member)
-        if split is None:
-            value[node] = _mean(ysub)
-            continue
-        f, thr = split
-        feature[node] = f
-        threshold[node] = thr
-        go_left = Xt[f, rows] <= thr
-        member[rows] = go_left
-        in_left = member[order]
-        member[rows] = False
-        left[node] = new_node()
-        right[node] = new_node()
-        for child, side, mask in ((left[node], go_left, in_left), (right[node], ~go_left, ~in_left)):
-            sub = rows[side]
-            if len(sub) < config.min_samples_split:
-                value[child] = _mean(y[sub])
-            else:
-                stack.append((child, sub, order[mask].reshape(d, len(sub))))
-
-    return RegressionTree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64),
-    )
+    P = np.vstack([np.argsort(Xt, axis=1, kind="stable"), np.arange(n)])
+    sizes, heaps, levels = np.array([n]), [1], []
+    while True:
+        starts, yv = np.cumsum(sizes) - sizes, y[P[d]]
+        grow = (sizes >= config.min_samples_split) & (
+            np.minimum.reduceat(yv, starts) < np.maximum.reduceat(yv, starts))
+        feature = np.full(len(sizes), -1, dtype=np.int32)
+        threshold, value = np.zeros(len(sizes)), np.zeros(len(sizes))
+        if grow.any():
+            m = sizes[grow]
+            allowed = None
+            if base is not None:
+                allowed = np.zeros((d, len(m)), dtype=bool)
+                for j, node in enumerate(np.flatnonzero(grow)):
+                    feats = np.random.default_rng([base, heaps[node]]).choice(d, size=n_feat, replace=False)
+                    allowed[feats, j] = True
+            feature[grow], threshold[grow] = _best_splits(
+                Xt, y, np.compress(np.repeat(grow, sizes), P, axis=1), np.cumsum(m) - m, m, allowed,
+                config.min_samples_leaf)
+        split = feature >= 0
+        value[~split] = [yv[a : a + k].sum() / k for a, k in zip(starts[~split], sizes[~split])]
+        levels.append((feature, threshold, value))
+        if not split.any():
+            return _depth_first(*zip(*levels))
+        # stable partition of each splitting block, left child first
+        P, m = np.compress(np.repeat(split, sizes), P, axis=1), sizes[split]
+        st = np.cumsum(m) - m
+        seg = np.repeat(np.arange(len(m)), m)
+        go_left = np.zeros(n, dtype=bool)
+        go_left[P[d]] = Xt[feature[split][seg], P[d]] <= threshold[split][seg]
+        before = _counts_before(go_left, P, st, m)
+        n_left = np.add.reduceat(go_left[P[d]], st, dtype=np.intp)
+        to = np.where(go_left[P], st[seg] + before, n_left[seg] + np.arange(P.shape[1]) - before)
+        moved = np.empty(P.shape, dtype=P.dtype)
+        moved.ravel()[to + P.shape[1] * np.arange(d + 1)[:, None]] = P
+        P, sizes = moved, np.column_stack([n_left, m - n_left]).ravel()
+        if base is not None:
+            heaps = [c for h, s in zip(heaps, split) if s for c in (2 * h, 2 * h + 1)]
 
 
 def fit_forest(train: Dataset, config: ForestConfig, seed: int) -> Forest:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -12,13 +13,27 @@ from dropconf.data import (
     load_table,
     make_synthetic,
     random_split,
-    save_table,
-    synthetic_target,
 )
 
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def save_table(dataset, path):
+    """Write a Dataset as a CSV that load_table reads back bit for bit."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "y"] + [f"f{j}" for j in range(dataset.n_features)])
+        for i in range(dataset.n_rows):
+            # repr() keeps every float bit-exact through the round trip
+            writer.writerow([dataset.ids[i], repr(float(dataset.labels[i]))]
+                            + [repr(float(v)) for v in dataset.features[i]])
+
+
+def synthetic_target(X):
+    """make_synthetic's noise-free generating function, for d >= 3."""
+    return X[:, 0] + np.sin(2.0 * X[:, 1]) + 0.5 * X[:, 2]
 
 
 class TestLoadTable:

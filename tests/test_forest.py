@@ -77,14 +77,16 @@ def reference_best_split(X, y, feat_indices, min_leaf):
 def reference_fit_cart(X, y, config, rng):
     d = X.shape[1]
     n_feat = d if config.max_features == "all" else min(int(config.max_features), d)
+    base = int(rng.integers(2**63)) if n_feat < d else None
     feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
-    stack = [(0, np.arange(len(y)))]
+    stack = [(0, np.arange(len(y)), 1)]
     while stack:
-        node, rows = stack.pop()
+        node, rows, heap = stack.pop()
         ysub = y[rows]
         split = None
         if len(rows) >= config.min_samples_split and ysub.min() < ysub.max():
-            feats = range(d) if n_feat == d else np.sort(rng.choice(d, size=n_feat, replace=False))
+            feats = range(d) if n_feat == d else np.sort(
+                np.random.default_rng([base, heap]).choice(d, size=n_feat, replace=False))
             split = reference_best_split(X[rows], ysub, feats, config.min_samples_leaf)
         if split is None:
             value[node] = float(ysub.mean())
@@ -94,8 +96,8 @@ def reference_fit_cart(X, y, config, rng):
         for arrays, fill in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (value, 0.0)):
             arrays += [fill, fill]
         left[node], right[node] = len(feature) - 2, len(feature) - 1
-        stack.append((left[node], rows[go_left]))
-        stack.append((right[node], rows[~go_left]))
+        stack.append((left[node], rows[go_left], 2 * heap))
+        stack.append((right[node], rows[~go_left], 2 * heap + 1))
     return RegressionTree(
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=np.float64),
@@ -216,6 +218,42 @@ class TestReferenceEquivalence:
             rng = rng_for(4, "tree", t)
             idx = rng.integers(0, ds.n_rows, size=ds.n_rows)
             assert_same_tree(tree, reference_fit_cart(ds.features[idx], ds.labels[idx], config, rng))
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_bootstrap_trees_at_benchmark_scale_match_reference(self, min_leaf):
+        # 560 rows as in the rf_cv workload: bootstrap duplicates give many
+        # nodes of one depth several tied candidates at once
+        ds = make_synthetic(560, 8, "heteroscedastic", 0.5, seed=min_leaf)
+        config = ForestConfig(n_trees=2, min_samples_leaf=min_leaf)
+        forest = fit_forest(ds, config, seed=5)
+        for t, tree in enumerate(forest.trees):
+            rng = rng_for(5, "tree", t)
+            idx = rng.integers(0, ds.n_rows, size=ds.n_rows)
+            assert_same_tree(tree, reference_fit_cart(ds.features[idx], ds.labels[idx], config, rng))
+
+    def test_chain_deeper_than_64_levels_matches_reference(self):
+        # each split peels off the largest label, so the node keys of the
+        # per-node feature draws grow past 64 bits
+        X = np.column_stack([np.arange(80.0), np.arange(80.0)[::-1]])
+        y = 4.0 ** np.arange(80)
+        config = ForestConfig(max_features=1)
+        tree = fit_cart(X, y, config, rng_for(6))
+        depth = np.zeros(tree.n_nodes, dtype=int)
+        for i in np.flatnonzero(tree.feature >= 0):  # children come after their parent
+            depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+        assert depth.max() == 79
+        assert set(tree.feature[tree.feature >= 0]) == {0, 1}
+        assert_same_tree(tree, reference_fit_cart(X, y, config, rng_for(6)))
+
+    def test_mixed_label_scales_match_reference(self):
+        # the root puts labels near 1e6 left of labels near 1e-6, so the
+        # level's running sum of y^2 reaches the small ones' block at about
+        # 1e26 times their squares; they must still split as on their own
+        rng = np.random.default_rng(8)
+        X = rng.random((200, 3))
+        y = np.where(X[:, 0] < 0.5, 1e6, 1e-6) * (1 + rng.random(200))
+        tree = fit_cart(X, y, ForestConfig(), rng_for(7))
+        assert_same_tree(tree, reference_fit_cart(X, y, ForestConfig(), rng_for(7)))
 
     def test_subnormal_two_rows_stay_a_leaf(self):
         # the parent SSE underflows to 0, so no split strictly reduces it

@@ -81,6 +81,10 @@ class TestParseConfig:
         assert cfg.cl_grid == (0.5, 0.8)
         assert cfg.cutoffs == (5.0, 7.0)
 
+    def test_dropout_rates_sorted_and_deduplicated(self):
+        cfg = parse_config_text("dataset = x.csv\ndropout_p = 0.5,0.25,0.5\n")
+        assert cfg.dropout_p == (0.25, 0.5)
+
     @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf"])
     def test_nonfinite_cutoff_rejected(self, cutoff):
         with pytest.raises(ConfigError, match="cutoffs"):
@@ -151,6 +155,28 @@ class TestRunExperiment:
         artifacts = run_experiment(cfg, out_dir=str(tmp_path / "out"))
         assert "dnn_p0.25" in artifacts.reports
         assert (tmp_path / "out" / "run_001" / "dnn_p0.25_training_log.csv").exists()
+
+    def test_repeated_dropout_rate_trains_once(self, tmp_path, monkeypatch):
+        from dropconf import runner
+        from dropconf.net import NetConfig
+
+        rates = []
+        real_train = runner.train
+
+        def counting_train(train_set, val_set, net_cfg, seed):
+            rates.append(net_cfg.dropout_p)
+            return real_train(train_set, val_set, net_cfg, seed)
+
+        monkeypatch.setattr(runner, "train", counting_train)
+        cfg = tiny_config(
+            n_runs=1,
+            models=("dnn",),
+            dropout_p=(0.25, 0.25),
+            net=NetConfig(hidden_sizes=(6,), max_epochs=15, patience=15, rmse_gate=100.0),
+        )
+        artifacts = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        assert rates == [0.25]
+        assert list(artifacts.reports) == ["dnn_p0.25"]
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = tiny_config()
@@ -243,6 +269,32 @@ class TestCli:
         assert main(["validate-config", "--config", str(bad)]) == 2
         assert f"error: {key}" in capsys.readouterr().err
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("table_rows, lines, key", [
+        (None, "", "dataset: no such file"),
+        (5, "models = dnn\ntrain_fraction = 0.9\nval_fraction = 0.05\ntest_fraction = 0.05\n",
+         "train_fraction, val_fraction, test_fraction"),
+        (20, "models = rf\ncv_folds = 18\n", "cv_folds"),
+    ])
+    def test_validate_config_reads_the_table(self, tmp_path, monkeypatch, capsys, table_rows, lines, key):
+        # the dataset path is relative to the working directory, as in run
+        monkeypatch.chdir(tmp_path)
+        if table_rows is not None:
+            rows = [f"r{i},{i * 0.5},{i % 3}.0" for i in range(table_rows)]
+            (tmp_path / "t.csv").write_text("\n".join(["id,y,f0"] + rows) + "\n")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("dataset = t.csv\n" + lines)
+        assert main(["validate-config", "--config", str(cfg)]) == 2
+        assert f"error: {key}" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_validate_config_accepts_a_table_run_accepts(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rows = [f"r{i},{i * 0.5},{i % 3}.0" for i in range(20)]
+        (tmp_path / "t.csv").write_text("\n".join(["id,y,f0"] + rows) + "\n")
+        (tmp_path / "t.cfg").write_text("dataset = t.csv\nmodels = rf\ncv_folds = 17\n")
+        assert main(["validate-config", "--config", "t.cfg"]) == 0
+        assert "config ok" in capsys.readouterr().out
 
     def test_only_run_keeps_summary_of_all_runs(self, tmp_path):
         # the failing dnn model also checks that the other run's failure stays
