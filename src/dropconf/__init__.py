@@ -20,7 +20,6 @@ from .conformal import (
     rf_ccp,
 )
 from .evaluate import (
-    EvaluationReport,
     rmse,
     coverage,
     calibration_curve,

@@ -40,7 +40,6 @@ class ExperimentConfig:
     cutoffs: tuple = (5.0, 6.0, 7.0, 8.0, 9.0)
     retry_limit: int = 3
     out_dir: str = "results"
-    plots: bool = False
     workers: int = 1
     net: NetConfig = field(default_factory=NetConfig)
     forest: ForestConfig = field(default_factory=ForestConfig)
@@ -177,7 +176,6 @@ _KEYS = {
     "cutoffs": ("cutoffs", _parse_float_list),
     "retry_limit": ("retry_limit", int),
     "out_dir": ("out_dir", str),
-    "plots": ("plots", None),  # bool, handled below for error naming
     "workers": ("workers", int),
     "net.hidden_sizes": ("net.hidden_sizes", _parse_int_list),
     "net.dropout_p": ("net.dropout_p", float),
@@ -194,10 +192,8 @@ _KEYS = {
     "forest.max_features": ("forest.max_features", lambda raw: raw if raw == "all" else int(raw)),
     "forest.min_samples_split": ("forest.min_samples_split", int),
     "forest.min_samples_leaf": ("forest.min_samples_leaf", int),
-    "forest.bootstrap": ("forest.bootstrap", None),
+    "forest.bootstrap": ("forest.bootstrap", lambda raw: _parse_bool(raw, "forest.bootstrap")),
 }
-
-_BOOL_KEYS = {"plots", "forest.bootstrap"}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
@@ -214,15 +210,12 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         if key not in _KEYS:
             raise ConfigError(f"{origin}:{lineno}: unknown key '{key}'")
         target, conv = _KEYS[key]
-        if key in _BOOL_KEYS:
-            value = _parse_bool(raw, key)
-        else:
-            try:
-                value = conv(raw)
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(f"{key}: cannot parse value '{raw}'") from None
+        try:
+            value = conv(raw)
+        except ConfigError:
+            raise
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse value '{raw}'") from None
         if target.startswith("net."):
             net_over[target[4:]] = value
         elif target.startswith("forest."):

@@ -33,7 +33,6 @@ class CalibrationModel:
     """Ascending-sorted nonconformity scores from the calibration partition."""
 
     alphas: np.ndarray
-    source: str  # "dropout" | "rf_crossconformal"
 
     def __post_init__(self):
         alphas = np.asarray(self.alphas, dtype=np.float64)
@@ -89,7 +88,7 @@ def nonconformity(y, y_hat, sigma):
     return np.abs(y - y_hat) * _exp(-np.minimum(sigma, 745.0))
 
 
-def build_calibration(y, preds: EnsemblePrediction, source: str, ids=None):
+def build_calibration(y, preds: EnsemblePrediction, ids=None):
     """Sorted nonconformity scores over all calibration instances."""
     y = np.asarray(y, dtype=np.float64)
     if len(y) != len(preds.means):
@@ -100,7 +99,7 @@ def build_calibration(y, preds: EnsemblePrediction, source: str, ids=None):
     detail = CalibrationDetail(
         ids=tuple(ids), y=y, y_hat=preds.means, sigma=preds.stds, alpha=alphas
     )
-    return CalibrationModel(alphas=np.sort(alphas, kind="stable"), source=source), detail
+    return CalibrationModel(alphas=np.sort(alphas, kind="stable")), detail
 
 
 def alpha_at_level(cal: CalibrationModel, cl: float) -> float:
@@ -145,7 +144,7 @@ def dropout_icp(
     the test-pass means.
     """
     val_pred = mc_dropout_predict(model, val.features, n_passes, derive_seed(seed, "cal"))
-    cal, detail = build_calibration(val.labels, val_pred, "dropout", ids=val.ids)
+    cal, detail = build_calibration(val.labels, val_pred, ids=val.ids)
     test_pred = mc_dropout_predict(model, test.features, n_passes, derive_seed(seed, "test"))
     return ConformalResult(
         intervals=intervals_for(test_pred, cal, cl_list),
@@ -170,7 +169,7 @@ def rf_ccp(
     training data.
     """
     oof = oof_calibration(train, config, k, derive_seed(seed, "oof"))
-    cal, detail = build_calibration(train.labels, oof, "rf_crossconformal", ids=train.ids)
+    cal, detail = build_calibration(train.labels, oof, ids=train.ids)
     final = fit_forest(train, config, derive_seed(seed, "final"))
     test_pred = forest_predict(final, test.features)
     return ConformalResult(

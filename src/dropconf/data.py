@@ -72,7 +72,6 @@ class SplitIndices:
     train: np.ndarray
     validation: np.ndarray
     test: np.ndarray
-    seed: int
 
     def __post_init__(self):
         parts = [np.asarray(p, dtype=np.intp) for p in (self.train, self.validation, self.test)]
@@ -188,7 +187,7 @@ def random_split(n_rows: int, fractions=(0.70, 0.15, 0.15), seed: int = 0) -> Sp
     cut at check_split's cut points."""
     c1, c2 = check_split(n_rows, fractions)
     perm = rng_for(seed, "split").permutation(n_rows)
-    return SplitIndices(train=perm[:c1], validation=perm[c1:c2], test=perm[c2:], seed=seed)
+    return SplitIndices(train=perm[:c1], validation=perm[c1:c2], test=perm[c2:])
 
 
 def check_synthetic(n: int, d: int, noise: str, scale: float) -> None:

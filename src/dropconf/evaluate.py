@@ -1,82 +1,18 @@
-"""Validity, efficiency, accuracy, and virtual-screening retrieval metrics."""
+"""Validity, efficiency, accuracy, and virtual-screening retrieval metrics.
+
+A run's report is the plain JSON-ready dict that evaluate_model builds: it
+is written as-is to ``<model>_report.json``, and aggregate_runs reads either
+those dicts or the files loaded back with json.load.
+"""
 
 from __future__ import annotations
-
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .ensemble import EnsemblePrediction
 
 
-@dataclass(frozen=True)
-class CalibrationCurve:
-    """(confidence level, empirical coverage) points and their Pearson R^2.
-
-    r_squared is None when undefined (fewer than 2 points, or zero variance
-    in coverage across the grid).
-    """
-
-    cls: tuple
-    coverages: tuple
-    r_squared: float | None
-
-
-@dataclass(frozen=True)
-class WidthStats:
-    mean: float
-    median: float
-    q1: float
-    q3: float
-    min: float
-    max: float
-    fraction_unbounded: float
-    n_finite: int
-
-
 CATEGORIES = ("true_positive", "false_positive", "false_negative", "true_negative", "uncertain")
-
-
-@dataclass(frozen=True)
-class RetrievalCounts:
-    """Interval-vs-cutoff classification tallies for one potency cutoff.
-
-    tp_percent_of_test uses all test instances as the denominator;
-    tp_percent_of_calls uses only positive calls (tp + fp).
-    """
-
-    cutoff: float
-    uncertain: int
-    true_positive: int
-    false_positive: int
-    false_negative: int
-    true_negative: int
-
-    @property
-    def n_total(self) -> int:
-        return sum(getattr(self, cat) for cat in CATEGORIES)
-
-    @property
-    def tp_percent_of_test(self) -> float:
-        return 100.0 * self.true_positive / self.n_total if self.n_total else 0.0
-
-    @property
-    def tp_percent_of_calls(self) -> float:
-        calls = self.true_positive + self.false_positive
-        return 100.0 * self.true_positive / calls if calls else 0.0
-
-
-@dataclass
-class EvaluationReport:
-    model: str
-    rmse: float
-    curve: CalibrationCurve
-    width_stats: dict  # cl -> WidthStats
-    retrieval: list  # RetrievalCounts per cutoff, at the default cl
-    default_cl: float
-    sigma: np.ndarray  # per test instance
-    abs_error: np.ndarray
-    sigma_error_correlation: float | None
 
 
 def rmse(y_true, y_hat) -> float:
@@ -115,11 +51,15 @@ def coverage(intervals, y_true) -> float:
     return hits / len(y)
 
 
-def calibration_curve(intervals_by_cl: dict, y_true, cl_grid) -> CalibrationCurve:
-    """Empirical coverage per grid cl and the squared Pearson correlation
-    between cl and coverage across the grid."""
-    cls = tuple(float(c) for c in cl_grid)
-    covs = tuple(coverage(intervals_by_cl[c], y_true) for c in cls)
+def calibration_curve(intervals_by_cl: dict, y_true, cl_grid) -> dict:
+    """{"cl", "coverage", "r_squared"}: empirical coverage per grid cl and the
+    squared Pearson correlation between cl and coverage across the grid.
+
+    r_squared is None when undefined (fewer than 2 points, or zero variance
+    in coverage across the grid).
+    """
+    cls = [float(c) for c in cl_grid]
+    covs = [coverage(intervals_by_cl[c], y_true) for c in cls]
     r2 = None
     if len(cls) >= 2:
         cov_arr = np.asarray(covs)
@@ -127,34 +67,36 @@ def calibration_curve(intervals_by_cl: dict, y_true, cl_grid) -> CalibrationCurv
         if np.ptp(cov_arr) > 0 and np.ptp(cl_arr) > 0:
             r = np.corrcoef(cl_arr, cov_arr)[0, 1]
             r2 = float(r * r)
-    return CalibrationCurve(cls=cls, coverages=covs, r_squared=r2)
+    return {"cl": cls, "coverage": covs, "r_squared": r2}
 
 
-def width_stats(intervals) -> WidthStats:
-    """Summary of interval widths; unbounded intervals counted separately."""
+def width_stats(intervals) -> dict:
+    """Summary of interval widths; unbounded intervals counted separately,
+    and every statistic NaN when no interval is bounded."""
     lower, upper = _bounds(intervals)
     if len(lower) == 0:
         raise ValueError("width_stats requires at least one interval")
     widths = upper - lower
     finite = widths[np.isfinite(widths)]
     frac_unbounded = 1.0 - len(finite) / len(widths)
-    if len(finite) == 0:
-        nan = float("nan")
-        return WidthStats(nan, nan, nan, nan, nan, nan, frac_unbounded, 0)
-    return WidthStats(
-        mean=float(finite.mean()),
-        median=float(np.median(finite)),
-        q1=float(np.percentile(finite, 25)),
-        q3=float(np.percentile(finite, 75)),
-        min=float(finite.min()),
-        max=float(finite.max()),
-        fraction_unbounded=frac_unbounded,
-        n_finite=len(finite),
-    )
+    stats = dict.fromkeys(("mean", "median", "q1", "q3", "min", "max"), float("nan"))
+    if len(finite):
+        stats = {
+            "mean": float(finite.mean()),
+            "median": float(np.median(finite)),
+            "q1": float(np.percentile(finite, 25)),
+            "q3": float(np.percentile(finite, 75)),
+            "min": float(finite.min()),
+            "max": float(finite.max()),
+        }
+    return {**stats, "fraction_unbounded": frac_unbounded, "n_finite": len(finite)}
 
 
 def screen_counts(intervals, y_true, cutoffs=(5, 6, 7, 8, 9)) -> list:
-    """RetrievalCounts per cutoff over the whole test set.
+    """Retrieval tallies per cutoff over the whole test set: one dict per
+    cutoff with the cutoff, a count per CATEGORIES entry, and the true
+    positives as a percentage of all test instances (tp_percent_of_test) and
+    of the positive calls tp + fp (tp_percent_of_calls, 0 without calls).
 
     Strict inequalities throughout: an interval whose lower bound exceeds the
     cutoff is a positive call, one whose upper bound is below it is a
@@ -178,10 +120,14 @@ def screen_counts(intervals, y_true, cutoffs=(5, 6, 7, 8, 9)) -> list:
             "true_negative": negative & ~active,
             "uncertain": ~positive & ~negative,
         }
-        out.append(RetrievalCounts(
-            cutoff=float(cutoff),
-            **{cat: int(np.count_nonzero(mask)) for cat, mask in calls.items()},
-        ))
+        counts = {cat: int(np.count_nonzero(mask)) for cat, mask in calls.items()}
+        tp, n_calls = counts["true_positive"], counts["true_positive"] + counts["false_positive"]
+        out.append({
+            "cutoff": float(cutoff),
+            **counts,
+            "tp_percent_of_test": 100.0 * tp / len(y),
+            "tp_percent_of_calls": 100.0 * tp / n_calls if n_calls else 0.0,
+        })
     return out
 
 
@@ -202,77 +148,26 @@ def evaluate_model(
     cl_grid,
     default_cl: float = 0.80,
     cutoffs=(5, 6, 7, 8, 9),
-) -> EvaluationReport:
-    """Full per-run report from a ConformalResult and the test labels."""
+) -> dict:
+    """Full per-run report from a ConformalResult and the test labels, as
+    the JSON-ready dict written to ``<model>_report.json``. Width stats are
+    keyed by repr(cl); retrieval counts are taken at the default cl."""
     y_test = np.asarray(y_test, dtype=np.float64)
     cls = [float(c) for c in cl_grid]
     if float(default_cl) not in result.intervals:
         raise ValueError("result does not contain intervals at the default cl")
     sigmas, abs_err, corr = sigma_error_pairs(result.test_prediction, y_test)
-    return EvaluationReport(
-        model=model_name,
-        rmse=rmse(y_test, result.test_prediction.means),
-        curve=calibration_curve(result.intervals, y_test, cls),
-        width_stats={c: width_stats(result.intervals[c]) for c in cls},
-        retrieval=screen_counts(result.intervals[float(default_cl)], y_test, cutoffs),
-        default_cl=float(default_cl),
-        sigma=sigmas,
-        abs_error=abs_err,
-        sigma_error_correlation=corr,
-    )
-
-
-def report_to_dict(report: EvaluationReport) -> dict:
-    """JSON-serializable form, exact enough to re-aggregate from disk.
-
-    Width stats and retrieval counts keep their field names as keys.
-    """
     return {
-        "model": report.model,
-        "rmse": report.rmse,
-        "default_cl": report.default_cl,
-        "curve": {
-            "cl": list(report.curve.cls),
-            "coverage": list(report.curve.coverages),
-            "r_squared": report.curve.r_squared,
-        },
-        "width_stats": {repr(cl): asdict(ws) for cl, ws in report.width_stats.items()},
-        "retrieval": [
-            {
-                **asdict(rc),
-                "tp_percent_of_test": rc.tp_percent_of_test,
-                "tp_percent_of_calls": rc.tp_percent_of_calls,
-            }
-            for rc in report.retrieval
-        ],
-        "sigma": [float(s) for s in report.sigma],
-        "abs_error": [float(e) for e in report.abs_error],
-        "sigma_error_correlation": report.sigma_error_correlation,
+        "model": model_name,
+        "rmse": rmse(y_test, result.test_prediction.means),
+        "default_cl": float(default_cl),
+        "curve": calibration_curve(result.intervals, y_test, cls),
+        "width_stats": {repr(c): width_stats(result.intervals[c]) for c in cls},
+        "retrieval": screen_counts(result.intervals[float(default_cl)], y_test, cutoffs),
+        "sigma": sigmas.tolist(),
+        "abs_error": abs_err.tolist(),
+        "sigma_error_correlation": corr,
     }
-
-
-def report_from_dict(d: dict) -> EvaluationReport:
-    curve = CalibrationCurve(
-        cls=tuple(d["curve"]["cl"]),
-        coverages=tuple(d["curve"]["coverage"]),
-        r_squared=d["curve"]["r_squared"],
-    )
-    widths = {float(cl): WidthStats(**ws) for cl, ws in d["width_stats"].items()}
-    retrieval = [
-        RetrievalCounts(**{key: rc[key] for key in ("cutoff",) + CATEGORIES})
-        for rc in d["retrieval"]
-    ]
-    return EvaluationReport(
-        model=d["model"],
-        rmse=d["rmse"],
-        curve=curve,
-        width_stats=widths,
-        retrieval=retrieval,
-        default_cl=d["default_cl"],
-        sigma=np.asarray(d["sigma"]),
-        abs_error=np.asarray(d["abs_error"]),
-        sigma_error_correlation=d["sigma_error_correlation"],
-    )
 
 
 def _mean_std(values) -> dict:
@@ -285,24 +180,25 @@ def _mean_std(values) -> dict:
 def aggregate_runs(reports: list) -> dict:
     """Mean and standard deviation of every metric across repeated runs.
 
-    All reports must share the same cl grid and cutoffs. Retrieval counts are
-    averaged across runs.
+    Takes report dicts as evaluate_model returns them. All reports must
+    share the same cl grid and cutoffs. Retrieval counts are averaged across
+    runs.
     """
     if not reports:
         raise ValueError("aggregate_runs requires at least one report")
-    grid = reports[0].curve.cls
-    cutoffs = tuple(rc.cutoff for rc in reports[0].retrieval)
+    grid = reports[0]["curve"]["cl"]
+    cutoffs = [rc["cutoff"] for rc in reports[0]["retrieval"]]
     for r in reports[1:]:
-        if r.curve.cls != grid:
+        if r["curve"]["cl"] != grid:
             raise ValueError("reports have mismatched cl grids")
-        if tuple(rc.cutoff for rc in r.retrieval) != cutoffs:
+        if [rc["cutoff"] for rc in r["retrieval"]] != cutoffs:
             raise ValueError("reports have mismatched cutoffs")
     agg = {
         "n_runs": len(reports),
-        "rmse": _mean_std([r.rmse for r in reports]),
-        "r_squared": _mean_std([r.curve.r_squared for r in reports]),
+        "rmse": _mean_std([r["rmse"] for r in reports]),
+        "r_squared": _mean_std([r["curve"]["r_squared"] for r in reports]),
         "sigma_error_correlation": _mean_std(
-            [r.sigma_error_correlation for r in reports]
+            [r["sigma_error_correlation"] for r in reports]
         ),
         "coverage": {},
         "mean_width": {},
@@ -310,16 +206,14 @@ def aggregate_runs(reports: list) -> dict:
         "retrieval": {},
     }
     for i, cl in enumerate(grid):
-        agg["coverage"][repr(float(cl))] = _mean_std([r.curve.coverages[i] for r in reports])
-    for cl in reports[0].width_stats:
-        key = repr(float(cl))
-        agg["mean_width"][key] = _mean_std([r.width_stats[cl].mean for r in reports])
+        agg["coverage"][repr(float(cl))] = _mean_std([r["curve"]["coverage"][i] for r in reports])
+    for key in reports[0]["width_stats"]:
+        agg["mean_width"][key] = _mean_std([r["width_stats"][key]["mean"] for r in reports])
         agg["fraction_unbounded"][key] = _mean_std(
-            [r.width_stats[cl].fraction_unbounded for r in reports]
+            [r["width_stats"][key]["fraction_unbounded"] for r in reports]
         )
     for j, cutoff in enumerate(cutoffs):
         agg["retrieval"][repr(float(cutoff))] = {
-            cat: _mean_std([getattr(r.retrieval[j], cat) for r in reports])
-            for cat in CATEGORIES
+            cat: _mean_std([r["retrieval"][j][cat] for r in reports]) for cat in CATEGORIES
         }
     return agg

@@ -76,7 +76,6 @@ class RegressionTree:
 class Forest:
     trees: list
     config: ForestConfig
-    seed: int
     n_features: int
 
 
@@ -216,6 +215,9 @@ def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.
     With ``max_features`` below d, a node draws its features from
     ``default_rng([base, heap])``: ``base`` is drawn from ``rng`` once per
     tree, ``heap`` is 1 at the root and 2h, 2h + 1 at the children of node h.
+
+    NaN features are rejected: a cut between two NaNs would send every row
+    to one side. Infinite features split like any others.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
@@ -223,6 +225,8 @@ def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.
         raise ValueError("fit_cart requires at least one row")
     if X.shape[0] != len(y):
         raise ValueError(f"fit_cart got {X.shape[0]} feature rows for {len(y)} labels")
+    if np.isnan(X).any():
+        raise ValueError("fit_cart features must not be NaN")
     n, d = X.shape
     n_feat = d if config.max_features == "all" else min(int(config.max_features), d)
     base = int(rng.integers(2**63)) if n_feat < d else None
@@ -279,7 +283,7 @@ def fit_forest(train: Dataset, config: ForestConfig, seed: int) -> Forest:
             trees.append(fit_cart(X[idx], y[idx], config, rng))
         else:
             trees.append(fit_cart(X, y, config, rng))
-    return Forest(trees=trees, config=config, seed=seed, n_features=X.shape[1])
+    return Forest(trees=trees, config=config, n_features=X.shape[1])
 
 
 def forest_predict(forest: Forest, features) -> EnsemblePrediction:

@@ -66,7 +66,6 @@ class MLPModel:
     biases: list
     config: NetConfig
     input_dim: int
-    trained_epochs: int = 0
     best_val_rmse: float = math.inf
 
 
@@ -271,7 +270,6 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
 
     model.weights = best_w
     model.biases = best_b
-    model.trained_epochs = log.n_epochs
     model.best_val_rmse = best_rmse
     log.best_epoch = best_epoch
     log.best_val_rmse = best_rmse

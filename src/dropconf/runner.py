@@ -19,13 +19,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .conformal import ConformalResult, dropout_icp, rf_ccp
 from .data import Dataset, load_table, make_synthetic, random_split
-from .evaluate import (
-    CATEGORIES,
-    aggregate_runs,
-    evaluate_model,
-    report_from_dict,
-    report_to_dict,
-)
+from .evaluate import CATEGORIES, aggregate_runs, evaluate_model
 from .net import TrainingDivergedError, train
 from .seeds import derive_seed
 
@@ -33,7 +27,7 @@ from .seeds import derive_seed
 @dataclass
 class RunArtifacts:
     out_dir: str
-    reports: dict  # model key -> list[EvaluationReport] over successful runs
+    reports: dict  # model key -> list of report dicts over successful runs
     failures: list  # (run index, model key, reason)
     aggregate: dict
     manifest: dict
@@ -141,7 +135,7 @@ def _interval_blocks(result: ConformalResult, test_ids):
 def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir: str):
     """One split/train/calibrate/evaluate cycle; writes its own run directory.
 
-    Returns (reports_by_model_key_as_dicts, failures).
+    Returns (report dict by model key, failures).
     """
     run_dir = os.path.join(out_dir, f"run_{run_index:03d}")
     os.makedirs(run_dir, exist_ok=True)
@@ -163,6 +157,12 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
     reports = {}
     failures = []
 
+    def emit(key, result):
+        reports[key] = evaluate_model(key, result, test_set.labels, cfg.cl_grid,
+                                      cfg.default_cl, cfg.cutoffs)
+        _dump_conformal(key, result, test_set.ids, run_dir)
+        write_json(os.path.join(run_dir, f"{key}_report.json"), reports[key])
+
     if "dnn" in cfg.models:
         for p in cfg.dropout_p:
             key = f"dnn_p{p:g}"
@@ -182,29 +182,19 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
             if model is None:
                 failures.append((run_index, key, f"not converged after {attempts} attempts"))
                 continue
-            result = dropout_icp(
+            emit(key, dropout_icp(
                 model, val_set, test_set, cfg.n_passes, cfg.cl_grid,
                 derive_seed(cfg.seed, "run", run_index, key, "icp"),
-            )
-            report = evaluate_model(key, result, test_set.labels, cfg.cl_grid,
-                                    cfg.default_cl, cfg.cutoffs)
-            _dump_conformal(key, result, test_set.ids, run_dir)
-            write_json(os.path.join(run_dir, f"{key}_report.json"), report_to_dict(report))
-            reports[key] = report_to_dict(report)
+            ))
 
     if "rf" in cfg.models:
         # RF uses train + validation for fitting; calibration comes from the
         # out-of-fold residuals inside that combined set.
         trainval = dataset.subset(np.concatenate([split.train, split.validation]))
-        result = rf_ccp(
+        emit("rf", rf_ccp(
             trainval, test_set, cfg.forest, cfg.cv_folds, cfg.cl_grid,
             derive_seed(cfg.seed, "run", run_index, "rf"),
-        )
-        report = evaluate_model("rf", result, test_set.labels, cfg.cl_grid,
-                                cfg.default_cl, cfg.cutoffs)
-        _dump_conformal("rf", result, test_set.ids, run_dir)
-        write_json(os.path.join(run_dir, "rf_report.json"), report_to_dict(report))
-        reports["rf"] = report_to_dict(report)
+        ))
 
     return reports, failures
 
@@ -237,23 +227,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
 
     reports_by_model = {}
     for reports, _fails in per_run:
-        for key, rd in reports.items():
-            reports_by_model.setdefault(key, []).append(report_from_dict(rd))
-    return _finish(reports_by_model, failures, out_dir, cfg.seed, cfg.n_runs, cfg.plots)
+        for key, report in reports.items():
+            reports_by_model.setdefault(key, []).append(report)
+    return _finish(reports_by_model, failures, out_dir, cfg.seed, cfg.n_runs)
 
 
-def _finish(reports_by_model, failures, out_dir, seed, n_runs, plots) -> RunArtifacts:
-    aggregate = _aggregate_and_emit(reports_by_model, failures, out_dir, seed, n_runs, plots)
-    return RunArtifacts(
-        out_dir=out_dir,
-        reports=reports_by_model,
-        failures=failures,
-        aggregate=aggregate,
-        manifest=build_manifest(out_dir),
-    )
-
-
-def _aggregate_and_emit(reports_by_model, failures, out_dir, seed, n_runs, plots) -> dict:
+def _finish(reports_by_model, failures, out_dir, seed, n_runs) -> RunArtifacts:
+    """Aggregate the reports, write summary.json, the flat aggregate CSVs and
+    the manifest."""
     aggregate = {
         "seed": seed,
         "n_runs": n_runs,
@@ -289,35 +270,8 @@ def _aggregate_and_emit(reports_by_model, failures, out_dir, seed, n_runs, plots
               width)
     write_csv(os.path.join(out_dir, "retrieval_counts.csv"),
               ["model", "cutoff", *CATEGORIES], retrieval)
-
-    if plots:
-        _emit_calibration_svg(aggregate, os.path.join(out_dir, "calibration_curve.svg"))
-    return aggregate
-
-
-def _emit_calibration_svg(aggregate: dict, path) -> None:
-    """Minimal hand-rolled SVG so plot output stays byte-deterministic."""
-    width, height, pad = 400, 400, 40
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{pad}" y1="{height-pad}" x2="{width-pad}" y2="{pad}" '
-        'stroke="lightgray" stroke-dasharray="4"/>',
-    ]
-    palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
-    for i, (key, agg) in enumerate(sorted(aggregate["models"].items())):
-        pts = []
-        for cl, ms in sorted(agg["coverage"].items(), key=lambda kv: float(kv[0])):
-            x = pad + float(cl) * (width - 2 * pad)
-            y = height - pad - float(ms["mean"]) * (height - 2 * pad)
-            pts.append(f"{x:.2f},{y:.2f}")
-        color = palette[i % len(palette)]
-        lines.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}"/>')
-        lines.append(f'<text x="{pad+5}" y="{pad+15*(i+1)}" fill="{color}" '
-                     f'font-size="12">{key}</text>')
-    lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return RunArtifacts(out_dir=out_dir, reports=reports_by_model, failures=failures,
+                        aggregate=aggregate, manifest=build_manifest(out_dir))
 
 
 def build_manifest(out_dir) -> dict:
@@ -363,12 +317,12 @@ def reaggregate(cfg_or_none, out_dir, failures=None) -> RunArtifacts:
         for name in sorted(os.listdir(os.path.join(out_dir, rd))):
             if name.endswith("_report.json"):
                 with open(os.path.join(out_dir, rd, name), "r", encoding="utf-8") as fh:
-                    report = report_from_dict(json.load(fh))
-                reports_by_model.setdefault(report.model, []).append(report)
+                    report = json.load(fh)
+                reports_by_model.setdefault(report["model"], []).append(report)
     old = _summary(out_dir)
-    seed, n_runs, plots = old.get("seed", 0), old.get("n_runs", len(run_dirs)), False
+    seed, n_runs = old.get("seed", 0), old.get("n_runs", len(run_dirs))
     if failures is None:
         failures = [(f["run"], f["model"], f["reason"]) for f in old.get("failures", [])]
     if cfg_or_none is not None:
-        seed, n_runs, plots = cfg_or_none.seed, cfg_or_none.n_runs, cfg_or_none.plots
-    return _finish(reports_by_model, failures, out_dir, seed, n_runs, plots)
+        seed, n_runs = cfg_or_none.seed, cfg_or_none.n_runs
+    return _finish(reports_by_model, failures, out_dir, seed, n_runs)

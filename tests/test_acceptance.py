@@ -51,7 +51,7 @@ def summary(y_hat, sigma):
 
 
 def coverage_floor_ok(curve, n_test):
-    for cl, cov in zip(curve.cls, curve.coverages):
+    for cl, cov in zip(curve["cl"], curve["coverage"]):
         floor = cl - 3 * math.sqrt(cl * (1 - cl) / n_test)
         if cov < floor:
             return False, (cl, cov, floor)
@@ -89,8 +89,8 @@ def test_criterion_01_dropout_validity(dnn_icp):
     curve = calibration_curve(result.intervals, test_set.labels, GRID)
     ok, detail = coverage_floor_ok(curve, test_set.n_rows)
     assert ok, f"coverage below floor at {detail}"
-    assert curve.r_squared is not None and curve.r_squared > 0.99
-    report(1, f"dropout ICP validity (R^2 = {curve.r_squared:.5f})")
+    assert curve["r_squared"] is not None and curve["r_squared"] > 0.99
+    report(1, f"dropout ICP validity (R^2 = {curve['r_squared']:.5f})")
 
 
 @pytest.mark.slow  # uses the n=3000, 100-tree RF fixture
@@ -99,8 +99,8 @@ def test_criterion_02_rf_validity(rf_result):
     curve = calibration_curve(result.intervals, test_set.labels, GRID)
     ok, detail = coverage_floor_ok(curve, test_set.n_rows)
     assert ok, f"coverage below floor at {detail}"
-    assert curve.r_squared is not None and curve.r_squared > 0.99
-    report(2, f"RF cross-conformal validity (R^2 = {curve.r_squared:.5f})")
+    assert curve["r_squared"] is not None and curve["r_squared"] > 0.99
+    report(2, f"RF cross-conformal validity (R^2 = {curve['r_squared']:.5f})")
 
 
 def test_criterion_03_gradient_correctness():
@@ -152,7 +152,7 @@ def test_criterion_05_quantile_oracle():
     for _ in range(500):
         n = int(rng.integers(1, 51))
         alphas = np.sort(rng.random(n))
-        cal = CalibrationModel(alphas=alphas, source="dropout")
+        cal = CalibrationModel(alphas=alphas)
         cl = float(rng.uniform(0.01, 0.99))
         got = alpha_at_level(cal, cl)
         expected = oracle_alpha_at_level(alphas, cl, n)
@@ -171,7 +171,7 @@ def test_criterion_06_self_calibration_count():
         sigma = rng.uniform(0, 1, size=n)
         alphas = np.array([nonconformity(a, b, s) for a, b, s in zip(y, y_hat, sigma)])
         assert len(np.unique(alphas)) == n
-        cal = CalibrationModel(alphas=np.sort(alphas), source="dropout")
+        cal = CalibrationModel(alphas=np.sort(alphas))
         for cl in (0.5, 0.8, 0.9):
             a_cl = alpha_at_level(cal, cl)
             assert math.isfinite(a_cl)
@@ -201,12 +201,12 @@ def test_criterion_08_equation_unit_examples():
     assert nonconformity(5.0, 5.5, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert nonconformity(7.0, 6.0, math.log(2)) == pytest.approx(0.5, abs=1e-12)
     assert nonconformity(3.0, 3.0, 5.0) == pytest.approx(0.0, abs=1e-12)
-    half = CalibrationModel(alphas=np.full(9, 0.5), source="dropout")  # alpha_0.8 = 0.5
+    half = CalibrationModel(alphas=np.full(9, 0.5))  # alpha_0.8 = 0.5
     (lower, upper), (lower2, upper2) = intervals_for(
         summary([6.0, 7.0], [0.0, math.log(2)]), half, [0.8])[0.8]
     assert lower == pytest.approx(5.5, abs=1e-12) and upper == pytest.approx(6.5, abs=1e-12)
     assert lower2 == pytest.approx(6.0, abs=1e-12) and upper2 == pytest.approx(8.0, abs=1e-12)
-    one = CalibrationModel(alphas=np.array([0.5]), source="dropout")  # k = 2 > n: alpha = inf
+    one = CalibrationModel(alphas=np.array([0.5]))  # k = 2 > n: alpha = inf
     ((lower, upper),) = intervals_for(summary([6.0], [0.0]), one, [0.8])[0.8]
     assert lower == -math.inf and upper == math.inf
     report(8, "score and interval unit examples exact to 1e-12")
@@ -217,11 +217,11 @@ def test_criterion_09_retrieval_partition(dnn_icp, rf_result):
     for result, test_set in (dnn_icp, rf_result):
         counts = screen_counts(result.intervals[0.8], test_set.labels, cutoffs=(5, 6, 7, 8, 9))
         for rc in counts:
-            assert rc.n_total == test_set.n_rows
+            assert sum(rc[c] for c in CATEGORIES) == test_set.n_rows
 
     def screen_one(lo, hi, y, cutoff):
         (rc,) = screen_counts([(lo, hi)], [y], cutoffs=(cutoff,))
-        return next(cat for cat in CATEGORIES if getattr(rc, cat))
+        return next(cat for cat in CATEGORIES if rc[cat])
 
     assert screen_one(7.5, 8.5, 8.0, 7) == "true_positive"
     assert screen_one(6.0, 8.0, 7.5, 7) == "uncertain"

@@ -43,7 +43,7 @@ class TestNonconformity:
 class TestBuildCalibration:
     def test_singleton(self):
         preds = from_passes(np.array([[0.6]]))
-        cal, _ = build_calibration([1.0], preds, "dropout")
+        cal, _ = build_calibration([1.0], preds)
         assert cal.alphas.tolist() == [pytest.approx(0.4, abs=1e-12)]
 
     def test_sorted_output(self):
@@ -54,27 +54,27 @@ class TestBuildCalibration:
         # fiddly; use nonconformity directly for the sigma=ln2 instance
         a1 = nonconformity(3.0, 2.0, 0.0)
         a2 = nonconformity(0.2, 0.0, math.log(2))
-        cal = CalibrationModel(alphas=np.sort([a1, a2]), source="dropout")
+        cal = CalibrationModel(alphas=np.sort([a1, a2]))
         assert cal.alphas[0] == pytest.approx(0.1, abs=1e-12)
         assert cal.alphas[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_length_mismatch(self):
         preds = from_passes(np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            build_calibration([1.0], preds, "dropout")
+            build_calibration([1.0], preds)
 
 
 class TestAlphaAtLevel:
     def test_derived_example(self):
-        cal = CalibrationModel(alphas=np.arange(0.1, 1.0, 0.1), source="dropout")
+        cal = CalibrationModel(alphas=np.arange(0.1, 1.0, 0.1))
         assert alpha_at_level(cal, 0.80) == pytest.approx(0.8, abs=1e-12)
 
     def test_insufficient_data_gives_inf(self):
-        cal = CalibrationModel(alphas=np.array([0.1, 0.2, 0.3]), source="dropout")
+        cal = CalibrationModel(alphas=np.array([0.1, 0.2, 0.3]))
         assert alpha_at_level(cal, 0.90) == math.inf
 
     def test_constant_list(self):
-        cal = CalibrationModel(alphas=np.full(10, 0.7), source="dropout")
+        cal = CalibrationModel(alphas=np.full(10, 0.7))
         assert alpha_at_level(cal, 0.5) == 0.7
 
     def test_oracle_agreement_random_lists(self):
@@ -82,13 +82,13 @@ class TestAlphaAtLevel:
         for _ in range(100):
             n = int(rng.integers(1, 51))
             alphas = np.sort(rng.random(n))
-            cal = CalibrationModel(alphas=alphas, source="dropout")
+            cal = CalibrationModel(alphas=alphas)
             cl = float(rng.uniform(0.01, 0.99))
             assert alpha_at_level(cal, cl) == oracle_alpha_at_level(alphas, cl, n)
 
     def test_monotone_in_cl(self):
         rng = np.random.default_rng(18)
-        cal = CalibrationModel(alphas=np.sort(rng.random(30)), source="dropout")
+        cal = CalibrationModel(alphas=np.sort(rng.random(30)))
         values = [alpha_at_level(cal, cl) for cl in np.linspace(0.05, 0.99, 40)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
@@ -104,7 +104,7 @@ def one_interval(y_hat, sigma, alpha_cl, cl=0.8):
     """[lower, upper] for one instance, from a calibration whose score at
     level cl is alpha_cl (a single score when alpha_cl is inf: k = 2 > n)."""
     alphas = np.full(9, alpha_cl) if math.isfinite(alpha_cl) else np.zeros(1)
-    cal = CalibrationModel(alphas=alphas, source="dropout")
+    cal = CalibrationModel(alphas=alphas)
     assert alpha_at_level(cal, cl) == alpha_cl
     return intervals_for(summary([y_hat], [sigma]), cal, [cl])[cl][0]
 
@@ -119,7 +119,7 @@ class TestArrayFormulas:
         assert nonconformity(y, y_hat, sigma).tolist() == [
             abs(a - b) * math.exp(-min(s, 745.0)) for a, b, s in zip(y, y_hat, sigma)
         ]
-        cal = CalibrationModel(alphas=np.sort(rng.random(50)), source="dropout")
+        cal = CalibrationModel(alphas=np.sort(rng.random(50)))
         a_cl = alpha_at_level(cal, 0.8)
         half = [math.exp(min(s, 700.0)) * a_cl for s in sigma]
         bounds = intervals_for(summary(y_hat, sigma), cal, [0.8])[0.8]
@@ -173,7 +173,7 @@ class TestProperties:
             sigma = rng.uniform(0, 1, size=n)
             alphas = np.array([nonconformity(a, b, s) for a, b, s in zip(y, y_hat, sigma)])
             assert len(np.unique(alphas)) == n
-            cal = CalibrationModel(alphas=np.sort(alphas), source="dropout")
+            cal = CalibrationModel(alphas=np.sort(alphas))
             for cl in (0.5, 0.8, 0.9):
                 bounds = intervals_for(summary(y_hat, sigma), cal, [cl])[cl]
                 covered = round(coverage(bounds, y) * n)

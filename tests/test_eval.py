@@ -7,10 +7,6 @@ from hypothesis import given, settings, strategies as st
 from dropconf.ensemble import from_passes
 from dropconf.evaluate import (
     CATEGORIES,
-    CalibrationCurve,
-    EvaluationReport,
-    RetrievalCounts,
-    WidthStats,
     aggregate_runs,
     calibration_curve,
     coverage,
@@ -28,7 +24,7 @@ def interval(lower, upper):
 def classify_one(interval, y_true, cutoff):
     """The retrieval category screen_counts gives one instance."""
     (rc,) = screen_counts([interval], [y_true], cutoffs=(cutoff,))
-    return next(cat for cat in CATEGORIES if getattr(rc, cat))
+    return next(cat for cat in CATEGORIES if rc[cat])
 
 
 class TestRmse:
@@ -78,35 +74,35 @@ class TestCalibrationCurve:
                 interval(v + 10, v + 11) for v in y[hit:]
             ]
         curve = calibration_curve(intervals_by_cl, y, grid)
-        assert curve.coverages == tuple(grid)
-        assert curve.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert curve["coverage"] == grid
+        assert curve["r_squared"] == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_constant_coverage(self):
         grid = [0.2, 0.8]
         ivs = [interval(-math.inf, math.inf)]
         curve = calibration_curve({0.2: ivs, 0.8: ivs}, [0.0], grid)
-        assert curve.r_squared is None
+        assert curve["r_squared"] is None
 
     def test_single_point_grid(self):
         curve = calibration_curve({0.8: [interval(0, 1)]}, [0.5], [0.8])
-        assert curve.r_squared is None
+        assert curve["r_squared"] is None
 
 
 class TestWidthStats:
     def test_constant_widths(self):
         ws = width_stats([interval(0, 1)] * 4)
-        assert ws.mean == 1.0 and ws.median == 1.0 and ws.q3 - ws.q1 == 0.0
+        assert ws["mean"] == 1.0 and ws["median"] == 1.0 and ws["q3"] - ws["q1"] == 0.0
 
     def test_even_count_median(self):
         ivs = [interval(0, w) for w in (1, 2, 3, 4)]
-        assert width_stats(ivs).median == 2.5
+        assert width_stats(ivs)["median"] == 2.5
 
     def test_unbounded_bookkeeping(self):
         ivs = [interval(0, 1), interval(0, 2), interval(0, 3), interval(-math.inf, math.inf)]
         ws = width_stats(ivs)
-        assert ws.fraction_unbounded == 0.25
-        assert ws.n_finite == 3
-        assert ws.mean == 2.0
+        assert ws["fraction_unbounded"] == 0.25
+        assert ws["n_finite"] == 3
+        assert ws["mean"] == 2.0
 
 
 class TestScreenClassify:
@@ -141,38 +137,39 @@ class TestScreenCounts:
         ivs = [interval(c - w, c + w) for c, w in zip(rng.uniform(4, 10, 50), rng.uniform(0, 2, 50))]
         y = rng.uniform(4, 10, 50)
         for rc in screen_counts(ivs, y):
-            assert rc.n_total == 50
+            assert sum(rc[c] for c in CATEGORIES) == 50
 
     def test_all_unbounded_all_uncertain(self):
         ivs = [interval(-math.inf, math.inf)] * 5
         for rc in screen_counts(ivs, [5.5] * 5):
-            assert rc.uncertain == 5
+            assert rc["uncertain"] == 5
 
     def test_oracle_predictor(self):
         y = [4.2, 5.7, 8.3]
         ivs = [interval(v, v) for v in y]
         for rc in screen_counts(ivs, y):
-            assert rc.uncertain == 0
-            assert rc.false_positive == 0 and rc.false_negative == 0
+            assert rc["uncertain"] == 0
+            assert rc["false_positive"] == 0 and rc["false_negative"] == 0
 
     def test_tp_percent_definitions(self):
-        rc = RetrievalCounts(cutoff=7, uncertain=2, true_positive=3,
-                             false_positive=1, false_negative=2, true_negative=2)
-        assert rc.tp_percent_of_test == pytest.approx(30.0)
-        assert rc.tp_percent_of_calls == pytest.approx(75.0)
+        # at cutoff 7: 3 tp, 1 fp, 2 fn, 2 tn and 2 uncertain
+        ivs = [interval(7.5, 8.5)] * 4 + [interval(4.0, 6.5)] * 4 + [interval(6, 8)] * 2
+        y = [8.0, 8.0, 8.0, 6.0, 7.2, 7.2, 5.0, 5.0, 7.5, 7.5]
+        (rc,) = screen_counts(ivs, y, cutoffs=(7,))
+        assert [rc[c] for c in CATEGORIES] == [3, 1, 2, 2, 2]
+        assert rc["tp_percent_of_test"] == pytest.approx(30.0)
+        assert rc["tp_percent_of_calls"] == pytest.approx(75.0)
 
 
 def make_report(model="m", rmse_val=0.5, covs=(0.2, 0.8), r2=0.99):
-    grid = (0.2, 0.8)
-    curve = CalibrationCurve(cls=grid, coverages=covs, r_squared=r2)
-    ws = WidthStats(mean=1.0, median=1.0, q1=1.0, q3=1.0, min=1.0, max=1.0,
-                    fraction_unbounded=0.0, n_finite=4)
-    retr = [RetrievalCounts(cutoff=c, uncertain=1, true_positive=1, false_positive=1,
-                            false_negative=1, true_negative=0) for c in (5.0, 6.0)]
-    return EvaluationReport(model=model, rmse=rmse_val, curve=curve,
-                            width_stats={0.2: ws, 0.8: ws}, retrieval=retr,
-                            default_cl=0.8, sigma=np.zeros(4), abs_error=np.zeros(4),
-                            sigma_error_correlation=None)
+    ws = {"mean": 1.0, "median": 1.0, "q1": 1.0, "q3": 1.0, "min": 1.0, "max": 1.0,
+          "fraction_unbounded": 0.0, "n_finite": 4}
+    retr = [{"cutoff": c, "uncertain": 1, "true_positive": 1, "false_positive": 1,
+             "false_negative": 1, "true_negative": 0} for c in (5.0, 6.0)]
+    return {"model": model, "rmse": rmse_val, "default_cl": 0.8,
+            "curve": {"cl": [0.2, 0.8], "coverage": list(covs), "r_squared": r2},
+            "width_stats": {"0.2": ws, "0.8": ws}, "retrieval": retr,
+            "sigma": [0.0] * 4, "abs_error": [0.0] * 4, "sigma_error_correlation": None}
 
 
 class TestAggregateRuns:
@@ -192,11 +189,7 @@ class TestAggregateRuns:
 
     def test_mismatched_grids_rejected(self):
         a = make_report()
-        bad = EvaluationReport(model="m", rmse=0.5,
-                               curve=CalibrationCurve(cls=(0.1, 0.9), coverages=(0.1, 0.9), r_squared=1.0),
-                               width_stats=a.width_stats, retrieval=a.retrieval,
-                               default_cl=0.8, sigma=np.zeros(4), abs_error=np.zeros(4),
-                               sigma_error_correlation=None)
+        bad = {**a, "curve": {"cl": [0.1, 0.9], "coverage": [0.1, 0.9], "r_squared": 1.0}}
         with pytest.raises(ValueError):
             aggregate_runs([a, bad])
 

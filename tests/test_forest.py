@@ -336,7 +336,7 @@ class TestForest:
     def test_two_tree_spread(self):
         t0 = fit_cart(np.array([[0.0]]), np.array([0.0]), ForestConfig(), rng_for(0))
         t1 = fit_cart(np.array([[0.0]]), np.array([2.0]), ForestConfig(), rng_for(0))
-        forest = Forest(trees=[t0, t1], config=ForestConfig(n_trees=2), seed=0, n_features=1)
+        forest = Forest(trees=[t0, t1], config=ForestConfig(n_trees=2), n_features=1)
         pred = forest_predict(forest, np.array([[0.0]]))
         assert pred.means[0] == 1.0 and pred.stds[0] == 1.0
 
@@ -359,26 +359,46 @@ tree = fit_cart(X, np.array([0.0, 1.0]), ForestConfig(), rng_for(0))
 print(json.dumps([tree.feature.tolist(), tree.threshold.tolist(), tree.value.tolist()]))
 """
 
+FIT_NAN_ROWS = """
+import numpy as np
+from dropconf.forest import ForestConfig, fit_cart
+from dropconf.seeds import rng_for
+try:
+    fit_cart(np.array([[0.0], [1.0], [np.nan], [np.nan]]), np.arange(4.0), ForestConfig(), rng_for(0))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def run_child(code, *args):
+    """Run code in a child Python with src importable; fail after 60 s."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
 
 class TestUnrepresentableMidpoint:
-    # The fit runs in a child process with a timeout: a regression would make
-    # fit_cart loop forever, and the suite has no per-test timeout.
+    # The fits in this and the next class run in a child process with a
+    # timeout: a regression would make fit_cart loop forever, and the suite
+    # has no per-test timeout.
     @pytest.mark.parametrize("a, b", [
         (1 + 2**-52, 1 + 2**-51),  # adjacent floats: the midpoint rounds to b
         (1e308, 1.5e308),  # a + b overflows to inf
         (-1.5e308, -1e308),  # a + b overflows to -inf
     ])
     def test_split_uses_lower_value(self, a, b):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", FIT_TWO_ROWS, json.dumps([[a], [b]])],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        feature, threshold, value = json.loads(proc.stdout)
+        feature, threshold, value = json.loads(run_child(FIT_TWO_ROWS, json.dumps([[a], [b]])))
         assert feature == [0, -1, -1]
         assert threshold[0] == a
         assert value[1:] == [0.0, 1.0]
+
+
+class TestNanFeatures:
+    def test_rejected_before_growing(self):
+        # two NaNs in a column once made every split send all rows right
+        assert "NaN" in run_child(FIT_NAN_ROWS)
 
 
 class TestOofCalibration:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -184,6 +185,12 @@ class TestRunExperiment:
         b = run_experiment(cfg, out_dir=str(tmp_path / "b"))
         assert a.manifest == b.manifest
 
+    def test_reports_are_the_json_written(self, tmp_path):
+        artifacts = run_experiment(tiny_config(), out_dir=str(tmp_path / "out"))
+        for run, report in enumerate(artifacts.reports["rf"]):
+            with open(tmp_path / "out" / f"run_{run:03d}" / "rf_report.json") as fh:
+                assert report == json.load(fh)
+
     def test_run_isolation(self, tmp_path):
         cfg = tiny_config()
         run_experiment(cfg, out_dir=str(tmp_path / "out"))
@@ -239,6 +246,17 @@ class TestCli:
         rc = main(["validate-config", "--config", str(bad)])
         assert rc != 0
         assert "error:" in capsys.readouterr().err
+
+    def test_fixture_manifest_digest_is_pinned(self, tmp_path):
+        # every change so far kept these bytes; one that alters an emitted byte
+        # updates this digest and names the change
+        out = str(tmp_path / "out")
+        rc = main(["run", "--config", os.path.join(FIXTURES, "synthetic.cfg"),
+                   "--seed", "7", "--out", out])
+        assert rc == 0
+        with open(os.path.join(out, "manifest.json"), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == "de8b385ca9f49c93cea9d11a3e9f2f00b03aee3b7c1d763a521869ff7833fcc3"
 
     def test_run_and_report(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
@@ -362,7 +380,7 @@ def _conformal_result(n_cal, n_test, cls, seed=0):
     have infinite half-widths, as an undersized calibration set gives."""
     rng = np.random.default_rng(seed)
     cal_pred = from_passes(rng.standard_normal((n_cal, 4)))
-    _cal, detail = build_calibration(rng.standard_normal(n_cal), cal_pred, "dropout",
+    _cal, detail = build_calibration(rng.standard_normal(n_cal), cal_pred,
                                      ids=[f"c{i}" for i in range(n_cal)])
     test_pred = from_passes(rng.standard_normal((n_test, 4)))
     intervals = {}
@@ -370,7 +388,7 @@ def _conformal_result(n_cal, n_test, cls, seed=0):
         half = math.inf if cl > 0.9 else cl * np.exp(test_pred.stds)
         intervals[float(cl)] = np.column_stack((test_pred.means - half, test_pred.means + half))
     return ConformalResult(intervals=intervals,
-                           calibration=CalibrationModel(np.sort(detail.alpha), "dropout"),
+                           calibration=CalibrationModel(np.sort(detail.alpha)),
                            calibration_detail=detail, test_prediction=test_pred)
 
 
