@@ -44,9 +44,8 @@ def main(argv=None) -> int:
             artifacts = run_experiment(cfg, out_dir=out_dir, only_run=args.only_run)
             n_files = len(artifacts.manifest["files"])
             print(f"wrote {n_files} files to {artifacts.out_dir}")
-            if artifacts.failures:
-                for r, key, reason in artifacts.failures:
-                    print(f"warning: run {r} {key}: {reason}", file=sys.stderr)
+            for r, key, reason in artifacts.failures:
+                print(f"warning: run {r} {key}: {reason}", file=sys.stderr)
             return 0
         if args.command == "report":
             reaggregate(None, args.in_dir)

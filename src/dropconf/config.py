@@ -111,15 +111,14 @@ class ExperimentConfig:
 
 def _parse_bool(raw: str, key: str) -> bool:
     low = raw.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got '{raw}'")
+    if low not in ("true", "yes", "1", "false", "no", "0"):
+        raise ConfigError(f"{key}: expected a boolean, got '{raw}'")
+    return low in ("true", "yes", "1")
 
 
-def _parse_float_list(raw: str):
-    return tuple(float(v) for v in raw.split(",") if v.strip())
+def _list_of(conv):
+    """A parser of comma-separated values, each converted by ``conv``."""
+    return lambda raw: tuple(conv(v) for v in raw.split(",") if v.strip())
 
 
 # A start:stop:step range may expand to at most this many confidence levels
@@ -148,11 +147,7 @@ def _parse_grid(raw: str):
             out.append(round(v, 10))
             v += step
         return tuple(out)
-    return _parse_float_list(raw)
-
-
-def _parse_int_list(raw: str):
-    return tuple(int(v) for v in raw.split(",") if v.strip())
+    return _list_of(float)(raw)
 
 
 # key -> (target field path, converter)
@@ -167,17 +162,17 @@ _KEYS = {
     "train_fraction": ("train_fraction", float),
     "val_fraction": ("val_fraction", float),
     "test_fraction": ("test_fraction", float),
-    "models": ("models", lambda raw: tuple(m.strip() for m in raw.split(",") if m.strip())),
-    "dropout_p": ("dropout_p", _parse_float_list),
+    "models": ("models", _list_of(str.strip)),
+    "dropout_p": ("dropout_p", _list_of(float)),
     "n_passes": ("n_passes", int),
     "cv_folds": ("cv_folds", int),
     "cl_grid": ("cl_grid", _parse_grid),
     "default_cl": ("default_cl", float),
-    "cutoffs": ("cutoffs", _parse_float_list),
+    "cutoffs": ("cutoffs", _list_of(float)),
     "retry_limit": ("retry_limit", int),
     "out_dir": ("out_dir", str),
     "workers": ("workers", int),
-    "net.hidden_sizes": ("net.hidden_sizes", _parse_int_list),
+    "net.hidden_sizes": ("net.hidden_sizes", _list_of(int)),
     "net.dropout_p": ("net.dropout_p", float),
     "net.lr0": ("net.lr0", float),
     "net.decay_factor": ("net.decay_factor", float),
@@ -197,9 +192,7 @@ _KEYS = {
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
-    top: dict = {}
-    net_over: dict = {}
-    forest_over: dict = {}
+    over: dict = {"": {}, "net": {}, "forest": {}}  # top-level keys, net.*, forest.*
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -216,21 +209,17 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
             raise
         except ValueError:
             raise ConfigError(f"{key}: cannot parse value '{raw}'") from None
-        if target.startswith("net."):
-            net_over[target[4:]] = value
-        elif target.startswith("forest."):
-            forest_over[target[7:]] = value
-        else:
-            top[target] = value
+        section, _, name = target.rpartition(".")
+        over[section][name] = value
     try:
-        net_cfg = NetConfig(**net_over)
+        net_cfg = NetConfig(**over["net"])
     except ValueError as exc:
         raise ConfigError(f"net.*: {exc}") from None
     try:
-        forest_cfg = ForestConfig(**forest_over)
+        forest_cfg = ForestConfig(**over["forest"])
     except ValueError as exc:
         raise ConfigError(f"forest.*: {exc}") from None
-    return ExperimentConfig(net=net_cfg, forest=forest_cfg, **top)
+    return ExperimentConfig(net=net_cfg, forest=forest_cfg, **over[""])
 
 
 def parse_config(path) -> ExperimentConfig:

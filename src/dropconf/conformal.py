@@ -66,7 +66,6 @@ class ConformalResult:
     """Intervals per confidence level plus the calibration artifacts."""
 
     intervals: dict  # cl -> ndarray (n_test, 2) of [lower, upper]
-    calibration: CalibrationModel
     calibration_detail: CalibrationDetail
     test_prediction: EnsemblePrediction
 
@@ -148,7 +147,6 @@ def dropout_icp(
     test_pred = mc_dropout_predict(model, test.features, n_passes, derive_seed(seed, "test"))
     return ConformalResult(
         intervals=intervals_for(test_pred, cal, cl_list),
-        calibration=cal,
         calibration_detail=detail,
         test_prediction=test_pred,
     )
@@ -174,7 +172,6 @@ def rf_ccp(
     test_pred = forest_predict(final, test.features)
     return ConformalResult(
         intervals=intervals_for(test_pred, cal, cl_list),
-        calibration=cal,
         calibration_detail=detail,
         test_prediction=test_pred,
     )

@@ -61,12 +61,9 @@ def calibration_curve(intervals_by_cl: dict, y_true, cl_grid) -> dict:
     cls = [float(c) for c in cl_grid]
     covs = [coverage(intervals_by_cl[c], y_true) for c in cls]
     r2 = None
-    if len(cls) >= 2:
-        cov_arr = np.asarray(covs)
-        cl_arr = np.asarray(cls)
-        if np.ptp(cov_arr) > 0 and np.ptp(cl_arr) > 0:
-            r = np.corrcoef(cl_arr, cov_arr)[0, 1]
-            r2 = float(r * r)
+    if len(cls) >= 2 and np.ptp(covs) > 0 and np.ptp(cls) > 0:
+        r = np.corrcoef(cls, covs)[0, 1]
+        r2 = float(r * r)
     return {"cl": cls, "coverage": covs, "r_squared": r2}
 
 

@@ -20,6 +20,8 @@ from .ensemble import EnsemblePrediction, from_passes
 from .seeds import derive_seed, rng_for
 
 _EPS = np.finfo(np.float64).eps
+# rows per _grow call from fit_forest: ~0.7 KB of peak memory a row, no faster when wider
+_BATCH_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,11 @@ def _exact_sse(values) -> float:
     return math.fsum((v - mean) ** 2 for v in values)
 
 
-def _counts_before(flags, P, st, m) -> np.ndarray:
-    """Per row and column of ``P``, how many earlier columns of the same
-    block (blocks start at ``st`` and span ``m`` columns) hold a row id whose
-    ``flags`` entry is set."""
-    c = np.zeros((P.shape[0], P.shape[1] + 1), dtype=np.intp)
-    np.cumsum(flags[P], axis=1, out=c[:, 1:])
+def _counts_before(flags, st, m) -> np.ndarray:
+    """Per entry of the bool array ``flags``, how many earlier columns of the
+    same block (blocks start at ``st`` and span ``m`` columns) are set."""
+    c = np.zeros((flags.shape[0], flags.shape[1] + 1), dtype=np.int32)
+    np.cumsum(flags, axis=1, dtype=np.int32, out=c[:, 1:])
     return c[:, :-1] - np.repeat(c[:, st], m, axis=1)
 
 
@@ -118,13 +119,13 @@ def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
     nl = np.arange(1, M + 1) - st[seg]  # left rows of the cut after each column
     nr = m[seg] - nl
     ys = y[P[:d]]
-    y2 = ys * ys
     cum, cum2 = np.zeros((d, M + 1)), np.zeros((d, M + 1))
     np.cumsum(ys, axis=1, out=cum[:, 1:])
-    np.cumsum(y2, axis=1, out=cum2[:, 1:])
+    np.cumsum(ys * ys, axis=1, out=cum2[:, 1:])
     reach = cum2[:, ends].max(axis=0)
-    cum = cum[:, 1:] - np.repeat(cum[:, st], m, axis=1)
-    cum2 = cum2[:, 1:] - np.repeat(cum2[:, st], m, axis=1)
+    cum[:, 1:] -= np.repeat(cum[:, st], m, axis=1)
+    cum2[:, 1:] -= np.repeat(cum2[:, st], m, axis=1)
+    cum, cum2 = cum[:, 1:], cum2[:, 1:]
     tot, tot2 = cum[0, ends - 1], cum2[0, ends - 1]
     tol = 1e-9 * (tot2 + tot * tot / m) + 1e-300
     # the global prefix puts at most 3 m eps (reach + sqrt(M reach tot2)) of
@@ -132,12 +133,20 @@ def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
     for s in np.flatnonzero(~(3 * m * _EPS * (reach + np.sqrt(M * reach * tot2)) < tol / 4)):
         a, b = st[s], ends[s]
         np.cumsum(ys[:, a:b], axis=1, out=cum[:, a:b])
-        np.cumsum(y2[:, a:b], axis=1, out=cum2[:, a:b])
+        np.cumsum(ys[:, a:b] * ys[:, a:b], axis=1, out=cum2[:, a:b])
         ysub = y[P[d, a:b]]
         tot[s], tot2[s] = ysub.sum(), (ysub * ysub).sum()
         tol[s] = 1e-9 * (tot2[s] + tot[s] * tot[s] / m[s]) + 1e-300
-    sse = (cum2 - cum * cum / nl) + ((tot2[seg] - cum2) - (tot[seg] - cum) ** 2 / np.maximum(nr, 1))
-    xs = Xt[np.arange(d)[:, None], P[:d]]
+    # sse = (cum2 - cum^2 / nl) + ((tot2 - cum2) - (tot - cum)^2 / nr), in place
+    sse = np.square(cum)
+    sse /= nl
+    np.subtract(cum2, sse, out=sse)
+    np.square(np.subtract(tot[seg], cum, out=cum), out=cum)
+    np.subtract(tot2[seg], cum2, out=cum2)
+    cum2 -= np.divide(cum, np.maximum(nr, 1), out=cum)
+    sse += cum2
+    del cum, cum2
+    xs = Xt.ravel()[P[:d] + Xt.shape[1] * np.arange(d)[:, None]]
     invalid = np.ones((d, M), dtype=bool)
     np.less_equal(xs[:, 1:], xs[:, :-1], out=invalid[:, :-1])
     invalid |= (nl < min_leaf) | (nr < min_leaf)
@@ -159,7 +168,7 @@ def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
         c = np.flatnonzero(fast[cs])
         node = cs[c]
         kc, k0 = cp[c] - st[node], p[node] - st[node]
-        n0 = _counts_before(left0, P[:d], st, m)[cf[c], cp[c] + 1]
+        n0 = _counts_before(left0[P[:d]], st, m)[cf[c], cp[c] + 1]
         agree = ((kc == k0) & (n0 == kc + 1)) | ((kc + k0 + 2 == m[node]) & (n0 == 0))
         fast &= np.bincount(node[~agree], minlength=k) == 0
     for s in np.flatnonzero((f >= 0) & ~fast):
@@ -179,46 +188,105 @@ def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
     return f, thr
 
 
-def _depth_first(features, thresholds, values) -> RegressionTree:
-    """The tree of per-depth node arrays, each depth holding the children of
-    the splits above in left-right pairs, numbered as a depth-first build
-    numbers it: that build pops the right child first and gives a node's
-    children the next two ids when the node splits."""
+def _depth_first(features, thresholds, values, trees) -> list:
+    """The trees of per-depth node arrays, each depth holding the children of
+    the splits above in left-right pairs, tree by tree as ``trees`` numbers
+    them. Each tree is numbered as a depth-first build numbers it: that build
+    pops the right child first and gives a node's children the next two ids
+    when the node splits."""
     split = [f >= 0 for f in features]
     below = [s.astype(np.intp) for s in split]  # splits in each node's subtree
     for i in range(len(split) - 2, -1, -1):
         below[i][split[i]] += below[i + 1].reshape(-1, 2).sum(axis=1)
-    ids, rank = [np.zeros(1, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
+    ids, rank = [np.zeros(len(split[0]), dtype=np.intp)], [np.zeros(len(split[0]), dtype=np.intp)]
     for i in range(len(split) - 1):
-        r = rank[i][split[i]]  # the place of each split in the pop order
+        r = rank[i][split[i]]  # the place of each split in its tree's pop order
         rank.append(np.column_stack([r + 1 + below[i + 1][1::2], r + 1]).ravel())
         ids.append(np.column_stack([2 * r + 1, 2 * r + 2]).ravel())
-    order = np.argsort(np.concatenate(ids))
+    tree = np.concatenate(trees)
+    order = np.lexsort((np.concatenate(ids), tree))
     feature, threshold, value, rank = (
         np.concatenate(a)[order] for a in (features, thresholds, values, rank))
     left = np.where(feature >= 0, 2 * rank + 1, -1).astype(np.int32)
     right = np.where(feature >= 0, left + 1, -1).astype(np.int32)
-    return RegressionTree(feature, threshold, left, right, value)
+    parts = (np.split(a, np.cumsum(np.bincount(tree))[:-1]) for a in (feature, threshold, left, right, value))
+    return [RegressionTree(*t) for t in zip(*parts)]
+
+
+def _grow(samples, config: ForestConfig, rngs) -> list:
+    """One CART tree per (X, y) sample, all grown together breadth-first:
+    each pass handles every node of one depth of every tree. Leaves predict
+    the mean of their rows.
+
+    The samples' rows are stacked and each sample's columns argsorted once.
+    A (d + 1, rows) array holds one column block per node that may split,
+    tree by tree: its row ids sorted by each feature, plus a row in ascending
+    order. A split moves its block's columns to its two children by a stable
+    counting partition, so every node sees its rows sorted as a stable
+    per-node argsort of its ascending rows would. Each tree's arrays and node
+    ids are those of a depth-first build of that tree alone. Infinite
+    features split like any others.
+
+    With ``max_features`` below d, a node draws its features from
+    ``default_rng([base, heap])``: ``base`` is drawn from the tree's entry of
+    ``rngs`` once, ``heap`` is 1 at the root and 2h, 2h + 1 at the children
+    of node h.
+    """
+    Xt = np.concatenate([X.T for X, _ in samples], axis=1)
+    y = np.concatenate([s for _, s in samples])
+    (d, n), sizes = Xt.shape, np.array([len(s) for _, s in samples])
+    n_feat = d if config.max_features == "all" else min(int(config.max_features), d)
+    bases = [int(rng.integers(2**63)) for rng in rngs] if n_feat < d else None
+    P = np.vstack([np.hstack([np.argsort(Xt[:, a : a + k], axis=1, kind="stable") + a
+                              for a, k in zip(np.cumsum(sizes) - sizes, sizes)]), np.arange(n)])
+    tree, heaps, levels = np.arange(len(sizes)), [1] * len(sizes), []
+    while True:
+        starts, yv = np.cumsum(sizes) - sizes, y[P[d]]
+        grow = (sizes >= config.min_samples_split) & (
+            np.minimum.reduceat(yv, starts) < np.maximum.reduceat(yv, starts))
+        feature = np.full(len(sizes), -1, dtype=np.int32)
+        threshold, value = np.zeros(len(sizes)), np.zeros(len(sizes))
+        P, m = np.compress(np.repeat(grow, sizes), P, axis=1), sizes[grow]
+        if grow.any():
+            allowed = None
+            if bases is not None:
+                allowed = np.zeros((d, len(m)), dtype=bool)
+                for j, node in enumerate(np.flatnonzero(grow)):
+                    feats = np.random.default_rng([bases[tree[node]], heaps[node]]).choice(
+                        d, size=n_feat, replace=False)
+                    allowed[feats, j] = True
+            feature[grow], threshold[grow] = _best_splits(
+                Xt, y, P, np.cumsum(m) - m, m, allowed, config.min_samples_leaf)
+        split = feature >= 0
+        # + 0.0 makes a sum of one or two rows the bits of yv[a:b].sum()
+        value[~split] = (np.add.reduceat(yv, starts) + 0.0)[~split] / sizes[~split]
+        for i in np.flatnonzero(~split & (sizes > 2)):
+            value[i] = yv[starts[i] : starts[i] + sizes[i]].sum() / sizes[i]
+        levels.append((feature, threshold, value, tree))
+        if not split.any():
+            return _depth_first(*zip(*levels))
+        # stable partition of each splitting block, left child first
+        P, m = np.compress(np.repeat(split[grow], m), P, axis=1), sizes[split]
+        st = np.cumsum(m) - m
+        seg = np.repeat(np.arange(len(m)), m)
+        go_left = np.zeros(n, dtype=bool)
+        go_left[P[d]] = Xt[feature[split][seg], P[d]] <= threshold[split][seg]
+        flags = go_left[P]
+        n_left = np.add.reduceat(flags[d], st, dtype=np.intp)
+        before = _counts_before(flags, st, m)
+        to = np.where(flags, st[seg] + before, n_left[seg] + np.arange(P.shape[1]) - before)
+        moved = np.empty_like(P)
+        moved.ravel()[to + P.shape[1] * np.arange(d + 1)[:, None]] = P
+        del flags, before, to  # dead before the next depth's scoring
+        P, sizes = moved, np.column_stack([n_left, m - n_left]).ravel()
+        tree = np.repeat(tree[split], 2)
+        if bases is not None:
+            heaps = [c for h, s in zip(heaps, split) if s for c in (2 * h, 2 * h + 1)]
 
 
 def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.Generator) -> RegressionTree:
-    """Grow a CART regression tree; leaves predict the mean of their rows.
-
-    The tree grows breadth-first, all nodes of one depth per pass. Each
-    column is argsorted once at the root. A (d + 1, rows) array holds one
-    column block per node: its row ids sorted by each feature, plus a row in
-    ascending order. A split moves its block's columns to its two children by
-    a stable counting partition, so every node sees its rows sorted as a
-    stable per-node argsort of its ascending rows would. The arrays and node
-    ids are those of a depth-first build.
-
-    With ``max_features`` below d, a node draws its features from
-    ``default_rng([base, heap])``: ``base`` is drawn from ``rng`` once per
-    tree, ``heap`` is 1 at the root and 2h, 2h + 1 at the children of node h.
-
-    NaN features are rejected: a cut between two NaNs would send every row
-    to one side. Infinite features split like any others.
-    """
+    """Grow one CART regression tree with ``_grow``. NaN features are rejected:
+    a cut between two NaNs would send every row to one side."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if len(y) < 1:
@@ -227,62 +295,18 @@ def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.
         raise ValueError(f"fit_cart got {X.shape[0]} feature rows for {len(y)} labels")
     if np.isnan(X).any():
         raise ValueError("fit_cart features must not be NaN")
-    n, d = X.shape
-    n_feat = d if config.max_features == "all" else min(int(config.max_features), d)
-    base = int(rng.integers(2**63)) if n_feat < d else None
-    Xt = np.ascontiguousarray(X.T)
-    P = np.vstack([np.argsort(Xt, axis=1, kind="stable"), np.arange(n)])
-    sizes, heaps, levels = np.array([n]), [1], []
-    while True:
-        starts, yv = np.cumsum(sizes) - sizes, y[P[d]]
-        grow = (sizes >= config.min_samples_split) & (
-            np.minimum.reduceat(yv, starts) < np.maximum.reduceat(yv, starts))
-        feature = np.full(len(sizes), -1, dtype=np.int32)
-        threshold, value = np.zeros(len(sizes)), np.zeros(len(sizes))
-        if grow.any():
-            m = sizes[grow]
-            allowed = None
-            if base is not None:
-                allowed = np.zeros((d, len(m)), dtype=bool)
-                for j, node in enumerate(np.flatnonzero(grow)):
-                    feats = np.random.default_rng([base, heaps[node]]).choice(d, size=n_feat, replace=False)
-                    allowed[feats, j] = True
-            feature[grow], threshold[grow] = _best_splits(
-                Xt, y, np.compress(np.repeat(grow, sizes), P, axis=1), np.cumsum(m) - m, m, allowed,
-                config.min_samples_leaf)
-        split = feature >= 0
-        value[~split] = [yv[a : a + k].sum() / k for a, k in zip(starts[~split], sizes[~split])]
-        levels.append((feature, threshold, value))
-        if not split.any():
-            return _depth_first(*zip(*levels))
-        # stable partition of each splitting block, left child first
-        P, m = np.compress(np.repeat(split, sizes), P, axis=1), sizes[split]
-        st = np.cumsum(m) - m
-        seg = np.repeat(np.arange(len(m)), m)
-        go_left = np.zeros(n, dtype=bool)
-        go_left[P[d]] = Xt[feature[split][seg], P[d]] <= threshold[split][seg]
-        before = _counts_before(go_left, P, st, m)
-        n_left = np.add.reduceat(go_left[P[d]], st, dtype=np.intp)
-        to = np.where(go_left[P], st[seg] + before, n_left[seg] + np.arange(P.shape[1]) - before)
-        moved = np.empty(P.shape, dtype=P.dtype)
-        moved.ravel()[to + P.shape[1] * np.arange(d + 1)[:, None]] = P
-        P, sizes = moved, np.column_stack([n_left, m - n_left]).ravel()
-        if base is not None:
-            heaps = [c for h, s in zip(heaps, split) if s for c in (2 * h, 2 * h + 1)]
+    return _grow([(X, y)], config, [rng])[0]
 
 
 def fit_forest(train: Dataset, config: ForestConfig, seed: int) -> Forest:
-    """Fit n_trees CART trees, each on its own bootstrap resample and stream."""
-    X, y = train.features, train.labels
-    n = len(y)
-    trees = []
-    for t in range(config.n_trees):
-        rng = rng_for(seed, "tree", t)
-        if config.bootstrap:
-            idx = rng.integers(0, n, size=n)
-            trees.append(fit_cart(X[idx], y[idx], config, rng))
-        else:
-            trees.append(fit_cart(X, y, config, rng))
+    """Fit n_trees CART trees, each on its own bootstrap resample and stream,
+    grown together in batches of at most _BATCH_ROWS rows (or one tree)."""
+    X, y, n = train.features, train.labels, train.n_rows
+    per_batch, trees = max(1, _BATCH_ROWS // n), []
+    for first in range(0, config.n_trees, per_batch):
+        rngs = [rng_for(seed, "tree", t) for t in range(first, min(first + per_batch, config.n_trees))]
+        rows = [rng.integers(0, n, size=n) if config.bootstrap else slice(None) for rng in rngs]
+        trees += _grow([(X[r], y[r]) for r in rows], config, rngs)
     return Forest(trees=trees, config=config, n_features=X.shape[1])
 
 

@@ -66,7 +66,6 @@ class MLPModel:
     biases: list
     config: NetConfig
     input_dim: int
-    best_val_rmse: float = math.inf
 
 
 @dataclass
@@ -100,13 +99,8 @@ def init_mlp(input_dim: int, config: NetConfig, seed: int) -> MLPModel:
 def draw_masks(model: MLPModel, n: int, rng: np.random.Generator) -> list:
     """Fresh per-instance keep-masks for each hidden layer (keep prob 1-p)."""
     p = model.config.dropout_p
-    masks = []
-    for width in model.config.hidden_sizes:
-        if p == 0.0:
-            masks.append(np.ones((n, width), dtype=bool))
-        else:
-            masks.append(rng.random((n, width)) >= p)
-    return masks
+    return [np.ones((n, w), dtype=bool) if p == 0.0 else rng.random((n, w)) >= p
+            for w in model.config.hidden_sizes]
 
 
 def _features(model: MLPModel, X) -> np.ndarray:
@@ -139,7 +133,9 @@ def forward_batch(model: MLPModel, X: np.ndarray, masks=None, h0=None) -> np.nda
         if layer:
             a = np.maximum(a @ model.weights[layer] + model.biases[layer], 0.0)
         if masks is not None:
-            a = a * masks[layer] / (1.0 - p)
+            # in place, the bits of a * mask / (1 - p); h0 is shared, not written
+            a = a * masks[layer] if a is h0 else np.multiply(a, masks[layer], out=a)
+            a /= 1.0 - p
     return (a @ model.weights[-1] + model.biases[-1]).ravel()
 
 
@@ -172,7 +168,8 @@ def compute_gradients(model: MLPModel, X: np.ndarray, y: np.ndarray, masks):
         pre.append(z)
         a = np.maximum(z, 0.0)
         if masks is not None:
-            a = a * masks[layer] / (1.0 - p)
+            a *= masks[layer]
+            a /= 1.0 - p
         activations.append(a)
     pred = (a @ model.weights[-1] + model.biases[-1]).ravel()
 
@@ -188,12 +185,13 @@ def compute_gradients(model: MLPModel, X: np.ndarray, y: np.ndarray, masks):
     da = delta @ model.weights[-1].T
     for layer in range(n_hidden - 1, -1, -1):
         if masks is not None:
-            da = da * masks[layer] / (1.0 - p)
-        dz = da * (pre[layer] > 0.0)
-        w_grads[layer] = activations[layer].T @ dz
-        b_grads[layer] = dz.sum(axis=0)
+            da *= masks[layer]
+            da /= 1.0 - p
+        da *= pre[layer] > 0.0
+        w_grads[layer] = activations[layer].T @ da
+        b_grads[layer] = da.sum(axis=0)
         if layer > 0:
-            da = dz @ model.weights[layer].T
+            da = da @ model.weights[layer].T
     return w_grads, b_grads, loss
 
 
@@ -270,7 +268,6 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
 
     model.weights = best_w
     model.biases = best_b
-    model.best_val_rmse = best_rmse
     log.best_epoch = best_epoch
     log.best_val_rmse = best_rmse
     log.converged = best_rmse < config.rmse_gate

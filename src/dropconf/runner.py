@@ -199,10 +199,6 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
     return reports, failures
 
 
-def _run_single_star(args):
-    return run_single(*args)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArtifacts:
     """Execute all runs, aggregate, and write summary + manifest."""
     out_dir = out_dir or cfg.out_dir
@@ -213,7 +209,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
     jobs = [(cfg, dataset, r, out_dir) for r in run_indices]
     if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            per_run = list(pool.map(_run_single_star, jobs))
+            per_run = list(pool.map(run_single, *zip(*jobs)))
     else:
         per_run = [run_single(*job) for job in jobs]
     failures = [f for _reports, fails in per_run for f in fails]

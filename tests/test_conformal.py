@@ -198,9 +198,10 @@ class TestPipelines:
         ivs = res.intervals[0.8]
         widths = {round(upper - lower, 12) for lower, upper in ivs}
         assert len(widths) == 1
-        k = math.ceil(0.8 * (res.calibration.n + 1))
+        alphas = np.sort(res.calibration_detail.alpha)
+        k = math.ceil(0.8 * (len(alphas) + 1))
         half = ivs[0][1] - res.test_prediction.means[0]
-        assert half == pytest.approx(res.calibration.alphas[k - 1], abs=1e-12)
+        assert half == pytest.approx(alphas[k - 1], abs=1e-12)
 
     def test_dropout_icp_shapes_and_determinism(self, toy_setup):
         ds, sp = toy_setup
@@ -241,5 +242,5 @@ class TestPipelines:
         test_view = ds.subset(sp.test)
         r1 = rf_ccp(train_view, test_view, ForestConfig(n_trees=5), k=3, cl_list=[0.8], seed=9)
         r2 = rf_ccp(train_view, test_view, ForestConfig(n_trees=5), k=3, cl_list=[0.8], seed=9)
-        assert np.array_equal(r1.calibration.alphas, r2.calibration.alphas)
+        assert np.array_equal(np.sort(r1.calibration_detail.alpha), np.sort(r2.calibration_detail.alpha))
         assert np.array_equal(r1.intervals[0.8], r2.intervals[0.8])

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dropconf.data import make_synthetic
+from dropconf import forest as forest_module
+from dropconf.data import Dataset, make_synthetic
 from dropconf.forest import (
     Forest,
     ForestConfig,
@@ -262,6 +264,56 @@ class TestReferenceEquivalence:
         tree = fit_cart(X, y, ForestConfig(), rng_for(0))
         assert tree.n_nodes == 1
         assert_same_tree(tree, reference_fit_cart(X, y, ForestConfig(), rng_for(0)))
+
+
+def assert_forest_matches_reference(ds, config, seed):
+    """Every tree of fit_forest equals the reference tree grown alone on the
+    same resample, with the same stream."""
+    forest = fit_forest(ds, config, seed)
+    assert len(forest.trees) == config.n_trees
+    for t, tree in enumerate(forest.trees):
+        rng = rng_for(seed, "tree", t)
+        idx = rng.integers(0, ds.n_rows, size=ds.n_rows) if config.bootstrap else np.arange(ds.n_rows)
+        assert_same_tree(tree, reference_fit_cart(ds.features[idx], ds.labels[idx], config, rng))
+
+
+class TestBatchedForest:
+    # fit_forest grows its trees together, at most _BATCH_ROWS rows at a time
+
+    @pytest.mark.parametrize("config", [
+        ForestConfig(n_trees=40),
+        ForestConfig(n_trees=40, max_features=2),
+        ForestConfig(n_trees=40, min_samples_leaf=3),
+        ForestConfig(n_trees=40, bootstrap=False),
+    ], ids=["default", "max_features_2", "min_samples_leaf_3", "no_bootstrap"])
+    def test_trees_across_batches_match_reference(self, monkeypatch, config):
+        # 1,000 rows a batch: 40 trees of 90 rows grow 11, 11, 11 and 7 at a
+        # time, so the last batch is cut mid-forest
+        monkeypatch.setattr(forest_module, "_BATCH_ROWS", 1000)
+        ds = make_synthetic(90, 4, "heteroscedastic", 0.5, seed=11)
+        assert_forest_matches_reference(ds, config, seed=12)
+
+    def test_mixed_scale_bootstraps_match_reference(self):
+        # labels near 1e6 and near 1e-6 in every tree of one batch: the running
+        # sums reach each later tree's small-label blocks from all before it
+        rng = np.random.default_rng(8)
+        X = rng.random((200, 3))
+        y = np.where(X[:, 0] < 0.5, 1e6, 1e-6) * (1 + rng.random(200))
+        ds = Dataset(ids=tuple(f"r{i}" for i in range(200)), labels=y, features=X)
+        assert_forest_matches_reference(ds, ForestConfig(n_trees=8), seed=9)
+
+    def test_peak_memory_at_benchmark_scale(self):
+        # a forest of the rf_cv workload's size: 6 trees of 440 rows, d=8, one
+        # batch of 2,640 rows. The bound was fixed before this test first ran.
+        ds = make_synthetic(440, 8, "heteroscedastic", 0.5, seed=1)
+        fit_forest(ds, ForestConfig(n_trees=6), seed=2)
+        tracemalloc.start()
+        try:
+            fit_forest(ds, ForestConfig(n_trees=6), seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2e6
 
 
 class TestPredict:

@@ -173,10 +173,13 @@ class TestTrain:
         shifted = Dataset(ids=base.ids, labels=base.labels + 10.0, features=base.features)
         cfg = NetConfig(hidden_sizes=(4,), dropout_p=0.0, lr0=0.0, patience=1,
                         max_epochs=10, rmse_gate=1.2)
-        model, log = train(shifted.subset(range(45)), shifted.subset(range(45, 60)), cfg, seed=2)
+        va = shifted.subset(range(45, 60))
+        model, log = train(shifted.subset(range(45)), va, cfg, seed=2)
         assert log.best_val_rmse > 1.2
         assert not log.converged
-        assert model.best_val_rmse == log.best_val_rmse
+        # the returned model is the one log.best_val_rmse was measured on
+        pred = forward_batch(model, va.features)
+        assert float(np.sqrt(np.mean((pred - va.labels) ** 2))) == log.best_val_rmse
 
     def test_best_weights_contract(self):
         ds = make_synthetic(120, 3, "homoscedastic", 0.5, seed=4)

@@ -9,7 +9,7 @@ import pytest
 
 from dropconf.cli import main
 from dropconf.config import ConfigError, ExperimentConfig, parse_config, parse_config_text
-from dropconf.conformal import CalibrationModel, ConformalResult, build_calibration
+from dropconf.conformal import ConformalResult, build_calibration
 from dropconf.ensemble import from_passes
 from dropconf.runner import _dump_conformal, reaggregate, run_experiment, write_csv
 
@@ -387,9 +387,7 @@ def _conformal_result(n_cal, n_test, cls, seed=0):
     for cl in cls:
         half = math.inf if cl > 0.9 else cl * np.exp(test_pred.stds)
         intervals[float(cl)] = np.column_stack((test_pred.means - half, test_pred.means + half))
-    return ConformalResult(intervals=intervals,
-                           calibration=CalibrationModel(np.sort(detail.alpha)),
-                           calibration_detail=detail, test_prediction=test_pred)
+    return ConformalResult(intervals=intervals, calibration_detail=detail, test_prediction=test_pred)
 
 
 class TestWriteCsv:
