@@ -40,10 +40,8 @@ def main(argv=None) -> int:
                 cfg = replace(cfg, seed=args.seed)
             if args.workers is not None:
                 cfg = replace(cfg, workers=args.workers)
-            out_dir = args.out or cfg.out_dir
-            artifacts = run_experiment(cfg, out_dir=out_dir, only_run=args.only_run)
-            n_files = len(artifacts.manifest["files"])
-            print(f"wrote {n_files} files to {artifacts.out_dir}")
+            artifacts = run_experiment(cfg, out_dir=args.out, only_run=args.only_run)
+            print(f"wrote {len(artifacts.manifest['files'])} files to {artifacts.out_dir}")
             for r, key, reason in artifacts.failures:
                 print(f"warning: run {r} {key}: {reason}", file=sys.stderr)
             return 0

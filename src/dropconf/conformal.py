@@ -45,10 +45,6 @@ class CalibrationModel:
         object.__setattr__(self, "alphas", alphas)
         self.alphas.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return len(self.alphas)
-
 
 @dataclass(frozen=True)
 class CalibrationDetail:
@@ -109,8 +105,9 @@ def alpha_at_level(cal: CalibrationModel, cl: float) -> float:
     """
     if not 0.0 < cl < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {cl}")
-    k = math.ceil(cl * (cal.n + 1) - 1e-9)
-    if k > cal.n:
+    n = len(cal.alphas)
+    k = math.ceil(cl * (n + 1) - 1e-9)
+    if k > n:
         return math.inf
     return float(cal.alphas[k - 1])
 

@@ -113,18 +113,25 @@ def load_table(path, id_column: str = "id", label_column: str = "y") -> Dataset:
         feat_pos = [i for i in range(len(header)) if i not in (id_pos, y_pos)]
         if not feat_pos:
             raise DataError(f"{path}: no feature columns in header")
-        ids, labels, rows = [], [], []
+        cols = [y_pos] + feat_pos
+        ids, rows = [], []
         for rownum, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise DataError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
             ids.append(row[id_pos])
-            labels.append(_parse_cell(row[y_pos], path, rownum, header[y_pos]))
-            rows.append([_parse_cell(row[j], path, rownum, header[j]) for j in feat_pos])
+            try:
+                values = list(map(float, map(row.__getitem__, cols)))
+            except ValueError:
+                values = [math.nan]
+            if not math.isfinite(sum(values)):  # the first bad cell raises; a sum can overflow
+                values = [_parse_cell(row[j], path, rownum, header[j]) for j in cols]
+            rows.append(values)
     if not ids:
         raise DataError(f"{path}: no data rows")
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate id values")
-    return Dataset(ids=tuple(ids), labels=np.array(labels), features=np.array(rows))
+    table = np.array(rows)
+    return Dataset(ids=tuple(ids), labels=table[:, 0].copy(), features=table[:, 1:].copy())
 
 
 def _csv_rows(fh, path):

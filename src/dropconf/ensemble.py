@@ -61,7 +61,6 @@ def mc_dropout_predict(model: MLPModel, features, n_passes: int, seed: int) -> E
         passes[:] = forward_batch(model, X, None, h0=h0)[:, None]
         return from_passes(passes)
     for p in range(n_passes):
-        rng = rng_for(seed, "pass", p)
-        masks = draw_masks(model, n, rng)
+        masks = draw_masks(model, n, rng_for(seed, "pass", p))
         passes[:, p] = forward_batch(model, X, masks, h0=h0)
     return from_passes(passes)

@@ -77,7 +77,6 @@ class RegressionTree:
 @dataclass
 class Forest:
     trees: list
-    config: ForestConfig
     n_features: int
 
 
@@ -86,14 +85,6 @@ def _exact_sse(values) -> float:
     of the value multiset, so splits inducing the same row partition tie."""
     mean = math.fsum(values) / len(values)
     return math.fsum((v - mean) ** 2 for v in values)
-
-
-def _counts_before(flags, st, m) -> np.ndarray:
-    """Per entry of the bool array ``flags``, how many earlier columns of the
-    same block (blocks start at ``st`` and span ``m`` columns) are set."""
-    c = np.zeros((flags.shape[0], flags.shape[1] + 1), dtype=np.int32)
-    np.cumsum(flags, axis=1, dtype=np.int32, out=c[:, 1:])
-    return c[:, :-1] - np.repeat(c[:, st], m, axis=1)
 
 
 def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
@@ -168,7 +159,11 @@ def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
         c = np.flatnonzero(fast[cs])
         node = cs[c]
         kc, k0 = cp[c] - st[node], p[node] - st[node]
-        n0 = _counts_before(left0[P[:d]], st, m)[cf[c], cp[c] + 1]
+        # left0 rows in columns st..cp of each candidate's feature row: two reads
+        # of one running count (int32 wraps, but a difference below 2**31 is exact)
+        run = np.zeros(d * M + 1, dtype=np.int32)
+        np.cumsum(left0[P[:d]], dtype=np.int32, out=run[1:])
+        n0 = run[cf[c] * M + cp[c] + 1] - run[cf[c] * M + st[node]]
         agree = ((kc == k0) & (n0 == kc + 1)) | ((kc + k0 + 2 == m[node]) & (n0 == 0))
         fast &= np.bincount(node[~agree], minlength=k) == 0
     for s in np.flatnonzero((f >= 0) & ~fast):
@@ -273,7 +268,10 @@ def _grow(samples, config: ForestConfig, rngs) -> list:
         go_left[P[d]] = Xt[feature[split][seg], P[d]] <= threshold[split][seg]
         flags = go_left[P]
         n_left = np.add.reduceat(flags[d], st, dtype=np.intp)
-        before = _counts_before(flags, st, m)
+        # per entry, how many earlier columns of its block are set
+        before = np.zeros((d + 1, P.shape[1] + 1), dtype=np.int32)
+        np.cumsum(flags, axis=1, dtype=np.int32, out=before[:, 1:])
+        before = before[:, :-1] - np.repeat(before[:, st], m, axis=1)
         to = np.where(flags, st[seg] + before, n_left[seg] + np.arange(P.shape[1]) - before)
         moved = np.empty_like(P)
         moved.ravel()[to + P.shape[1] * np.arange(d + 1)[:, None]] = P
@@ -307,7 +305,7 @@ def fit_forest(train: Dataset, config: ForestConfig, seed: int) -> Forest:
         rngs = [rng_for(seed, "tree", t) for t in range(first, min(first + per_batch, config.n_trees))]
         rows = [rng.integers(0, n, size=n) if config.bootstrap else slice(None) for rng in rngs]
         trees += _grow([(X[r], y[r]) for r in rows], config, rngs)
-    return Forest(trees=trees, config=config, n_features=X.shape[1])
+    return Forest(trees=trees, n_features=X.shape[1])
 
 
 def forest_predict(forest: Forest, features) -> EnsemblePrediction:

@@ -4,7 +4,10 @@ ReLU hidden layers, scalar linear output, trained by mini-batch SGD with
 Nesterov momentum, a cyclical step-decay learning-rate schedule, and early
 stopping on validation RMSE. Dropout is the inverted kind: kept activations
 are rescaled by 1/(1-p) so stochastic and deterministic passes share the
-same expectation scale.
+same expectation scale. Training holds three weight-sized arrays (weights,
+velocity, best-epoch snapshot): ``train`` forms each weight gradient from
+its two factors one block of rows at a time, in a small reused buffer, and
+takes the Nesterov step on those rows while they are in cache.
 """
 
 from __future__ import annotations
@@ -89,18 +92,24 @@ def init_mlp(input_dim: int, config: NetConfig, seed: int) -> MLPModel:
         raise ValueError("input_dim must be >= 1")
     rng = rng_for(seed, "init")
     dims = [input_dim] + list(config.hidden_sizes) + [1]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.standard_normal((fan_in, fan_out)) * math.sqrt(2.0 / fan_in))
-        biases.append(np.zeros(fan_out))
+    weights = [rng.standard_normal((i, o)) * math.sqrt(2.0 / i) for i, o in zip(dims, dims[1:])]
+    biases = [np.zeros(o) for o in dims[1:]]
     return MLPModel(weights=weights, biases=biases, config=config, input_dim=input_dim)
 
 
 def draw_masks(model: MLPModel, n: int, rng: np.random.Generator) -> list:
-    """Fresh per-instance keep-masks for each hidden layer (keep prob 1-p)."""
-    p = model.config.dropout_p
-    return [np.ones((n, w), dtype=bool) if p == 0.0 else rng.random((n, w)) >= p
-            for w in model.config.hidden_sizes]
+    """Fresh per-instance keep-masks for each hidden layer (keep prob 1-p),
+    from one draw in the stream order of one draw per layer."""
+    p, widths = model.config.dropout_p, model.config.hidden_sizes
+    keep = rng.random(n * sum(widths)) >= p if p else np.ones(n * sum(widths), dtype=bool)
+    return [k.reshape(n, w) for k, w in zip(np.split(keep, n * np.cumsum(widths)[:-1]), widths)]
+
+
+def _relu_layer(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(a @ w + b), computed in the product's own array."""
+    z = a @ w
+    z += b
+    return np.maximum(z, 0.0, out=z)
 
 
 def _features(model: MLPModel, X) -> np.ndarray:
@@ -116,8 +125,7 @@ def input_layer(model: MLPModel, X) -> np.ndarray:
     Dropout acts only after hidden layers, so this is the same in every pass
     of a dropout ensemble and can be computed once per batch.
     """
-    X = _features(model, X)
-    return np.maximum(X @ model.weights[0] + model.biases[0], 0.0)
+    return _relu_layer(_features(model, X), model.weights[0], model.biases[0])
 
 
 def forward_batch(model: MLPModel, X: np.ndarray, masks=None, h0=None) -> np.ndarray:
@@ -131,7 +139,7 @@ def forward_batch(model: MLPModel, X: np.ndarray, masks=None, h0=None) -> np.nda
     p = model.config.dropout_p
     for layer in range(len(model.config.hidden_sizes)):
         if layer:
-            a = np.maximum(a @ model.weights[layer] + model.biases[layer], 0.0)
+            a = _relu_layer(a, model.weights[layer], model.biases[layer])
         if masks is not None:
             # in place, the bits of a * mask / (1 - p); h0 is shared, not written
             a = a * masks[layer] if a is h0 else np.multiply(a, masks[layer], out=a)
@@ -150,8 +158,9 @@ def lr_at_epoch(config: NetConfig, epoch: int) -> float:
 def compute_gradients(model: MLPModel, X: np.ndarray, y: np.ndarray, masks):
     """Exact MSE gradients for the masked network (masks held fixed).
 
-    Loss is mean((pred - y)^2) over the batch. Returns (weight_grads,
-    bias_grads, batch_loss).
+    Loss is mean((pred - y)^2) over the batch. Returns (acts, deltas,
+    bias_grads, batch_loss); the gradient of ``weights[l]`` is
+    ``acts[l].T @ deltas[l]``, left for the caller to form.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -160,44 +169,59 @@ def compute_gradients(model: MLPModel, X: np.ndarray, y: np.ndarray, masks):
     p = model.config.dropout_p
     n_hidden = len(model.config.hidden_sizes)
 
-    activations = [X]  # post-dropout activation feeding each layer
-    pre = []
-    a = X
+    acts = [X]  # post-dropout activation feeding each layer
     for layer in range(n_hidden):
-        z = a @ model.weights[layer] + model.biases[layer]
-        pre.append(z)
-        a = np.maximum(z, 0.0)
+        a = _relu_layer(acts[-1], model.weights[layer], model.biases[layer])
         if masks is not None:
             a *= masks[layer]
             a /= 1.0 - p
-        activations.append(a)
-    pred = (a @ model.weights[-1] + model.biases[-1]).ravel()
+        acts.append(a)
+    pred = (acts[-1] @ model.weights[-1] + model.biases[-1]).ravel()
 
-    B = len(y)
     resid = pred - y
     loss = float(np.mean(resid**2))
-    delta = (2.0 * resid / B)[:, None]
 
-    w_grads = [None] * (n_hidden + 1)
-    b_grads = [None] * (n_hidden + 1)
-    w_grads[-1] = activations[-1].T @ delta
-    b_grads[-1] = delta.sum(axis=0)
-    da = delta @ model.weights[-1].T
+    deltas = [(2.0 * resid / len(y))[:, None]]
     for layer in range(n_hidden - 1, -1, -1):
+        da = deltas[0] @ model.weights[layer + 1].T
         if masks is not None:
             da *= masks[layer]
             da /= 1.0 - p
-        da *= pre[layer] > 0.0
-        w_grads[layer] = activations[layer].T @ da
-        b_grads[layer] = da.sum(axis=0)
-        if layer > 0:
-            da = da @ model.weights[layer].T
-    return w_grads, b_grads, loss
+        # a kept unit's activation is positive where its pre-activation is; a
+        # dropped unit's da is a signed zero or NaN, unchanged by 0 or 1
+        da *= acts[layer + 1] > 0.0
+        deltas.insert(0, da)
+    return acts, deltas, [d.sum(axis=0) for d in deltas], loss
 
 
-def _val_rmse(model: MLPModel, X: np.ndarray, y: np.ndarray) -> float:
-    pred = forward_batch(model, X)
-    return float(np.sqrt(np.mean((pred - y) ** 2)))
+_BLOCK = 16384  # elements in one row block of a weight gradient
+
+
+def _row_blocks(fan_in: int, fan_out: int, batch: int) -> list:
+    """(start, end) row blocks of ~_BLOCK elements of a (fan_in, fan_out) weight
+    gradient over ``batch`` rows, at multiples of 16 rows, one row only if the
+    weight has. BLAS may round a block's product differently from the whole (one
+    row goes to gemv, a small product to another kernel): unless a probe on
+    random factors gives the whole product's bits, the one block is the whole."""
+    rows = max(16, _BLOCK // fan_out // 16 * 16)
+    cuts = [0, *range(rows, fan_in - 1, rows), fan_in]
+    blocks = list(zip(cuts[:-1], cuts[1:]))
+    rng = np.random.default_rng(0)
+    a, d = rng.standard_normal((batch, fan_in)), rng.standard_normal((batch, fan_out))
+    whole = a.T @ d
+    same = all(np.array_equal(a.T[r:e] @ d, whole[r:e]) for r, e in blocks)
+    return blocks if same else [(0, fan_in)]
+
+
+def _nesterov_step(w, v, g, mu: float, lr: float, scratch) -> None:
+    """w -= lr * (g + mu * v) after v = mu * v + g, in place and with their bits
+    (products and sums commute exactly); ``scratch`` holds g.size floats."""
+    v *= mu
+    v += g
+    step = np.multiply(v, mu, out=scratch[: g.size].reshape(g.shape))
+    step += g
+    step *= lr
+    w -= step
 
 
 def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
@@ -210,20 +234,20 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
         raise ValueError("train and validation feature dimensions differ")
     model = init_mlp(train_set.n_features, config, seed)
     X, y = train_set.features, train_set.labels
-    Xv, yv = val_set.features, val_set.labels
     n = len(y)
     batch_size = max(1, math.ceil(config.batch_fraction * n))
     rng = rng_for(seed, "train")
 
-    params = model.weights + model.biases  # the live arrays, updated in place
-    vel = [np.zeros_like(a) for a in params]
-    mu = config.momentum
+    weights, biases = model.weights, model.biases  # the live arrays, updated in place
+    # blocks by batch length (full, shorter last), probed before vel and best exist
+    lengths = {batch_size, n % batch_size} - {0}
+    blocks = {k: [_row_blocks(*w.shape, k) for w in weights] for k in lengths}
+    size = max(w[r:e].size for k in blocks for w, wb in zip(weights, blocks[k]) for r, e in wb)
+    grad, step = np.empty(size), np.empty(size)
+    vel = [np.zeros_like(a) for a in weights + biases]
+    best = [a.copy() for a in weights + biases]  # overwritten in place by each better epoch
 
-    log = TrainingLog(learning_rates=[], train_losses=[], val_rmses=[])
-    best_w = [w.copy() for w in model.weights]
-    best_b = [b.copy() for b in model.biases]
-    best_rmse = math.inf
-    best_epoch = -1
+    log = TrainingLog(learning_rates=[], train_losses=[], val_rmses=[], best_epoch=-1)
 
     for epoch in range(config.max_epochs):
         lr = lr_at_epoch(config, epoch)
@@ -232,44 +256,35 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
             masks = draw_masks(model, len(idx), rng)
-            w_grads, b_grads, loss = compute_gradients(model, X[idx], y[idx], masks)
+            acts, deltas, b_grads, loss = compute_gradients(model, X[idx], y[idx], masks)
             sq_err_sum += loss * len(idx)
-            # Nesterov step a -= lr * (g + mu * v) after v = mu * v + g, with
-            # one temporary per array. Products and sums commute exactly, so
-            # this order gives the same bits as those expressions. A step
-            # buffer kept per array would hold a second copy of the network
-            # through training and raise peak memory by about as much.
-            for a, v, g in zip(params, vel, w_grads + b_grads):
-                v *= mu
-                v += g
-                step = v * mu
-                step += g
-                step *= lr
-                a -= step
+            for w, v, a, d, wb in zip(weights, vel, acts, deltas, blocks[len(idx)]):
+                for r, e in wb:
+                    g = np.matmul(a.T[r:e], d, out=grad[: w[r:e].size].reshape(e - r, -1))
+                    _nesterov_step(w[r:e], v[r:e], g, config.momentum, lr, step)
+            for b, v, g in zip(biases, vel[len(weights) :], b_grads):
+                _nesterov_step(b, v, g, config.momentum, lr, step)
         epoch_loss = sq_err_sum / n
         if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
-        val_rmse = _val_rmse(model, Xv, yv)
+        pred = forward_batch(model, val_set.features)
+        val_rmse = float(np.sqrt(np.mean((pred - val_set.labels) ** 2)))
 
         log.learning_rates.append(lr)
         log.train_losses.append(epoch_loss)
         log.val_rmses.append(val_rmse)
 
-        if val_rmse < best_rmse:
-            best_rmse = val_rmse
-            best_epoch = epoch
-            best_w = [w.copy() for w in model.weights]
-            best_b = [b.copy() for b in model.biases]
-        elif epoch - best_epoch >= config.patience:
+        if val_rmse < log.best_val_rmse:
+            log.best_val_rmse, log.best_epoch = val_rmse, epoch
+            for kept, a in zip(best, weights + biases):
+                np.copyto(kept, a)
+        elif epoch - log.best_epoch >= config.patience:
             log.stop_reason = "early_stop"
             break
     else:
         log.stop_reason = "max_epochs"
 
-    model.weights = best_w
-    model.biases = best_b
-    log.best_epoch = best_epoch
-    log.best_val_rmse = best_rmse
-    log.converged = best_rmse < config.rmse_gate
+    model.weights, model.biases = best[: len(weights)], best[len(weights) :]
+    log.converged = log.best_val_rmse < config.rmse_gate
     return model, log
 

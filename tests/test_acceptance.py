@@ -120,7 +120,8 @@ def test_criterion_03_gradient_correctness():
         masks = draw_masks(model, 3, rng_for(attempt, "m"))
         if min_abs_preactivation(model, X, masks) < 1e-3:
             continue  # finite differences straddle a ReLU kink
-        w_g, b_g, _ = compute_gradients(model, X, y, masks)
+        acts, deltas, b_g, _ = compute_gradients(model, X, y, masks)
+        w_g = [a.T @ d for a, d in zip(acts, deltas)]
         w_o, b_o = fd_gradients(model, X, y, masks)
         for a, b in zip(w_g + b_g, w_o + b_o):
             denom = np.maximum(np.abs(b), 1e-3)

@@ -107,6 +107,73 @@ class TestLoadTable:
         assert np.array_equal(back.features, ds.features)
 
 
+
+def oracle_load_table(path) -> Dataset:
+    """load_table's rows parsed one cell at a time, as before rows were
+    converted with one float map: the same arrays or the same DataError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header, *body = [r for r in csv.reader(fh)]
+    header = [h.strip() for h in header]
+    id_pos, y_pos = header.index("id"), header.index("y")
+    feat_pos = [i for i in range(len(header)) if i not in (id_pos, y_pos)]
+
+    def cell(text, rownum, j):
+        try:
+            value = float(text)
+        except ValueError:
+            raise DataError(f"{path}: row {rownum}, column {header[j]}: "
+                            f"cannot parse '{text}' as a number") from None
+        if not math.isfinite(value):
+            raise DataError(f"{path}: row {rownum}, column {header[j]}: non-finite value '{text}'")
+        return value
+
+    ids, labels, rows = [], [], []
+    for rownum, row in enumerate(body, start=1):
+        ids.append(row[id_pos])
+        labels.append(cell(row[y_pos], rownum, y_pos))
+        rows.append([cell(row[j], rownum, j) for j in feat_pos])
+    return Dataset(ids=tuple(ids), labels=np.array(labels), features=np.array(rows))
+
+
+class TestRowParserEquivalence:
+    # each odd cell in the first, a middle and the last numeric column of the
+    # second row, in two column layouts
+    CELLS = ["abc", "", "nan", "-nan", "inf", "-Infinity", "1e400", "1_0", " 2.5 ", "\t7\t",
+             "0x10", "1e308"]
+    LAYOUTS = [["id", "y", "f0", "f1", "f2"], ["f0", "y", "f1", "id", "f2"]]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("column", ["y", "f1", "f2"])
+    @pytest.mark.parametrize("text", CELLS)
+    def test_same_arrays_or_same_message(self, tmp_path, layout, column, text):
+        rows = [{"id": f"r{i}", "y": "1.5", "f0": "1e308", "f1": "-0.0", "f2": str(i)}
+                for i in range(3)]
+        rows[1][column] = text
+        p = tmp_path / "t.csv"
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(layout)
+            writer.writerows([r[k] for k in layout] for r in rows)
+        try:
+            expected = oracle_load_table(p)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                load_table(p)
+            assert str(got.value) == str(exc)
+            return
+        ds = load_table(p)
+        assert ds.ids == expected.ids
+        for a, b in ((ds.labels, expected.labels), (ds.features, expected.features)):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape
+            assert a.flags.c_contiguous
+
+    def test_first_bad_cell_of_a_row_is_named(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_lines(p, ["id,y,f0,f1", "a,1,2,3", "b,1,inf,x"])
+        with pytest.raises(DataError, match=r"row 2, column f0: non-finite value 'inf'"):
+            load_table(p)
+
+
 class TestRandomSplit:
     def test_70_15_15_sizes(self):
         s = random_split(100, (0.70, 0.15, 0.15), seed=1)

@@ -388,7 +388,7 @@ class TestForest:
     def test_two_tree_spread(self):
         t0 = fit_cart(np.array([[0.0]]), np.array([0.0]), ForestConfig(), rng_for(0))
         t1 = fit_cart(np.array([[0.0]]), np.array([2.0]), ForestConfig(), rng_for(0))
-        forest = Forest(trees=[t0, t1], config=ForestConfig(n_trees=2), n_features=1)
+        forest = Forest(trees=[t0, t1], n_features=1)
         pred = forest_predict(forest, np.array([[0.0]]))
         assert pred.means[0] == 1.0 and pred.stds[0] == 1.0
 

@@ -1,12 +1,20 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dropconf.data import make_synthetic, random_split
+from dropconf import net
+from dropconf.data import Dataset, make_synthetic, random_split
 from dropconf.net import (
     NetConfig,
+    TrainingDivergedError,
+    TrainingLog,
     compute_gradients,
     draw_masks,
     forward_batch,
@@ -103,7 +111,8 @@ class TestGradients:
         model = init_mlp(3, NetConfig(hidden_sizes=(4,), dropout_p=0.0), seed=5)
         X = np.random.default_rng(0).standard_normal((6, 3))
         y = forward_batch(model, X)
-        w_grads, b_grads, loss = compute_gradients(model, X, y, None)
+        acts, deltas, b_grads, loss = compute_gradients(model, X, y, None)
+        w_grads = [a.T @ d for a, d in zip(acts, deltas)]
         assert loss == 0.0
         assert all(np.allclose(g, 0) for g in w_grads + b_grads)
 
@@ -117,7 +126,8 @@ class TestGradients:
         x = np.array([[1.0, 2.0, 3.0]])
         y = np.array([0.5])
         pred = forward_batch(model, x)[0]
-        w_grads, _, _ = compute_gradients(model, x, y, None)
+        acts, deltas, _, _ = compute_gradients(model, x, y, None)
+        w_grads = [a.T @ d for a, d in zip(acts, deltas)]
         expected = 2 * (pred - 0.5) * x[0]
         assert np.allclose(w_grads[0].ravel(), expected)
 
@@ -137,7 +147,8 @@ class TestGradients:
             masks = draw_masks(model, 4, rng_for(attempt, "masks"))
             if min_abs_preactivation(model, X, masks) < 1e-3:
                 continue  # FD is unreliable across a ReLU kink
-            w_g, b_g, _ = compute_gradients(model, X, y, masks)
+            acts, deltas, b_g, _ = compute_gradients(model, X, y, masks)
+            w_g = [a.T @ d for a, d in zip(acts, deltas)]
             w_o, b_o = fd_gradients(model, X, y, masks)
             for a, b in zip(w_g + b_g, w_o + b_o):
                 denom = np.maximum(np.abs(b), 1e-3)
@@ -247,3 +258,203 @@ class TestConfigInvariants:
     def test_bad_decay(self):
         with pytest.raises(ValueError):
             NetConfig(decay_factor=1.0)
+
+
+# The training loop as it was before weight gradients were factored and
+# blocked: per-layer mask draws, dense weight gradients, one Nesterov
+# temporary per array and a fresh best-epoch copy. train must match it bit
+# for bit.
+
+
+def oracle_masks(model, n, rng):
+    p = model.config.dropout_p
+    return [np.ones((n, w), dtype=bool) if p == 0.0 else rng.random((n, w)) >= p
+            for w in model.config.hidden_sizes]
+
+
+def oracle_gradients(model, X, y, masks):
+    p = model.config.dropout_p
+    n_hidden = len(model.config.hidden_sizes)
+    activations, pre, a = [X], [], X
+    for layer in range(n_hidden):
+        z = a @ model.weights[layer] + model.biases[layer]
+        pre.append(z)
+        a = np.maximum(z, 0.0)
+        if masks is not None:
+            a *= masks[layer]
+            a /= 1.0 - p
+        activations.append(a)
+    pred = (a @ model.weights[-1] + model.biases[-1]).ravel()
+    resid = pred - y
+    loss = float(np.mean(resid**2))
+    delta = (2.0 * resid / len(y))[:, None]
+    w_grads, b_grads = [None] * (n_hidden + 1), [None] * (n_hidden + 1)
+    w_grads[-1] = activations[-1].T @ delta
+    b_grads[-1] = delta.sum(axis=0)
+    da = delta @ model.weights[-1].T
+    for layer in range(n_hidden - 1, -1, -1):
+        if masks is not None:
+            da *= masks[layer]
+            da /= 1.0 - p
+        da *= pre[layer] > 0.0
+        w_grads[layer] = activations[layer].T @ da
+        b_grads[layer] = da.sum(axis=0)
+        if layer > 0:
+            da = da @ model.weights[layer].T
+    return w_grads, b_grads, loss
+
+
+def oracle_train(train_set, val_set, config, seed):
+    model = init_mlp(train_set.n_features, config, seed)
+    X, y = train_set.features, train_set.labels
+    Xv, yv = val_set.features, val_set.labels
+    n = len(y)
+    batch_size = max(1, math.ceil(config.batch_fraction * n))
+    rng = rng_for(seed, "train")
+    params = model.weights + model.biases
+    vel = [np.zeros_like(a) for a in params]
+    mu = config.momentum
+    log = TrainingLog(learning_rates=[], train_losses=[], val_rmses=[])
+    best_w = [w.copy() for w in model.weights]
+    best_b = [b.copy() for b in model.biases]
+    best_rmse, best_epoch = math.inf, -1
+    for epoch in range(config.max_epochs):
+        lr = lr_at_epoch(config, epoch)
+        perm = rng.permutation(n)
+        sq_err_sum = 0.0
+        for start in range(0, n, batch_size):
+            idx = perm[start : start + batch_size]
+            masks = oracle_masks(model, len(idx), rng)
+            w_grads, b_grads, loss = oracle_gradients(model, X[idx], y[idx], masks)
+            sq_err_sum += loss * len(idx)
+            for a, v, g in zip(params, vel, w_grads + b_grads):
+                v *= mu
+                v += g
+                step = v * mu
+                step += g
+                step *= lr
+                a -= step
+        epoch_loss = sq_err_sum / n
+        if not math.isfinite(epoch_loss):
+            raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
+        val_rmse = float(np.sqrt(np.mean((forward_batch(model, Xv) - yv) ** 2)))
+        log.learning_rates.append(lr)
+        log.train_losses.append(epoch_loss)
+        log.val_rmses.append(val_rmse)
+        if val_rmse < best_rmse:
+            best_rmse, best_epoch = val_rmse, epoch
+            best_w = [w.copy() for w in model.weights]
+            best_b = [b.copy() for b in model.biases]
+        elif epoch - best_epoch >= config.patience:
+            log.stop_reason = "early_stop"
+            break
+    else:
+        log.stop_reason = "max_epochs"
+    model.weights, model.biases = best_w, best_b
+    log.best_epoch, log.best_val_rmse = best_epoch, best_rmse
+    log.converged = best_rmse < config.rmse_gate
+    return model, log
+
+
+# (input width, hidden sizes): every weight in one row block; weights of
+# several blocks; a 600-wide layer over 33 inputs, whose one-row tail block
+# is merged into the block before it
+ORACLE_WIDTHS = ((3, (5,)), (37, (1100, 20)), (33, (600, 3)))
+ORACLE_BATCHES = (1, 2, 7, 36)
+
+
+def oracle_mismatches() -> list:
+    """Every (width, batch size, dropout p) of the grid at which train and
+    oracle_train differ in any weight, bias or log entry."""
+    bad = []
+    for (d, hidden), batch, p in ((w, b, p) for w in ORACLE_WIDTHS
+                                  for b in ORACLE_BATCHES for p in (0.0, 0.25)):
+        rng = np.random.default_rng(d + batch)
+        X = rng.standard_normal((48, d))
+        y = X[:, 0] + 0.5 * rng.standard_normal(48)
+        tr = Dataset(ids=tuple(range(36)), labels=y[:36], features=X[:36])
+        va = Dataset(ids=tuple(range(12)), labels=y[36:], features=X[36:])
+        # ceil((batch - 0.5) / 36 * 36) == batch rows per step
+        cfg = NetConfig(hidden_sizes=hidden, dropout_p=p, batch_fraction=(batch - 0.5) / 36,
+                        max_epochs=3, patience=3)
+        (m1, log1), (m2, log2) = train(tr, va, cfg, seed=batch), oracle_train(tr, va, cfg, seed=batch)
+        same = all(np.array_equal(a, b) for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases))
+        if not same or log1 != log2:
+            bad.append([d, list(hidden), batch, p])
+    return bad
+
+
+ORACLE_CHILD = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import test_net
+print(json.dumps(test_net.oracle_mismatches()))
+"""
+
+
+class TestBlockedTraining:
+    def test_grid_exercises_one_and_several_row_blocks(self):
+        counts = {(d, hidden, batch): [len(net._row_blocks(*w.shape, batch)) for w in init_mlp(
+            d, NetConfig(hidden_sizes=hidden), 0).weights]
+            for d, hidden in ORACLE_WIDTHS for batch in ORACLE_BATCHES}
+        assert all(counts[(3, (5,), batch)] == [1, 1] for batch in ORACLE_BATCHES)
+        assert all(max(counts[(33, (600, 3), batch)]) > 1 for batch in ORACLE_BATCHES)
+        assert all(max(counts[(37, (1100, 20), batch)]) > 1 for batch in ORACLE_BATCHES)
+
+    def test_blocks_start_at_multiples_of_16_rows_and_merge_a_one_row_tail(self):
+        # 33 rows of a 600-wide weight: 16-row blocks would leave one row last
+        assert net._row_blocks(33, 600, 36) == [(0, 16), (16, 33)]
+        assert net._row_blocks(100, 100, 36) == [(0, 100)]
+        assert all(r % 16 == 0 for r, _ in net._row_blocks(1024, 1000, 36))
+
+    @pytest.mark.parametrize("threads", ["1", None])
+    def test_matches_dense_oracle_bit_for_bit(self, threads):
+        # OpenBLAS may pick another kernel for a small product, and another
+        # split of the work with more threads: run with one and the default
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(here, os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-c", ORACLE_CHILD, src, here], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    def test_row_blocks_are_rows_of_the_whole_product(self):
+        # the dnn_wide shapes: a batch of 36 rows through 1024-1000-1000-100-10-1
+        rng = np.random.default_rng(5)
+        dims = [1024, 1000, 1000, 100, 10, 1]
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            a = rng.standard_normal((36, fan_in)) * (rng.random((36, fan_in)) < 0.5)
+            d = rng.standard_normal((36, fan_out))
+            whole = a.T @ d
+            blocks = net._row_blocks(fan_in, fan_out, 36)
+            assert len(blocks) > 1 or fan_in * fan_out <= net._BLOCK
+            for r, e in blocks:
+                assert np.array_equal(np.matmul(a.T[r:e], d, out=np.empty((e - r, fan_out))),
+                                      whole[r:e])
+
+    def test_peak_memory_is_three_parameter_sets(self):
+        # a 1,024-input (1000, 1000, 100, 10) network on 240 rows for 2 epochs.
+        # The bound was fixed before this test first ran: the weights, the
+        # velocity and the best-epoch snapshot, plus 4 MiB for data and
+        # activations. The dense loop holds two more sets and a temporary.
+        rng = np.random.default_rng(3)
+        X = (rng.random((300, 1024)) < 0.1).astype(float)
+        y = X[:, :20].sum(axis=1)
+        tr = Dataset(ids=tuple(range(240)), labels=y[:240], features=X[:240])
+        va = Dataset(ids=tuple(range(60)), labels=y[240:], features=X[240:])
+        cfg = NetConfig(max_epochs=2, patience=2)
+        dims = [1024, 1000, 1000, 100, 10, 1]
+        param_bytes = 8 * sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
+        bound = 3 * param_bytes + 4 * 2**20
+        peaks = []
+        for fit in (train, oracle_train):
+            tracemalloc.start()
+            try:
+                fit(tr, va, cfg, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < bound < peaks[1], (peaks, bound)
