@@ -56,7 +56,7 @@ def main(argv=None) -> int:
                     n_rows = load_table(cfg.dataset).n_rows
                 except DataError as exc:
                     raise ConfigError(f"dataset: {exc}") from None
-                cfg.check_rows(n_rows, "train_fraction, val_fraction, test_fraction")
+                cfg.check_rows(n_rows)
             print("config ok")
             return 0
     except (ConfigError, DataError, FileNotFoundError, OSError, ValueError) as exc:

@@ -91,7 +91,7 @@ class ExperimentConfig:
             # the row count is known up front
             self.check_rows(self.synthetic_n, "synthetic.n")
 
-    def check_rows(self, n_rows: int, key: str) -> None:
+    def check_rows(self, n_rows: int, key: str = "train_fraction, val_fraction, test_fraction"):
         """Raise ConfigError, naming ``key`` or ``cv_folds``, unless run can
         split ``n_rows`` rows and cut the forest's rows into cv_folds folds."""
         try:

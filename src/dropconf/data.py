@@ -86,12 +86,16 @@ class SplitIndices:
             raise DataError("split partitions must be disjoint and cover 0..n-1")
 
 
+_FIRST_ROWS = 64  # load_table's first row capacity
+
+
 def load_table(path, id_column: str = "id", label_column: str = "y") -> Dataset:
     """Load a CSV table of ids, labels and numeric features.
 
     The header must name the id column, the label column, and at least one
     feature column; every data cell except the id must parse as a finite
-    number. Row order is preserved.
+    number. Row order is preserved. Rows go straight into float64 arrays
+    grown in place, so loading holds about one copy of the result.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -113,8 +117,8 @@ def load_table(path, id_column: str = "id", label_column: str = "y") -> Dataset:
         feat_pos = [i for i in range(len(header)) if i not in (id_pos, y_pos)]
         if not feat_pos:
             raise DataError(f"{path}: no feature columns in header")
-        cols = [y_pos] + feat_pos
-        ids, rows = [], []
+        cols, d = [y_pos] + feat_pos, len(feat_pos)
+        ids, labels, features = [], np.empty(_FIRST_ROWS), np.empty((_FIRST_ROWS, d))
         for rownum, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise DataError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
@@ -125,13 +129,17 @@ def load_table(path, id_column: str = "id", label_column: str = "y") -> Dataset:
                 values = [math.nan]
             if not math.isfinite(sum(values)):  # the first bad cell raises; a sum can overflow
                 values = [_parse_cell(row[j], path, rownum, header[j]) for j in cols]
-            rows.append(values)
+            if rownum > len(labels):  # full: grow by a quarter, in place where realloc can
+                labels.resize(len(labels) + len(labels) // 4, refcheck=False)
+                features.resize((len(labels), d), refcheck=False)
+            labels[rownum - 1], features[rownum - 1] = values[0], values[1:]
     if not ids:
         raise DataError(f"{path}: no data rows")
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate id values")
-    table = np.array(rows)
-    return Dataset(ids=tuple(ids), labels=table[:, 0].copy(), features=table[:, 1:].copy())
+    labels.resize(len(ids), refcheck=False)  # trim to the rows read
+    features.resize((len(ids), d), refcheck=False)
+    return Dataset(ids=tuple(ids), labels=labels, features=features)
 
 
 def _csv_rows(fh, path):

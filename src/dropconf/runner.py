@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -204,10 +203,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     dataset = load_experiment_dataset(cfg)
+    cfg.check_rows(dataset.n_rows)
 
     run_indices = [only_run] if only_run is not None else list(range(cfg.n_runs))
     jobs = [(cfg, dataset, r, out_dir) for r in run_indices]
     if cfg.workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: a costly import
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             per_run = list(pool.map(run_single, *zip(*jobs)))
     else:

@@ -1,10 +1,12 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dropconf import data
 from dropconf.data import (
     DataError,
     Dataset,
@@ -172,6 +174,88 @@ class TestRowParserEquivalence:
         write_lines(p, ["id,y,f0,f1", "a,1,2,3", "b,1,inf,x"])
         with pytest.raises(DataError, match=r"row 2, column f0: non-finite value 'inf'"):
             load_table(p)
+
+
+def growth_steps(limit):
+    """The row capacities at which load_table's arrays are full, up to limit:
+    they start at data._FIRST_ROWS rows and grow by a quarter."""
+    steps = [data._FIRST_ROWS]
+    while steps[-1] + steps[-1] // 4 <= limit:
+        steps.append(steps[-1] + steps[-1] // 4)
+    return steps
+
+
+def write_binary_table(path, n, d, seed=0):
+    """An n-row fingerprint-like table: labels as repr floats, 0/1 features."""
+    rng = np.random.default_rng(seed)
+    labels = rng.normal(6.5, 1.0, n).tolist()
+    cells = np.full((n, 2 * d), ord(","), dtype=np.uint8)  # "b,b,...,b\n" as bytes
+    cells[:, 0::2] = rng.integers(0, 2, (n, d)) + ord("0")
+    cells[:, -1] = ord("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["id", "y"] + [f"f{j}" for j in range(d)]) + "\n")
+        fh.writelines(f"m{i},{labels[i]!r}," + cells[i].tobytes().decode() for i in range(n))
+
+
+class TestPreallocatedRows:
+    """load_table writes rows into arrays it grows in place and trims at the
+    end; the result must be the per-cell oracle's, whatever the row count."""
+
+    @staticmethod
+    def assert_same_as_oracle(path):
+        """The oracle's arrays, or None where both raise the same DataError."""
+        try:
+            expected = oracle_load_table(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                load_table(path)
+            assert str(got.value) == str(exc)
+            return None
+        ds = load_table(path)
+        assert ds.ids == expected.ids
+        for a, b in ((ds.labels, expected.labels), (ds.features, expected.features)):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape
+            assert a.flags.c_contiguous and not a.flags.writeable
+        return ds
+
+    @pytest.mark.parametrize("n", sorted({1} | {n + k for n in growth_steps(1000)
+                                                for k in (-1, 0, 1)}))
+    def test_row_counts_around_every_growth_step(self, tmp_path, n):
+        p = tmp_path / "t.csv"
+        write_lines(p, ["id,y,f0,f1"] + [f"r{i},{i / 7!r},{i % 3},{-i * 0.25!r}" for i in range(n)])
+        assert self.assert_same_as_oracle(p).n_rows == n
+
+    @pytest.mark.parametrize("step", growth_steps(1000))
+    @pytest.mark.parametrize("text", ["x", "nan"])
+    def test_bad_cell_first_after_a_step_and_last(self, tmp_path, step, text):
+        # rows are numbered from 1: row step + 1 is the first written after growing
+        for bad_row, column in ((1, 1), (step + 1, 2), (step + 2, 3)):
+            rows = [["r%d" % i, repr(i / 7), str(i % 3), "0.5"] for i in range(step + 2)]
+            rows[bad_row - 1][column] = text
+            p = tmp_path / f"t{bad_row}.csv"
+            write_lines(p, ["id,y,f0,f1"] + [",".join(r) for r in rows])
+            with pytest.raises(DataError, match=f"row {bad_row}, column "):
+                oracle_load_table(p)
+            self.assert_same_as_oracle(p)
+
+    def test_wide_binary_table_bytes(self, tmp_path):
+        p = tmp_path / "fp.csv"
+        write_binary_table(p, 600, 1024)
+        assert self.assert_same_as_oracle(p).features.shape == (600, 1024)
+
+    def test_peak_memory_is_about_one_copy_of_the_result(self, tmp_path):
+        # rows held as Python floats before one np.array peaked at 6.2x
+        p = tmp_path / "fp.csv"
+        write_binary_table(p, 2000, 1024, seed=1)
+        tracemalloc.start()
+        try:
+            ds = load_table(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = ds.labels.nbytes + ds.features.nbytes
+        assert ds.features.shape == (2000, 1024)
+        assert peak <= 1.5 * result + 2**20, f"peak {peak / result:.2f}x the result"
 
 
 class TestRandomSplit:

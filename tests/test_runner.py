@@ -2,7 +2,10 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +188,17 @@ class TestRunExperiment:
         b = run_experiment(cfg, out_dir=str(tmp_path / "b"))
         assert a.manifest == b.manifest
 
+    def test_two_workers_write_the_manifest_of_one(self, tmp_path):
+        from dropconf.net import NetConfig
+
+        cfg = tiny_config(models=("dnn", "rf"), dropout_p=(0.25,),
+                          net=NetConfig(hidden_sizes=(6,), max_epochs=15, patience=15,
+                                        rmse_gate=100.0))
+        for workers in (1, 2):
+            run_experiment(replace(cfg, workers=workers), out_dir=str(tmp_path / f"w{workers}"))
+        one, two = ((tmp_path / f"w{w}" / "manifest.json").read_bytes() for w in (1, 2))
+        assert one == two and b"run_001/dnn_p0.25_report.json" in one
+
     def test_reports_are_the_json_written(self, tmp_path):
         artifacts = run_experiment(tiny_config(), out_dir=str(tmp_path / "out"))
         for run, report in enumerate(artifacts.reports["rf"]):
@@ -313,6 +327,21 @@ class TestCli:
         (tmp_path / "t.cfg").write_text("dataset = t.csv\nmodels = rf\ncv_folds = 17\n")
         assert main(["validate-config", "--config", "t.cfg"]) == 0
         assert "config ok" in capsys.readouterr().out
+
+    def test_run_checks_the_table_rows_before_the_first_run(self, tmp_path, monkeypatch, capsys):
+        from dropconf import runner
+
+        def no_train(*args):
+            raise AssertionError("train called before the row checks")
+
+        monkeypatch.setattr(runner, "train", no_train)
+        monkeypatch.chdir(tmp_path)
+        rows = [f"r{i},{i * 0.5},{i % 3}.0" for i in range(12)]
+        (tmp_path / "t.csv").write_text("\n".join(["id,y,f0"] + rows) + "\n")
+        (tmp_path / "t.cfg").write_text("dataset = t.csv\ncv_folds = 11\n")
+        assert main(["run", "--config", "t.cfg", "--out", "out"]) == 2
+        assert "error: cv_folds" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run_000").exists()
 
     def test_only_run_keeps_summary_of_all_runs(self, tmp_path):
         # the failing dnn model also checks that the other run's failure stays
@@ -450,3 +479,14 @@ class TestWriteCsv:
         size = os.path.getsize(tmp_path / "m_intervals.csv")
         assert size > 5_000_000
         assert peak < size / 10
+
+
+def test_import_leaves_the_process_pool_out():
+    # run_experiment imports concurrent.futures only for workers > 1
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dropconf; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
