@@ -8,7 +8,7 @@ grid may also be written as ``start:stop:step``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .data import DataError, check_folds, check_fractions, check_split, check_synthetic
 from .net import NetConfig
@@ -150,45 +150,37 @@ def _parse_grid(raw: str):
     return _list_of(float)(raw)
 
 
-# key -> (target field path, converter)
-_KEYS = {
-    "dataset": ("dataset", str),
-    "synthetic.n": ("synthetic_n", int),
-    "synthetic.d": ("synthetic_d", int),
-    "synthetic.noise": ("synthetic_noise", str),
-    "synthetic.scale": ("synthetic_scale", float),
-    "seed": ("seed", int),
-    "n_runs": ("n_runs", int),
-    "train_fraction": ("train_fraction", float),
-    "val_fraction": ("val_fraction", float),
-    "test_fraction": ("test_fraction", float),
-    "models": ("models", _list_of(str.strip)),
-    "dropout_p": ("dropout_p", _list_of(float)),
-    "n_passes": ("n_passes", int),
-    "cv_folds": ("cv_folds", int),
-    "cl_grid": ("cl_grid", _parse_grid),
-    "default_cl": ("default_cl", float),
-    "cutoffs": ("cutoffs", _list_of(float)),
-    "retry_limit": ("retry_limit", int),
-    "out_dir": ("out_dir", str),
-    "workers": ("workers", int),
-    "net.hidden_sizes": ("net.hidden_sizes", _list_of(int)),
-    "net.dropout_p": ("net.dropout_p", float),
-    "net.lr0": ("net.lr0", float),
-    "net.decay_factor": ("net.decay_factor", float),
-    "net.decay_every": ("net.decay_every", int),
-    "net.cycle_length": ("net.cycle_length", int),
-    "net.max_epochs": ("net.max_epochs", int),
-    "net.patience": ("net.patience", int),
-    "net.momentum": ("net.momentum", float),
-    "net.batch_fraction": ("net.batch_fraction", float),
-    "net.rmse_gate": ("net.rmse_gate", float),
-    "forest.n_trees": ("forest.n_trees", int),
-    "forest.max_features": ("forest.max_features", lambda raw: raw if raw == "all" else int(raw)),
-    "forest.min_samples_split": ("forest.min_samples_split", int),
-    "forest.min_samples_leaf": ("forest.min_samples_leaf", int),
-    "forest.bootstrap": ("forest.bootstrap", lambda raw: _parse_bool(raw, "forest.bootstrap")),
+# converters that the type of a field's default does not give
+_OVERRIDES = {
+    "synthetic.n": int,
+    "cl_grid": _parse_grid,
+    "forest.max_features": lambda raw: raw if raw == "all" else int(raw),
+    "forest.bootstrap": lambda raw: _parse_bool(raw, "forest.bootstrap"),
 }
+
+
+def _converter(default):
+    """The type of ``default`` as a parser: a tuple is a comma-separated list
+    of its first element's type, and a None default takes the text as is."""
+    if isinstance(default, tuple):
+        return _list_of(str.strip if isinstance(default[0], str) else type(default[0]))
+    return str if default is None else type(default)
+
+
+def _key_table() -> dict:
+    """key -> (target field path, converter) for each config field but
+    NetConfig.dropout_p, which run_single sets to each rate of dropout_p."""
+    table = {}
+    for prefix, cls in (("", ExperimentConfig), ("net.", NetConfig), ("forest.", ForestConfig)):
+        for f in fields(cls):
+            target = prefix + f.name
+            key = target.replace("synthetic_", "synthetic.")
+            if f.default is not MISSING and key != "net.dropout_p":
+                table[key] = (target, _OVERRIDES.get(key) or _converter(f.default))
+    return table
+
+
+_KEYS = _key_table()
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
@@ -203,23 +195,20 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         if key not in _KEYS:
             raise ConfigError(f"{origin}:{lineno}: unknown key '{key}'")
         target, conv = _KEYS[key]
+        section, _, name = target.rpartition(".")
         try:
-            value = conv(raw)
+            over[section][name] = conv(raw)
         except ConfigError:
             raise
         except ValueError:
             raise ConfigError(f"{key}: cannot parse value '{raw}'") from None
-        section, _, name = target.rpartition(".")
-        over[section][name] = value
-    try:
-        net_cfg = NetConfig(**over["net"])
-    except ValueError as exc:
-        raise ConfigError(f"net.*: {exc}") from None
-    try:
-        forest_cfg = ForestConfig(**over["forest"])
-    except ValueError as exc:
-        raise ConfigError(f"forest.*: {exc}") from None
-    return ExperimentConfig(net=net_cfg, forest=forest_cfg, **over[""])
+    nested = {}
+    for section, cls in (("net", NetConfig), ("forest", ForestConfig)):
+        try:
+            nested[section] = cls(**over[section])
+        except ValueError as exc:
+            raise ConfigError(f"{section}.*: {exc}") from None
+    return ExperimentConfig(**nested, **over[""])
 
 
 def parse_config(path) -> ExperimentConfig:

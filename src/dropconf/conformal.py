@@ -48,7 +48,8 @@ class CalibrationModel:
 
 @dataclass(frozen=True)
 class CalibrationDetail:
-    """Per-instance calibration triples in original row order (for dumps)."""
+    """Per-instance calibration rows in ascending order of alpha, ties in row
+    order: the rows of the calibration dump."""
 
     ids: tuple
     y: np.ndarray
@@ -84,17 +85,19 @@ def nonconformity(y, y_hat, sigma):
 
 
 def build_calibration(y, preds: EnsemblePrediction, ids=None):
-    """Sorted nonconformity scores over all calibration instances."""
+    """Sorted nonconformity scores over all calibration instances, and their
+    detail rows in the same order."""
     y = np.asarray(y, dtype=np.float64)
     if len(y) != len(preds.means):
         raise ValueError("labels and predictions must have the same length")
     alphas = nonconformity(y, preds.means, preds.stds)
-    if ids is None:
-        ids = tuple(range(len(y)))
+    ids = tuple(range(len(y)) if ids is None else ids)
+    order = np.argsort(alphas, kind="stable")
     detail = CalibrationDetail(
-        ids=tuple(ids), y=y, y_hat=preds.means, sigma=preds.stds, alpha=alphas
+        ids=tuple(ids[i] for i in order.tolist()), y=y[order], y_hat=preds.means[order],
+        sigma=preds.stds[order], alpha=alphas[order],
     )
-    return CalibrationModel(alphas=np.sort(alphas, kind="stable")), detail
+    return CalibrationModel(alphas=detail.alpha), detail
 
 
 def alpha_at_level(cal: CalibrationModel, cl: float) -> float:

@@ -38,7 +38,11 @@ class Dataset:
             raise DataError("dataset must have at least one row")
         if labels.shape != (n,) or features.shape[0] != n:
             raise DataError("ids, labels and features must have the same length")
-        if not np.all(np.isfinite(labels)) or not np.all(np.isfinite(features)):
+        # finite row sums mean finite cells; only an inf or nan sum (a bad
+        # cell, or an overflow) needs the check with one bool per cell
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows_ok = np.isfinite(features.sum(axis=1)).all() or np.isfinite(features).all()
+        if not np.isfinite(labels).all() or not rows_ok:
             raise DataError("labels and features must be finite")
         if len(set(self.ids)) != n:
             raise DataError("duplicate ids in dataset")

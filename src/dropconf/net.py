@@ -47,10 +47,12 @@ class NetConfig:
             raise ValueError("dropout_p must be in [0, 1)")
         if not 0.0 < self.batch_fraction <= 1.0:
             raise ValueError("batch_fraction must be in (0, 1]")
-        if self.lr0 < 0:
+        if not 0.0 <= self.lr0 < math.inf:
             # lr0 == 0 is allowed: it is the standard way to exercise the
             # early-stopping and convergence-gate paths.
-            raise ValueError("lr0 must be >= 0")
+            raise ValueError("lr0 must be finite and >= 0")
+        if not self.rmse_gate > 0.0:
+            raise ValueError("rmse_gate must be > 0")
         if not 0.0 < self.decay_factor < 1.0:
             raise ValueError("decay_factor must be in (0, 1)")
         if self.decay_every < 1 or self.cycle_length < 1:

@@ -105,12 +105,10 @@ def train_with_retry(train_set, val_set, net_cfg, seed, retry_limit):
 
 def _dump_conformal(prefix: str, result: ConformalResult, test_ids, run_dir) -> None:
     detail = result.calibration_detail
-    order = np.argsort(detail.alpha, kind="stable")
     write_csv(
         os.path.join(run_dir, f"{prefix}_calibration.csv"),
         ["id", "y", "y_hat", "sigma", "alpha"],
-        [[[detail.ids[i] for i in order.tolist()], detail.y[order], detail.y_hat[order],
-          detail.sigma[order], detail.alpha[order]]],
+        [[detail.ids, detail.y, detail.y_hat, detail.sigma, detail.alpha]],
     )
     write_csv(
         os.path.join(run_dir, f"{prefix}_intervals.csv"),
@@ -200,6 +198,8 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArtifacts:
     """Execute all runs, aggregate, and write summary + manifest."""
+    if only_run is not None and not 0 <= only_run < cfg.n_runs:
+        raise ValueError(f"only_run: {only_run} not in [0, {cfg.n_runs})")
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     dataset = load_experiment_dataset(cfg)

@@ -358,6 +358,31 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             Dataset(ids=("a",), labels=np.array([np.inf]), features=np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_one_nonfinite_feature_cell_rejected(self, cell):
+        features = np.ones((3, 4))
+        features[1, 2] = cell
+        with pytest.raises(DataError, match="labels and features must be finite"):
+            Dataset(ids=("a", "b", "c"), labels=np.zeros(3), features=features)
+
+    def test_rows_whose_sum_overflows_accepted(self):
+        # the row sums are inf, so the cells themselves are checked
+        features = np.array([[1e308, 1e308], [-1e308, -1e308]])
+        ds = Dataset(ids=("a", "b"), labels=np.zeros(2), features=features)
+        assert np.array_equal(ds.features, features)
+
+    def test_finiteness_check_allocates_no_array_per_cell(self):
+        # np.isfinite over the features held one bool per cell: 2 MB here
+        features = np.random.default_rng(0).standard_normal((2000, 1024))
+        labels, ids = np.zeros(2000), tuple(range(2000))
+        tracemalloc.start()
+        try:
+            Dataset(ids=ids, labels=labels, features=features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
+
     def test_subset_preserves_rows(self):
         ds = make_synthetic(20, 2, seed=1)
         sub = ds.subset([3, 5, 7])

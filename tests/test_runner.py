@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dropconf.cli import main
-from dropconf.config import ConfigError, ExperimentConfig, parse_config, parse_config_text
+from dropconf.config import _KEYS, ConfigError, ExperimentConfig, parse_config, parse_config_text
 from dropconf.conformal import ConformalResult, build_calibration
 from dropconf.ensemble import from_passes
 from dropconf.runner import _dump_conformal, reaggregate, run_experiment, write_csv
@@ -107,6 +107,64 @@ class TestParseConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="no such config"):
             parse_config("/nonexistent/path.cfg")
+
+    @pytest.mark.parametrize("key", sorted(_KEYS))
+    def test_every_key_sets_its_field(self, key):
+        target, _conv = _KEYS[key]
+        section, _, name = target.rpartition(".")
+        default = getattr(_field_owner(parse_config_text("dataset = x.csv\n"), section), name)
+        value = _other_value(key, default)
+        text = f"dataset = x.csv\n{key} = {_config_text(value)}\n"
+        if name in _FRACTIONS:  # the other two take the rest, so the sum stays 1
+            text += "".join(f"{f} = {(1 - value) / 2!r}\n" for f in _FRACTIONS if f != name)
+        cfg = parse_config_text(text)
+        assert value != default
+        assert getattr(_field_owner(cfg, section), name) == value
+
+    def test_net_dropout_p_is_not_a_key(self):
+        # run_single replaces it with each rate of dropout_p
+        with pytest.raises(ConfigError, match="unknown key 'net.dropout_p'"):
+            parse_config_text("dataset = x.csv\nnet.dropout_p = 0.3\n")
+
+    def test_bootstrap_no_is_false(self):
+        assert parse_config_text("dataset = x.csv\nforest.bootstrap = no\n").forest.bootstrap is False
+
+    @pytest.mark.parametrize("key, raw", [("lr0", "nan"), ("lr0", "inf"), ("lr0", "-1"),
+                                          ("rmse_gate", "nan"), ("rmse_gate", "-1"),
+                                          ("rmse_gate", "0")])
+    def test_nonfinite_lr0_and_nonpositive_rmse_gate_rejected(self, key, raw):
+        # either trained every attempt to max_epochs and recorded it as not converged
+        with pytest.raises(ConfigError, match=rf"net\.\*: {key} must be"):
+            parse_config_text(f"dataset = x.csv\nnet.{key} = {raw}\n")
+
+    def test_zero_lr0_and_infinite_rmse_gate_allowed(self):
+        cfg = parse_config_text("dataset = x.csv\nnet.lr0 = 0\nnet.rmse_gate = inf\n")
+        assert cfg.net.lr0 == 0.0 and cfg.net.rmse_gate == math.inf
+
+
+_FRACTIONS = ("train_fraction", "val_fraction", "test_fraction")
+
+
+def _field_owner(cfg, section):
+    return getattr(cfg, section) if section else cfg
+
+
+def _other_value(key, default):
+    """A valid value of the field behind ``key`` that is not its default."""
+    special = {"dataset": "other.csv", "synthetic.n": 50, "forest.max_features": 3}
+    if key in special:
+        return special[key]
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, tuple):
+        return default[1:]  # cl_grid keeps default_cl, which would be merged back in
+    if isinstance(default, str):
+        return default + "_2"
+    return default + 1 if isinstance(default, int) else default / 2
+
+
+def _config_text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def tiny_config(**over):
@@ -358,6 +416,17 @@ class TestCli:
         assert len(json.loads(full["summary.json"])["failures"]) == 2
         assert main(["run", "--config", str(cfg_file), "--out", str(out), "--only-run", "1"]) == 0
         assert {name: (out / name).read_bytes() for name in full} == full
+
+    @pytest.mark.parametrize("only_run", ["7", "-1"])
+    def test_only_run_outside_the_runs_rejected(self, tmp_path, capsys, only_run):
+        # 7 wrote run_007 and counted 3 runs in a summary of n_runs 2; -1 wrote run_-01
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("synthetic.n = 120\nn_runs = 2\nmodels = rf\ncv_folds = 3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out),
+                     "--only-run", only_run]) == 2
+        assert f"only_run: {only_run} not in [0, 2)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_missing_config(self, capsys):
         rc = main(["run", "--config", "/nope.cfg"])
