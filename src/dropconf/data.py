@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,25 +70,13 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class SplitIndices:
-    """Disjoint, exhaustive train/validation/test index sets."""
+class SplitIndices(NamedTuple):
+    """Train/validation/test index sets, disjoint and exhaustive because
+    random_split cuts them from one permutation."""
 
     train: np.ndarray
     validation: np.ndarray
     test: np.ndarray
-
-    def __post_init__(self):
-        parts = [np.asarray(p, dtype=np.intp) for p in (self.train, self.validation, self.test)]
-        object.__setattr__(self, "train", parts[0])
-        object.__setattr__(self, "validation", parts[1])
-        object.__setattr__(self, "test", parts[2])
-        n = sum(len(p) for p in parts)
-        merged = np.concatenate(parts)
-        if any(len(p) == 0 for p in parts):
-            raise DataError("every split partition must be non-empty")
-        if len(np.unique(merged)) != n or merged.min() != 0 or merged.max() != n - 1:
-            raise DataError("split partitions must be disjoint and cover 0..n-1")
 
 
 _FIRST_ROWS = 64  # load_table's first row capacity

@@ -5,7 +5,8 @@ k-fold out-of-fold predictions for cross-conformal calibration. Per-tree
 spread plays the same role as dropout-pass spread in the network pipeline.
 Trees grow breadth-first, a fixed number of array passes per depth over row
 ids presorted once per tree (SLIQ's layout, Mehta et al. 1996); features
-drawn under ``max_features`` are keyed to each node's place in the tree.
+drawn under ``max_features`` are keyed to each node's place in the tree. A
+forest is one set of node arrays, numbered level by level.
 """
 
 from __future__ import annotations
@@ -44,40 +45,37 @@ class ForestConfig:
 
 
 @dataclass
-class RegressionTree:
-    """Flat array representation: feature[i] == -1 marks a leaf."""
+class Forest:
+    """Every tree's nodes in flat arrays numbered level by level: feature[i]
+    == -1 marks a leaf, a split's children are left[i] and right[i] ==
+    left[i] + 1, and tree t's root is roots[t]."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    roots: np.ndarray
+    n_features: int
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Route all rows down together, one tree level per step.
-
-        Rows equal to a threshold go left; NaN features go right.
-        """
+        """The (rows, trees) matrix of leaf values: every (row, tree) pair
+        moves down one level per step. Rows equal to a threshold go left;
+        NaN features go right."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        rows = np.arange(X.shape[0])
-        while rows.size:
-            at = node[rows]
-            f = self.feature[at]
-            inner = f >= 0
-            rows, at, f = rows[inner], at[inner], f[inner]
-            node[rows] = np.where(X[rows, f] <= self.threshold[at], self.left[at], self.right[at])
-        return self.value[node]
-
-
-@dataclass
-class Forest:
-    trees: list
-    n_features: int
+        trees = len(self.roots)
+        node = np.tile(self.roots, X.shape[0])  # pair i is row i // trees, tree i % trees
+        pairs = np.arange(node.size)
+        while pairs.size:
+            pairs = pairs[self.feature[node[pairs]] >= 0]
+            at = node[pairs]
+            go_left = X[pairs // trees, self.feature[at]] <= self.threshold[at]
+            node[pairs] = np.where(go_left, self.left[at], self.right[at])
+        return self.value[node].reshape(X.shape[0], trees)
 
 
 def _exact_sse(values) -> float:
@@ -183,32 +181,7 @@ def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
     return f, thr
 
 
-def _depth_first(features, thresholds, values, trees) -> list:
-    """The trees of per-depth node arrays, each depth holding the children of
-    the splits above in left-right pairs, tree by tree as ``trees`` numbers
-    them. Each tree is numbered as a depth-first build numbers it: that build
-    pops the right child first and gives a node's children the next two ids
-    when the node splits."""
-    split = [f >= 0 for f in features]
-    below = [s.astype(np.intp) for s in split]  # splits in each node's subtree
-    for i in range(len(split) - 2, -1, -1):
-        below[i][split[i]] += below[i + 1].reshape(-1, 2).sum(axis=1)
-    ids, rank = [np.zeros(len(split[0]), dtype=np.intp)], [np.zeros(len(split[0]), dtype=np.intp)]
-    for i in range(len(split) - 1):
-        r = rank[i][split[i]]  # the place of each split in its tree's pop order
-        rank.append(np.column_stack([r + 1 + below[i + 1][1::2], r + 1]).ravel())
-        ids.append(np.column_stack([2 * r + 1, 2 * r + 2]).ravel())
-    tree = np.concatenate(trees)
-    order = np.lexsort((np.concatenate(ids), tree))
-    feature, threshold, value, rank = (
-        np.concatenate(a)[order] for a in (features, thresholds, values, rank))
-    left = np.where(feature >= 0, 2 * rank + 1, -1).astype(np.int32)
-    right = np.where(feature >= 0, left + 1, -1).astype(np.int32)
-    parts = (np.split(a, np.cumsum(np.bincount(tree))[:-1]) for a in (feature, threshold, left, right, value))
-    return [RegressionTree(*t) for t in zip(*parts)]
-
-
-def _grow(samples, config: ForestConfig, rngs) -> list:
+def _grow(samples, config: ForestConfig, rngs, offset: int = 0) -> list:
     """One CART tree per (X, y) sample, all grown together breadth-first:
     each pass handles every node of one depth of every tree. Leaves predict
     the mean of their rows.
@@ -218,9 +191,10 @@ def _grow(samples, config: ForestConfig, rngs) -> list:
     tree by tree: its row ids sorted by each feature, plus a row in ascending
     order. A split moves its block's columns to its two children by a stable
     counting partition, so every node sees its rows sorted as a stable
-    per-node argsort of its ascending rows would. Each tree's arrays and node
-    ids are those of a depth-first build of that tree alone. Infinite
-    features split like any others.
+    per-node argsort of its ascending rows would. Infinite features split
+    like any others. Returns the Forest arrays, feature to roots, with ids
+    from ``offset`` on in level order: for b trees the roots are 0..b-1 and
+    the children of the k-th split are b + 2k and b + 2k + 1, plus offset.
 
     With ``max_features`` below d, a node draws its features from
     ``default_rng([base, heap])``: ``base`` is drawn from the tree's entry of
@@ -235,6 +209,7 @@ def _grow(samples, config: ForestConfig, rngs) -> list:
     P = np.vstack([np.hstack([np.argsort(Xt[:, a : a + k], axis=1, kind="stable") + a
                               for a, k in zip(np.cumsum(sizes) - sizes, sizes)]), np.arange(n)])
     tree, heaps, levels = np.arange(len(sizes)), [1] * len(sizes), []
+    nodes = offset + len(sizes)  # the next level's first id
     while True:
         starts, yv = np.cumsum(sizes) - sizes, y[P[d]]
         grow = (sizes >= config.min_samples_split) & (
@@ -257,9 +232,11 @@ def _grow(samples, config: ForestConfig, rngs) -> list:
         value[~split] = (np.add.reduceat(yv, starts) + 0.0)[~split] / sizes[~split]
         for i in np.flatnonzero(~split & (sizes > 2)):
             value[i] = yv[starts[i] : starts[i] + sizes[i]].sum() / sizes[i]
-        levels.append((feature, threshold, value, tree))
+        left = np.where(split, nodes + 2 * (np.cumsum(split) - 1), -1).astype(np.int32)
+        nodes += 2 * np.count_nonzero(split)
+        levels.append((feature, threshold, left, left + split, value))  # right: left + 1, -1 at a leaf
         if not split.any():
-            return _depth_first(*zip(*levels))
+            return [np.concatenate(a) for a in zip(*levels)] + [np.arange(offset, offset + len(samples))]
         # stable partition of each splitting block, left child first
         P, m = np.compress(np.repeat(split[grow], m), P, axis=1), sizes[split]
         st = np.cumsum(m) - m
@@ -282,9 +259,9 @@ def _grow(samples, config: ForestConfig, rngs) -> list:
             heaps = [c for h, s in zip(heaps, split) if s for c in (2 * h, 2 * h + 1)]
 
 
-def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.Generator) -> RegressionTree:
-    """Grow one CART regression tree with ``_grow``. NaN features are rejected:
-    a cut between two NaNs would send every row to one side."""
+def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.Generator) -> Forest:
+    """One CART regression tree grown by ``_grow``, as a Forest. NaN features
+    are rejected: a cut between two NaNs would send every row to one side."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if len(y) < 1:
@@ -293,19 +270,19 @@ def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.
         raise ValueError(f"fit_cart got {X.shape[0]} feature rows for {len(y)} labels")
     if np.isnan(X).any():
         raise ValueError("fit_cart features must not be NaN")
-    return _grow([(X, y)], config, [rng])[0]
+    return Forest(*_grow([(X, y)], config, [rng]), n_features=X.shape[1])
 
 
 def fit_forest(train: Dataset, config: ForestConfig, seed: int) -> Forest:
     """Fit n_trees CART trees, each on its own bootstrap resample and stream,
     grown together in batches of at most _BATCH_ROWS rows (or one tree)."""
     X, y, n = train.features, train.labels, train.n_rows
-    per_batch, trees = max(1, _BATCH_ROWS // n), []
+    per_batch, batches = max(1, _BATCH_ROWS // n), []
     for first in range(0, config.n_trees, per_batch):
         rngs = [rng_for(seed, "tree", t) for t in range(first, min(first + per_batch, config.n_trees))]
         rows = [rng.integers(0, n, size=n) if config.bootstrap else slice(None) for rng in rngs]
-        trees += _grow([(X[r], y[r]) for r in rows], config, rngs)
-    return Forest(trees=trees, n_features=X.shape[1])
+        batches.append(_grow([(X[r], y[r]) for r in rows], config, rngs, sum(len(b[0]) for b in batches)))
+    return Forest(*map(np.concatenate, zip(*batches)), n_features=X.shape[1])
 
 
 def forest_predict(forest: Forest, features) -> EnsemblePrediction:
@@ -313,8 +290,7 @@ def forest_predict(forest: Forest, features) -> EnsemblePrediction:
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if X.shape[1] != forest.n_features:
         raise ValueError(f"expected {forest.n_features} features, got {X.shape[1]}")
-    passes = np.column_stack([tree.predict(X) for tree in forest.trees])
-    return from_passes(passes)
+    return from_passes(forest.predict(X))
 
 
 def oof_calibration(train: Dataset, config: ForestConfig, k: int, seed: int) -> EnsemblePrediction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,9 @@ class _Cells(list):
     """A column already formatted as CSV cell strings."""
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
 def _format_column(column) -> _Cells:
     """One column as CSV cell strings; a _Cells column is returned as is, so
     a column shared by many blocks can be formatted once up front.
@@ -43,13 +47,15 @@ def _format_column(column) -> _Cells:
     Float arrays go through repr() of plain Python floats, so every bit
     survives; integer arrays through str(). Other columns keep a per-cell
     rule: repr(float(v)) for floats (numpy float64 scalars included, never
-    their numpy repr), str(v) for anything else.
+    their numpy repr), str(v) for anything else, quoted as csv.writer's
+    QUOTE_MINIMAL quotes it when it holds a comma, quote, CR or LF.
     """
     if isinstance(column, _Cells):
         return column
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
         return _Cells(map(repr if column.dtype.kind == "f" else str, column.tolist()))
-    return _Cells([repr(float(v)) if isinstance(v, float) else str(v) for v in column])
+    cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in column)
+    return _Cells('"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells)
 
 
 def write_csv(path, header, blocks) -> None:

@@ -13,7 +13,6 @@ from dropconf.data import Dataset, make_synthetic
 from dropconf.forest import (
     Forest,
     ForestConfig,
-    RegressionTree,
     fit_cart,
     fit_forest,
     forest_predict,
@@ -29,8 +28,9 @@ def small_dataset(n=30, d=3, seed=0, noise=0.3):
 
 
 # Reference learner: a stable argsort of every candidate column at every
-# node, and an fsum re-score of every candidate within tol of the best. The
-# presorted learner must build the same trees bit for bit.
+# node, and an fsum re-score of every candidate within tol of the best, built
+# depth-first into a one-tree Forest. The presorted learner must build the
+# same trees bit for bit, up to the node ids.
 
 
 def reference_exact_sse(values):
@@ -100,20 +100,22 @@ def reference_fit_cart(X, y, config, rng):
         left[node], right[node] = len(feature) - 2, len(feature) - 1
         stack.append((left[node], rows[go_left], 2 * heap))
         stack.append((right[node], rows[~go_left], 2 * heap + 1))
-    return RegressionTree(
+    return Forest(
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=np.float64),
         left=np.array(left, dtype=np.int32),
         right=np.array(right, dtype=np.int32),
         value=np.array(value, dtype=np.float64),
+        roots=np.array([0]),
+        n_features=d,
     )
 
 
-def walk_predict(tree, X):
-    """One row at a time from the root; ties go left, NaN goes right."""
+def walk_predict(tree, X, root=0):
+    """One row at a time from ``root``; ties go left, NaN goes right."""
     out = []
     for row in np.atleast_2d(X):
-        node = 0
+        node = root
         while tree.feature[node] >= 0:
             go_left = row[tree.feature[node]] <= tree.threshold[node]
             node = tree.left[node] if go_left else tree.right[node]
@@ -121,11 +123,22 @@ def walk_predict(tree, X):
     return np.array(out, dtype=np.float64)
 
 
-def assert_same_tree(a, b):
+def nested(tree, node):
+    """The subtree at ``node`` as nested (feature, threshold, value, left,
+    right) tuples, with None below a leaf."""
+    if node < 0:
+        return None
+    return (int(tree.feature[node]), float(tree.threshold[node]), float(tree.value[node]),
+            nested(tree, tree.left[node]), nested(tree, tree.right[node]))
+
+
+def assert_same_tree(forest, t, reference):
+    """Tree t of ``forest`` is the reference tree node for node, bit for bit,
+    walked from its root in the forest and from node 0 in the reference."""
     for name in ("feature", "threshold", "left", "right", "value"):
-        x, y = getattr(a, name), getattr(b, name)
+        x, y = getattr(forest, name), getattr(reference, name)
         assert x.dtype == y.dtype, name
-        assert np.array_equal(x, y), name
+    assert nested(forest, forest.roots[t]) == nested(reference, 0)
 
 
 def tie_heavy_table(rng):
@@ -184,7 +197,7 @@ class TestFitCart:
             oracle = oracle_cart(X, y)
             queries = np.vstack([X, rng.random((10, d))])
             for q in queries:
-                assert tree.predict(q[None, :])[0] == oracle_cart_predict(oracle, q)
+                assert tree.predict(q[None, :])[0, 0] == oracle_cart_predict(oracle, q)
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(1)
@@ -210,16 +223,16 @@ class TestReferenceEquivalence:
         for table in range(100):
             X, y, config = tie_heavy_table(rng)
             tree = fit_cart(X, y, config, rng_for(seed, table))
-            assert_same_tree(tree, reference_fit_cart(X, y, config, rng_for(seed, table)))
+            assert_same_tree(tree, 0, reference_fit_cart(X, y, config, rng_for(seed, table)))
 
     def test_bootstrap_forest_matches_reference(self):
         ds = make_synthetic(300, 4, "heteroscedastic", 0.5, seed=2)
         config = ForestConfig(n_trees=3, max_features=2)
         forest = fit_forest(ds, config, seed=4)
-        for t, tree in enumerate(forest.trees):
+        for t in range(config.n_trees):
             rng = rng_for(4, "tree", t)
             idx = rng.integers(0, ds.n_rows, size=ds.n_rows)
-            assert_same_tree(tree, reference_fit_cart(ds.features[idx], ds.labels[idx], config, rng))
+            assert_same_tree(forest, t, reference_fit_cart(ds.features[idx], ds.labels[idx], config, rng))
 
     @pytest.mark.parametrize("min_leaf", [1, 3])
     def test_bootstrap_trees_at_benchmark_scale_match_reference(self, min_leaf):
@@ -228,10 +241,10 @@ class TestReferenceEquivalence:
         ds = make_synthetic(560, 8, "heteroscedastic", 0.5, seed=min_leaf)
         config = ForestConfig(n_trees=2, min_samples_leaf=min_leaf)
         forest = fit_forest(ds, config, seed=5)
-        for t, tree in enumerate(forest.trees):
+        for t in range(config.n_trees):
             rng = rng_for(5, "tree", t)
             idx = rng.integers(0, ds.n_rows, size=ds.n_rows)
-            assert_same_tree(tree, reference_fit_cart(ds.features[idx], ds.labels[idx], config, rng))
+            assert_same_tree(forest, t, reference_fit_cart(ds.features[idx], ds.labels[idx], config, rng))
 
     def test_chain_deeper_than_64_levels_matches_reference(self):
         # each split peels off the largest label, so the node keys of the
@@ -245,7 +258,7 @@ class TestReferenceEquivalence:
             depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
         assert depth.max() == 79
         assert set(tree.feature[tree.feature >= 0]) == {0, 1}
-        assert_same_tree(tree, reference_fit_cart(X, y, config, rng_for(6)))
+        assert_same_tree(tree, 0, reference_fit_cart(X, y, config, rng_for(6)))
 
     def test_mixed_label_scales_match_reference(self):
         # the root puts labels near 1e6 left of labels near 1e-6, so the
@@ -255,7 +268,7 @@ class TestReferenceEquivalence:
         X = rng.random((200, 3))
         y = np.where(X[:, 0] < 0.5, 1e6, 1e-6) * (1 + rng.random(200))
         tree = fit_cart(X, y, ForestConfig(), rng_for(7))
-        assert_same_tree(tree, reference_fit_cart(X, y, ForestConfig(), rng_for(7)))
+        assert_same_tree(tree, 0, reference_fit_cart(X, y, ForestConfig(), rng_for(7)))
 
     def test_subnormal_two_rows_stay_a_leaf(self):
         # the parent SSE underflows to 0, so no split strictly reduces it
@@ -263,18 +276,22 @@ class TestReferenceEquivalence:
         y = np.array([0.0, 5e-324])
         tree = fit_cart(X, y, ForestConfig(), rng_for(0))
         assert tree.n_nodes == 1
-        assert_same_tree(tree, reference_fit_cart(X, y, ForestConfig(), rng_for(0)))
+        assert_same_tree(tree, 0, reference_fit_cart(X, y, ForestConfig(), rng_for(0)))
 
 
 def assert_forest_matches_reference(ds, config, seed):
     """Every tree of fit_forest equals the reference tree grown alone on the
     same resample, with the same stream."""
     forest = fit_forest(ds, config, seed)
-    assert len(forest.trees) == config.n_trees
-    for t, tree in enumerate(forest.trees):
+    assert len(forest.roots) == config.n_trees
+    nodes = 0
+    for t in range(config.n_trees):
         rng = rng_for(seed, "tree", t)
         idx = rng.integers(0, ds.n_rows, size=ds.n_rows) if config.bootstrap else np.arange(ds.n_rows)
-        assert_same_tree(tree, reference_fit_cart(ds.features[idx], ds.labels[idx], config, rng))
+        reference = reference_fit_cart(ds.features[idx], ds.labels[idx], config, rng)
+        assert_same_tree(forest, t, reference)
+        nodes += reference.n_nodes
+    assert forest.n_nodes == nodes
 
 
 class TestBatchedForest:
@@ -302,6 +319,32 @@ class TestBatchedForest:
         ds = Dataset(ids=tuple(f"r{i}" for i in range(200)), labels=y, features=X)
         assert_forest_matches_reference(ds, ForestConfig(n_trees=8), seed=9)
 
+    def test_batched_forest_numbering_and_predict(self, monkeypatch):
+        # 300 rows a batch: 10 trees of 60 rows grow 5 and 5 at a time
+        monkeypatch.setattr(forest_module, "_BATCH_ROWS", 300)
+        ds = make_synthetic(60, 4, "heteroscedastic", 0.5, seed=13)
+        forest = fit_forest(ds, ForestConfig(n_trees=10, max_features=2), seed=14)
+        split = np.flatnonzero(forest.feature >= 0)
+        assert np.array_equal(forest.right[split], forest.left[split] + 1)
+        assert np.all(forest.left[split] > split)  # children come after their parent
+        parents = np.bincount(np.concatenate([forest.left[split], forest.right[split]]),
+                              minlength=forest.n_nodes)
+        is_root = np.isin(np.arange(forest.n_nodes), forest.roots)
+        assert len(forest.roots) == 10 and np.all(parents == ~is_root)
+        leaf = forest.feature < 0
+        assert np.all(forest.left[leaf] == -1) and np.all(forest.right[leaf] == -1)
+
+        rng = np.random.default_rng(15)
+        ties = rng.random((len(split), 4))  # one row on each split's threshold
+        ties[np.arange(len(split)), forest.feature[split]] = forest.threshold[split]
+        nans = np.where(rng.random((6, 4)) < 0.5, np.nan, rng.random((6, 4)))
+        queries = np.vstack([ds.features, rng.random((20, 4)) * 4 - 2, ties, nans,
+                             np.full((1, 4), np.nan)])
+        passes = forest.predict(queries)
+        assert passes.shape == (len(queries), 10)
+        for t, root in enumerate(forest.roots):
+            assert np.array_equal(passes[:, t], walk_predict(forest, queries, root))
+
     def test_peak_memory_at_benchmark_scale(self):
         # a forest of the rf_cv workload's size: 6 trees of 440 rows, d=8, one
         # batch of 2,640 rows. The bound was fixed before this test first ran.
@@ -323,7 +366,7 @@ class TestPredict:
             X, y, config = tie_heavy_table(rng)
             tree = fit_cart(X, y, config, rng_for(table))
             queries = np.vstack([X, rng.random((6, X.shape[1])), np.full((1, X.shape[1]), np.nan)])
-            assert np.array_equal(tree.predict(queries), walk_predict(tree, queries))
+            assert np.array_equal(tree.predict(queries)[:, 0], walk_predict(tree, queries))
 
     def test_threshold_ties_go_left_and_nan_goes_right(self):
         tree = fit_cart(np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 6.0]]), np.array([0.0, 1.0, 4.0]),
@@ -332,19 +375,19 @@ class TestPredict:
         at_threshold = np.zeros((inner.sum(), 2))
         at_threshold[np.arange(inner.sum()), tree.feature[inner]] = tree.threshold[inner]
         queries = np.vstack([at_threshold, [[np.nan, np.nan], [np.nan, 0.0], [0.0, np.nan]]])
-        assert np.array_equal(tree.predict(queries), walk_predict(tree, queries))
-        assert tree.predict([[np.nan, np.nan]])[0] == walk_predict(tree, [[np.inf, np.inf]])[0]
+        assert np.array_equal(tree.predict(queries)[:, 0], walk_predict(tree, queries))
+        assert tree.predict([[np.nan, np.nan]])[0, 0] == walk_predict(tree, [[np.inf, np.inf]])[0]
 
     def test_zero_rows(self):
         tree = fit_cart(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), ForestConfig(), rng_for(0))
-        out = tree.predict(np.empty((0, 1)))
+        out = tree.predict(np.empty((0, 1)))[:, 0]
         assert out.shape == (0,) and out.dtype == np.float64
 
     def test_single_leaf_tree(self):
         tree = fit_cart(np.zeros((3, 2)), np.array([1.5, 1.5, 1.5]), ForestConfig(), rng_for(0))
         assert tree.n_nodes == 1
         queries = np.array([[0.0, 0.0], [np.nan, 7.0]])
-        assert np.array_equal(tree.predict(queries), [1.5, 1.5])
+        assert np.array_equal(tree.predict(queries)[:, 0], [1.5, 1.5])
 
 
 class TestForest:
@@ -353,14 +396,14 @@ class TestForest:
         cfg = ForestConfig(n_trees=1, bootstrap=False)
         forest = fit_forest(ds, cfg, seed=3)
         pred = forest_predict(forest, ds.features)
-        tree_pred = forest.trees[0].predict(ds.features)
+        tree_pred = walk_predict(forest, ds.features, forest.roots[0])
         assert np.array_equal(pred.means, tree_pred)
         assert np.all(pred.stds == 0.0)
 
     def test_default_tree_count(self):
         ds = small_dataset(15)
         forest = fit_forest(ds, ForestConfig(), seed=4)
-        assert len(forest.trees) == 100
+        assert len(forest.roots) == 100
 
     def test_deterministic(self):
         ds = small_dataset(20)
@@ -386,9 +429,9 @@ class TestForest:
         assert np.all(pred.means <= pred.passes.max(axis=1) + 1e-12)
 
     def test_two_tree_spread(self):
-        t0 = fit_cart(np.array([[0.0]]), np.array([0.0]), ForestConfig(), rng_for(0))
-        t1 = fit_cart(np.array([[0.0]]), np.array([2.0]), ForestConfig(), rng_for(0))
-        forest = Forest(trees=[t0, t1], n_features=1)
+        leaves = np.full(2, -1, dtype=np.int32)
+        forest = Forest(feature=leaves, threshold=np.zeros(2), left=leaves, right=leaves,
+                        value=np.array([0.0, 2.0]), roots=np.array([0, 1]), n_features=1)
         pred = forest_predict(forest, np.array([[0.0]]))
         assert pred.means[0] == 1.0 and pred.stds[0] == 1.0
 

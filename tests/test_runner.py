@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -205,6 +206,22 @@ class TestRunExperiment:
         assert len(artifacts.manifest["files"]) >= 5
         # no dnn outputs when rf-only
         assert not any("dnn" in f["path"] for f in artifacts.manifest["files"])
+
+    def test_quoted_table_ids_keep_every_row_one_record(self, tmp_path):
+        # every other id holds a comma; bare joins once split those rows in two
+        rng = np.random.default_rng(0)
+        table = tmp_path / "t.csv"
+        with open(table, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "y", "f0", "f1"])
+            for i in range(60):
+                writer.writerow([f"c,{i}" if i % 2 else f"r{i}", *rng.random(3)])
+        run_experiment(tiny_config(dataset=str(table), n_runs=1), out_dir=str(tmp_path / "out"))
+        for name, width in (("rf_calibration.csv", 5), ("rf_intervals.csv", 7)):
+            with open(tmp_path / "out" / "run_000" / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert {len(row) for row in rows} == {width}
+            assert any(row[0].startswith("c,") for row in rows)
 
     def test_dnn_pipeline_and_training_log(self, tmp_path):
         from dropconf.net import NetConfig
@@ -532,6 +549,19 @@ class TestWriteCsv:
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
         assert b",0.95," in (tmp_path / "new" / "m_intervals.csv").read_bytes()
         assert b"-inf,inf,1\n" in (tmp_path / "new" / "m_intervals.csv").read_bytes()
+
+    def test_ids_that_need_quotes_read_back(self, tmp_path):
+        # load_table reads ids with csv.reader, so a quoted id may hold any of these
+        ids = ("c,0", 'q"1', "n\n2", "r\r3", "plain")
+        write_csv(tmp_path / "t.csv", ["id", "y"], [[ids, np.arange(5.0)]])
+        _dump_conformal("m", _conformal_result(n_cal=3, n_test=5, cls=(0.5, 0.8)), ids, tmp_path)
+        for name, width in (("t.csv", 2), ("m_intervals.csv", 7)):
+            with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert all(len(row) == width for row in rows)
+            assert tuple(row[0] for row in rows[1:6]) == ids
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b'id,y\n"c,0",0.0\n"q""1",1.0\n"n\n2",2.0\n"r\r3",3.0\nplain,4.0\n')
 
     def test_interval_table_streams_one_level_at_a_time(self, tmp_path):
         # 99 levels x 750 rows is about 7 MB; holding all rows' strings at
