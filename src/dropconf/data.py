@@ -82,11 +82,11 @@ class SplitIndices(NamedTuple):
 _FIRST_ROWS = 64  # load_table's first row capacity
 
 
-def load_table(path, id_column: str = "id", label_column: str = "y") -> Dataset:
+def load_table(path) -> Dataset:
     """Load a CSV table of ids, labels and numeric features.
 
-    The header must name the id column, the label column, and at least one
-    feature column; every data cell except the id must parse as a finite
+    The header must name an ``id`` column, a ``y`` label column and at least
+    one feature column; every data cell except the id must parse as a finite
     number. Row order is preserved. Rows go straight into float64 arrays
     grown in place, so loading holds about one copy of the result.
     """
@@ -101,12 +101,9 @@ def load_table(path, id_column: str = "id", label_column: str = "y") -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if id_column not in header or label_column not in header:
-            raise DataError(
-                f"{path}: header must contain '{id_column}' and '{label_column}' columns"
-            )
-        id_pos = header.index(id_column)
-        y_pos = header.index(label_column)
+        if "id" not in header or "y" not in header:
+            raise DataError(f"{path}: header must contain 'id' and 'y' columns")
+        id_pos, y_pos = header.index("id"), header.index("y")
         feat_pos = [i for i in range(len(header)) if i not in (id_pos, y_pos)]
         if not feat_pos:
             raise DataError(f"{path}: no feature columns in header")

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .seeds import derive_seed
 @dataclass
 class RunArtifacts:
     out_dir: str
-    reports: dict  # model key -> list of report dicts over successful runs
+    reports: dict  # model key -> list of report dicts on disk, in run order
     failures: list  # (run index, model key, reason)
     aggregate: dict
     manifest: dict
@@ -138,7 +139,7 @@ def _interval_blocks(result: ConformalResult, test_ids):
 def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir: str):
     """One split/train/calibrate/evaluate cycle; writes its own run directory.
 
-    Returns (report dict by model key, failures).
+    Returns the run's failures as (run index, model key, reason).
     """
     run_dir = os.path.join(out_dir, f"run_{run_index:03d}")
     os.makedirs(run_dir, exist_ok=True)
@@ -157,14 +158,13 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
     val_set = dataset.subset(split.validation)
     test_set = dataset.subset(split.test)
 
-    reports = {}
     failures = []
 
     def emit(key, result):
-        reports[key] = evaluate_model(key, result, test_set.labels, cfg.cl_grid,
-                                      cfg.default_cl, cfg.cutoffs)
+        report = evaluate_model(key, result, test_set.labels, cfg.cl_grid,
+                                cfg.default_cl, cfg.cutoffs)
         _dump_conformal(key, result, test_set.ids, run_dir)
-        write_json(os.path.join(run_dir, f"{key}_report.json"), reports[key])
+        write_json(os.path.join(run_dir, f"{key}_report.json"), report)
 
     if "dnn" in cfg.models:
         for p in cfg.dropout_p:
@@ -199,11 +199,16 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
             derive_seed(cfg.seed, "run", run_index, "rf"),
         ))
 
-    return reports, failures
+    return failures
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArtifacts:
-    """Execute all runs, aggregate, and write summary + manifest."""
+    """Execute the runs, then rebuild summary + manifest with reaggregate.
+
+    A full run first removes every run_<digits> directory in out_dir, and
+    ``only_run`` R removes run R's, so no run directory keeps a file that an
+    earlier invocation wrote for the runs executed now.
+    """
     if only_run is not None and not 0 <= only_run < cfg.n_runs:
         raise ValueError(f"only_run: {only_run} not in [0, {cfg.n_runs})")
     out_dir = out_dir or cfg.out_dir
@@ -212,6 +217,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
     cfg.check_rows(dataset.n_rows)
 
     run_indices = [only_run] if only_run is not None else list(range(cfg.n_runs))
+    for name in _run_dirs(out_dir):
+        if only_run is None or int(name[4:]) == only_run:
+            shutil.rmtree(os.path.join(out_dir, name))
     jobs = [(cfg, dataset, r, out_dir) for r in run_indices]
     if cfg.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: a costly import
@@ -219,36 +227,73 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
             per_run = list(pool.map(run_single, *zip(*jobs)))
     else:
         per_run = [run_single(*job) for job in jobs]
-    failures = [f for _reports, fails in per_run for f in fails]
+    return reaggregate(cfg, out_dir, dict(zip(run_indices, per_run)))
 
-    if only_run is not None:
-        # the summary covers every run on disk, not only the one just repeated
-        kept = [f for f in _summary(out_dir).get("failures", []) if f["run"] != only_run]
-        failures = sorted([(f["run"], f["model"], f["reason"]) for f in kept] + failures,
-                          key=lambda f: f[0])
-        return reaggregate(cfg, out_dir, failures)
 
+def build_manifest(out_dir) -> dict:
+    """SHA-256 digest of every emitted file; written as manifest.json."""
+    entries = []
+    for root, _dirs, files in os.walk(out_dir):
+        for name in sorted(files):
+            if name == "manifest.json":
+                continue
+            full = os.path.join(root, name)
+            rel = os.path.relpath(full, out_dir)
+            with open(full, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            entries.append({"path": rel.replace(os.sep, "/"), "sha256": digest})
+    entries.sort(key=lambda e: e["path"])
+    manifest = {"files": entries}
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    return manifest
+
+
+def _run_dirs(out_dir) -> list:
+    """Every run_<digits> directory in out_dir, in run index order."""
+    names = [d for d in os.listdir(out_dir) if d.startswith("run_") and d[4:].isdecimal()
+             and os.path.isdir(os.path.join(out_dir, d))]
+    return sorted(names, key=lambda d: (int(d[4:]), d))
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def reaggregate(cfg_or_none, out_dir, ran=None) -> RunArtifacts:
+    """Rebuild summary.json, the flat aggregate CSVs and the manifest from
+    the per-run report JSONs on disk, run directories in index order.
+
+    Seed and run count come from cfg_or_none when given, else from the
+    summary on disk. ``ran`` maps each run just executed to its failures; a
+    failure in the old summary stays only if its run is below the run count
+    and not in ``ran``.
+    """
+    run_dirs = _run_dirs(out_dir)
+    if not run_dirs:
+        raise FileNotFoundError(f"no run_* directories under {out_dir}")
     reports_by_model = {}
-    for reports, _fails in per_run:
-        for key, report in reports.items():
-            reports_by_model.setdefault(key, []).append(report)
-    return _finish(reports_by_model, failures, out_dir, cfg.seed, cfg.n_runs)
+    for rd in run_dirs:
+        for name in sorted(os.listdir(os.path.join(out_dir, rd))):
+            if name.endswith("_report.json"):
+                report = _read_json(os.path.join(out_dir, rd, name))
+                reports_by_model.setdefault(report["model"], []).append(report)
+    summary_path = os.path.join(out_dir, "summary.json")
+    old = _read_json(summary_path) if os.path.exists(summary_path) else {}
+    seed, n_runs = old.get("seed", 0), old.get("n_runs", len(run_dirs))
+    if cfg_or_none is not None:
+        seed, n_runs = cfg_or_none.seed, cfg_or_none.n_runs
+    ran = ran or {}
+    kept = [(f["run"], f["model"], f["reason"]) for f in old.get("failures", [])
+            if f["run"] < n_runs and f["run"] not in ran]
+    failures = sorted(kept + [f for fails in ran.values() for f in fails], key=lambda f: f[0])
 
-
-def _finish(reports_by_model, failures, out_dir, seed, n_runs) -> RunArtifacts:
-    """Aggregate the reports, write summary.json, the flat aggregate CSVs and
-    the manifest."""
     aggregate = {
-        "seed": seed,
-        "n_runs": n_runs,
-        "models": {},
-        "failures": [
-            {"run": r, "model": key, "reason": reason} for r, key, reason in failures
-        ],
+        "seed": seed, "n_runs": n_runs,
+        "models": {key: aggregate_runs(rs) for key, rs in sorted(reports_by_model.items())},
+        "failures": [{"run": r, "model": key, "reason": reason} for r, key, reason in failures],
     }
-    for key, reports in sorted(reports_by_model.items()):
-        aggregate["models"][key] = aggregate_runs(reports)
-    write_json(os.path.join(out_dir, "summary.json"), aggregate)
+    write_json(summary_path, aggregate)
 
     # Flat aggregate CSVs, one per table and one block per model.
     curve, width, retrieval = [], [], []
@@ -275,57 +320,3 @@ def _finish(reports_by_model, failures, out_dir, seed, n_runs) -> RunArtifacts:
               ["model", "cutoff", *CATEGORIES], retrieval)
     return RunArtifacts(out_dir=out_dir, reports=reports_by_model, failures=failures,
                         aggregate=aggregate, manifest=build_manifest(out_dir))
-
-
-def build_manifest(out_dir) -> dict:
-    """SHA-256 digest of every emitted file; written as manifest.json."""
-    entries = []
-    for root, _dirs, files in os.walk(out_dir):
-        for name in sorted(files):
-            if name == "manifest.json":
-                continue
-            full = os.path.join(root, name)
-            rel = os.path.relpath(full, out_dir)
-            with open(full, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            entries.append({"path": rel.replace(os.sep, "/"), "sha256": digest})
-    entries.sort(key=lambda e: e["path"])
-    manifest = {"files": entries}
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return manifest
-
-
-def _summary(out_dir) -> dict:
-    path = os.path.join(out_dir, "summary.json")
-    if not os.path.exists(path):
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def reaggregate(cfg_or_none, out_dir, failures=None) -> RunArtifacts:
-    """Rebuild summary + manifest from per-run report JSONs on disk.
-
-    Seed, run count and failures come from cfg_or_none and ``failures`` when
-    given, else from the summary already on disk.
-    """
-    reports_by_model = {}
-    run_dirs = sorted(
-        d for d in os.listdir(out_dir)
-        if d.startswith("run_") and os.path.isdir(os.path.join(out_dir, d))
-    )
-    if not run_dirs:
-        raise FileNotFoundError(f"no run_* directories under {out_dir}")
-    for rd in run_dirs:
-        for name in sorted(os.listdir(os.path.join(out_dir, rd))):
-            if name.endswith("_report.json"):
-                with open(os.path.join(out_dir, rd, name), "r", encoding="utf-8") as fh:
-                    report = json.load(fh)
-                reports_by_model.setdefault(report["model"], []).append(report)
-    old = _summary(out_dir)
-    seed, n_runs = old.get("seed", 0), old.get("n_runs", len(run_dirs))
-    if failures is None:
-        failures = [(f["run"], f["model"], f["reason"]) for f in old.get("failures", [])]
-    if cfg_or_none is not None:
-        seed, n_runs = cfg_or_none.seed, cfg_or_none.n_runs
-    return _finish(reports_by_model, failures, out_dir, seed, n_runs)

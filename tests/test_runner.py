@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -286,13 +287,45 @@ class TestRunExperiment:
         with open(tmp_path / "out" / "run_001" / "rf_report.json") as fh:
             before = json.load(fh)
         # wipe run 1 and recreate only it
-        import shutil
-
         shutil.rmtree(tmp_path / "out" / "run_001")
         run_experiment(cfg, out_dir=str(tmp_path / "out"), only_run=1)
         with open(tmp_path / "out" / "run_001" / "rf_report.json") as fh:
             after = json.load(fh)
         assert before == after
+
+    def test_only_run_failure_leaves_no_earlier_report(self, tmp_path, monkeypatch):
+        # the report an earlier invocation wrote for run 1 once stayed in its
+        # directory and was aggregated as if this run had produced it
+        from dropconf import runner
+        from dropconf.net import NetConfig, TrainingDivergedError
+
+        cfg = tiny_config(models=("dnn",), dropout_p=(0.25,),
+                          net=NetConfig(hidden_sizes=(6,), max_epochs=15, patience=15,
+                                        rmse_gate=100.0))
+        out = tmp_path / "out"
+        run_experiment(cfg, out_dir=str(out))
+        assert (out / "run_001" / "dnn_p0.25_report.json").exists()
+
+        def diverge(*args):
+            raise TrainingDivergedError("loss is nan")
+
+        monkeypatch.setattr(runner, "train", diverge)
+        artifacts = run_experiment(cfg, out_dir=str(out), only_run=1)
+        assert os.listdir(out / "run_001") == ["split.csv"]
+        assert artifacts.aggregate["models"]["dnn_p0.25"]["n_runs"] == 1
+        assert artifacts.failures == [(1, "dnn_p0.25", "not converged after 2 attempts")]
+
+    def test_run_dirs_are_read_in_index_order(self, tmp_path):
+        # as text, run_1000 sorts between run_100 and run_101
+        out = tmp_path / "out"
+        run_experiment(tiny_config(n_runs=1), out_dir=str(out))
+        report = json.loads((out / "run_000" / "rf_report.json").read_text())
+        shutil.rmtree(out / "run_000")
+        for rmse, name in enumerate(("run_1000", "run_101", "run_099", "run_100")):
+            (out / name).mkdir()
+            (out / name / "rf_report.json").write_text(json.dumps({**report, "rmse": rmse}))
+        reports = reaggregate(None, str(out)).reports["rf"]
+        assert [r["rmse"] for r in reports] == [2, 3, 1, 0]
 
     def test_failure_containment(self, tmp_path):
         from dropconf.net import NetConfig
@@ -354,11 +387,28 @@ class TestCli:
             "models = rf\nforest.n_trees = 5\ncv_folds = 3\n"
             "cl_grid = 0.5,0.8\nn_passes = 10\n"
         )
-        out = str(tmp_path / "out")
-        rc = main(["run", "--config", str(cfg_file), "--out", out])
-        assert rc == 0
-        rc = main(["report", "--in", out])
-        assert rc == 0
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 0
+        names = ("summary.json", "calibration_curve.csv", "width_stats.csv",
+                 "retrieval_counts.csv", "manifest.json")
+        written = {name: (out / name).read_bytes() for name in names}
+        assert main(["report", "--in", str(out)]) == 0
+        assert {name: (out / name).read_bytes() for name in names} == written
+
+    def test_fewer_runs_into_one_out_write_a_fresh_directory(self, tmp_path):
+        # 3 runs and then 1 run into one --out: the manifest once still listed
+        # run_001 and run_002, and report then aggregated all 3
+        cfg_file = tmp_path / "exp.cfg"
+        text = ("synthetic.n = 120\nsynthetic.d = 3\nseed = 3\nmodels = rf\n"
+                "forest.n_trees = 5\ncv_folds = 3\ncl_grid = 0.5,0.8\n")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for n_runs, where in ((3, out), (1, out), (1, fresh)):
+            cfg_file.write_text(text + f"n_runs = {n_runs}\n")
+            assert main(["run", "--config", str(cfg_file), "--out", str(where)]) == 0
+        assert (out / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
+        assert json.loads((out / "summary.json").read_text())["models"]["rf"]["n_runs"] == 1
+        assert main(["report", "--in", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["models"]["rf"]["n_runs"] == 1
 
     @pytest.mark.parametrize("lines, key", [
         ("synthetic.n = 5\nsynthetic.noise = bogus\n", "synthetic.*"),
