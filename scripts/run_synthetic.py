@@ -10,7 +10,6 @@ compares: `python3 scripts/run_synthetic.py --seed 7` before and after.
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 
@@ -36,13 +35,13 @@ def main(argv=None):
         cfg = replace(cfg, seed=args.seed)
     artifacts = run_experiment(cfg, out_dir=args.out)
     out_dir = artifacts.out_dir
-    with open(os.path.join(out_dir, "summary.json")) as fh:
-        summary = json.load(fh)
     with open(os.path.join(out_dir, "manifest.json"), "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     print(f"results written to {out_dir}")
     print(f"manifest.json sha256 {digest}")
-    for model, agg in summary.get("models", {}).items():
+    for r, key, reason in artifacts.failures:
+        print(f"warning: run {r} {key}: {reason}", file=sys.stderr)
+    for model, agg in artifacts.aggregate["models"].items():
         rmse = agg["rmse"]["mean"]
         r2 = agg["r_squared"]["mean"]
         r2_text = f"{r2:.4f}" if r2 is not None else "n/a"

@@ -11,7 +11,6 @@ from .net import NetConfig, MLPModel, TrainingLog, init_mlp, lr_at_epoch, train
 from .ensemble import EnsemblePrediction, mc_dropout_predict
 from .forest import ForestConfig, Forest, fit_forest, forest_predict, oof_calibration
 from .conformal import (
-    CalibrationModel,
     nonconformity,
     build_calibration,
     alpha_at_level,

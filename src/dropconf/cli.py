@@ -59,7 +59,7 @@ def main(argv=None) -> int:
                 cfg.check_rows(n_rows)
             print("config ok")
             return 0
-    except (ConfigError, DataError, FileNotFoundError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and DataError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -72,6 +72,8 @@ class ExperimentConfig:
                 raise ConfigError(f"models: unknown model '{m}'")
         if not self.models:
             raise ConfigError("models: at least one of dnn, rf required")
+        if "dnn" in self.models and not self.dropout_p:
+            raise ConfigError("dropout_p: at least one rate required when models include dnn")
         for p in self.dropout_p:
             if not 0.0 <= p < 1.0:
                 raise ConfigError(f"dropout_p: {p} not in [0, 1)")

@@ -1,7 +1,7 @@
 """Conformal calculus on arrays: exponential-normalized nonconformity
 scores, percentile calibration, interval bounds, and the two end-to-end
-pipelines (dropout ICP and random-forest cross-conformal), which share one
-calibration builder.
+pipelines (dropout ICP and random-forest cross-conformal), which differ only
+in their ensembles and share one conformal step.
 
 The score for an instance is |y - y_hat| / e^sigma, where sigma is the
 ensemble standard deviation of that instance's own passes. Since e^sigma >= 1
@@ -29,27 +29,10 @@ from .seeds import derive_seed
 
 
 @dataclass(frozen=True)
-class CalibrationModel:
-    """Ascending-sorted nonconformity scores from the calibration partition."""
-
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=np.float64)
-        if alphas.size < 1:
-            raise ValueError("calibration requires at least one score")
-        if not np.all(np.isfinite(alphas)) or np.any(alphas < 0):
-            raise ValueError("nonconformity scores must be finite and >= 0")
-        if np.any(np.diff(alphas) < 0):
-            raise ValueError("alphas must be sorted ascending")
-        object.__setattr__(self, "alphas", alphas)
-        self.alphas.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class CalibrationDetail:
+class Calibration:
     """Per-instance calibration rows in ascending order of alpha, ties in row
-    order: the rows of the calibration dump."""
+    order: the rows of the calibration dump. ``alpha`` is the sorted score
+    array that sets every interval."""
 
     ids: tuple
     y: np.ndarray
@@ -63,7 +46,7 @@ class ConformalResult:
     """Intervals per confidence level plus the calibration artifacts."""
 
     intervals: dict  # cl -> ndarray (n_test, 2) of [lower, upper]
-    calibration_detail: CalibrationDetail
+    calibration: Calibration
     test_prediction: EnsemblePrediction
 
 
@@ -84,48 +67,59 @@ def nonconformity(y, y_hat, sigma):
     return np.abs(y - y_hat) * _exp(-np.minimum(sigma, 745.0))
 
 
-def build_calibration(y, preds: EnsemblePrediction, ids=None):
-    """Sorted nonconformity scores over all calibration instances, and their
-    detail rows in the same order."""
+def build_calibration(y, preds: EnsemblePrediction, ids=None) -> Calibration:
+    """The calibration rows with their nonconformity scores, sorted by score
+    with ties in row order."""
     y = np.asarray(y, dtype=np.float64)
     if len(y) != len(preds.means):
         raise ValueError("labels and predictions must have the same length")
+    if len(y) < 1:
+        raise ValueError("calibration requires at least one score")
     alphas = nonconformity(y, preds.means, preds.stds)
     ids = tuple(range(len(y)) if ids is None else ids)
     order = np.argsort(alphas, kind="stable")
-    detail = CalibrationDetail(
+    return Calibration(
         ids=tuple(ids[i] for i in order.tolist()), y=y[order], y_hat=preds.means[order],
         sigma=preds.stds[order], alpha=alphas[order],
     )
-    return CalibrationModel(alphas=detail.alpha), detail
 
 
-def alpha_at_level(cal: CalibrationModel, cl: float) -> float:
-    """The k-th smallest score for k = ceil(cl*(n+1)), or +inf if k > n.
+def alpha_at_level(alphas: np.ndarray, cl: float) -> float:
+    """The k-th smallest of the ascending scores for k = ceil(cl*(n+1)), or
+    +inf if k > n.
 
     The +inf case yields an unbounded interval, preserving validity when the
     calibration set is too small for the requested confidence level.
     """
     if not 0.0 < cl < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {cl}")
-    n = len(cal.alphas)
+    n = len(alphas)
     k = math.ceil(cl * (n + 1) - 1e-9)
     if k > n:
         return math.inf
-    return float(cal.alphas[k - 1])
+    return float(alphas[k - 1])
 
 
-def intervals_for(preds: EnsemblePrediction, cal: CalibrationModel, cl_list) -> dict:
-    """Intervals y_hat +/- e^sigma * alpha_cl per confidence level, each an
-    (n_test, 2) array of [lower, upper]; +inf alpha gives the whole line."""
+def intervals_for(preds: EnsemblePrediction, alphas: np.ndarray, cl_list) -> dict:
+    """Intervals y_hat +/- e^sigma * alpha_cl per confidence level from the
+    ascending scores, each an (n_test, 2) array of [lower, upper]; +inf alpha
+    gives the whole line."""
     if not np.isfinite(preds.means).all():
         raise ValueError("y_hat must be finite")
     scale = _exp(np.minimum(preds.stds, 700.0))
     out = {}
     for cl in cl_list:
-        half = scale * alpha_at_level(cal, cl)
+        half = scale * alpha_at_level(alphas, cl)
         out[float(cl)] = np.column_stack((preds.means - half, preds.means + half))
     return out
+
+
+def _conformal(cal_set: Dataset, cal_pred, test_pred, cl_list) -> ConformalResult:
+    """The conformal step shared by both pipelines: score the calibration
+    rows, then set the test intervals from the sorted scores."""
+    cal = build_calibration(cal_set.labels, cal_pred, ids=cal_set.ids)
+    return ConformalResult(intervals=intervals_for(test_pred, cal.alpha, cl_list),
+                           calibration=cal, test_prediction=test_pred)
 
 
 def dropout_icp(
@@ -143,13 +137,8 @@ def dropout_icp(
     the test-pass means.
     """
     val_pred = mc_dropout_predict(model, val.features, n_passes, derive_seed(seed, "cal"))
-    cal, detail = build_calibration(val.labels, val_pred, ids=val.ids)
     test_pred = mc_dropout_predict(model, test.features, n_passes, derive_seed(seed, "test"))
-    return ConformalResult(
-        intervals=intervals_for(test_pred, cal, cl_list),
-        calibration_detail=detail,
-        test_prediction=test_pred,
-    )
+    return _conformal(val, val_pred, test_pred, cl_list)
 
 
 def rf_ccp(
@@ -167,11 +156,5 @@ def rf_ccp(
     training data.
     """
     oof = oof_calibration(train, config, k, derive_seed(seed, "oof"))
-    cal, detail = build_calibration(train.labels, oof, ids=train.ids)
     final = fit_forest(train, config, derive_seed(seed, "final"))
-    test_pred = forest_predict(final, test.features)
-    return ConformalResult(
-        intervals=intervals_for(test_pred, cal, cl_list),
-        calibration_detail=detail,
-        test_prediction=test_pred,
-    )
+    return _conformal(train, oof, forest_predict(final, test.features), cl_list)

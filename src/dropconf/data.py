@@ -103,6 +103,9 @@ def load_table(path) -> Dataset:
         header = [h.strip() for h in header]
         if "id" not in header or "y" not in header:
             raise DataError(f"{path}: header must contain 'id' and 'y' columns")
+        for name in ("id", "y"):
+            if header.count(name) > 1:  # a second one would be read as a feature
+                raise DataError(f"{path}: header has more than one '{name}' column")
         id_pos, y_pos = header.index("id"), header.index("y")
         feat_pos = [i for i in range(len(header)) if i not in (id_pos, y_pos)]
         if not feat_pos:

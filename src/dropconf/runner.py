@@ -111,11 +111,11 @@ def train_with_retry(train_set, val_set, net_cfg, seed, retry_limit):
 
 
 def _dump_conformal(prefix: str, result: ConformalResult, test_ids, run_dir) -> None:
-    detail = result.calibration_detail
+    cal = result.calibration
     write_csv(
         os.path.join(run_dir, f"{prefix}_calibration.csv"),
         ["id", "y", "y_hat", "sigma", "alpha"],
-        [[detail.ids, detail.y, detail.y_hat, detail.sigma, detail.alpha]],
+        [[cal.ids, cal.y, cal.y_hat, cal.sigma, cal.alpha]],
     )
     write_csv(
         os.path.join(run_dir, f"{prefix}_intervals.csv"),
@@ -223,7 +223,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
     jobs = [(cfg, dataset, r, out_dir) for r in run_indices]
     if cfg.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: a costly import
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
             per_run = list(pool.map(run_single, *zip(*jobs)))
     else:
         per_run = [run_single(*job) for job in jobs]

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from dropconf.conformal import (
-    CalibrationModel,
     alpha_at_level,
     dropout_icp,
     intervals_for,
@@ -153,9 +152,8 @@ def test_criterion_05_quantile_oracle():
     for _ in range(500):
         n = int(rng.integers(1, 51))
         alphas = np.sort(rng.random(n))
-        cal = CalibrationModel(alphas=alphas)
         cl = float(rng.uniform(0.01, 0.99))
-        got = alpha_at_level(cal, cl)
+        got = alpha_at_level(alphas, cl)
         expected = oracle_alpha_at_level(alphas, cl, n)
         assert got == expected
         if math.isinf(got):
@@ -172,7 +170,7 @@ def test_criterion_06_self_calibration_count():
         sigma = rng.uniform(0, 1, size=n)
         alphas = np.array([nonconformity(a, b, s) for a, b, s in zip(y, y_hat, sigma)])
         assert len(np.unique(alphas)) == n
-        cal = CalibrationModel(alphas=np.sort(alphas))
+        cal = np.sort(alphas)
         for cl in (0.5, 0.8, 0.9):
             a_cl = alpha_at_level(cal, cl)
             assert math.isfinite(a_cl)
@@ -202,12 +200,12 @@ def test_criterion_08_equation_unit_examples():
     assert nonconformity(5.0, 5.5, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert nonconformity(7.0, 6.0, math.log(2)) == pytest.approx(0.5, abs=1e-12)
     assert nonconformity(3.0, 3.0, 5.0) == pytest.approx(0.0, abs=1e-12)
-    half = CalibrationModel(alphas=np.full(9, 0.5))  # alpha_0.8 = 0.5
+    half = np.full(9, 0.5)  # alpha_0.8 = 0.5
     (lower, upper), (lower2, upper2) = intervals_for(
         summary([6.0, 7.0], [0.0, math.log(2)]), half, [0.8])[0.8]
     assert lower == pytest.approx(5.5, abs=1e-12) and upper == pytest.approx(6.5, abs=1e-12)
     assert lower2 == pytest.approx(6.0, abs=1e-12) and upper2 == pytest.approx(8.0, abs=1e-12)
-    one = CalibrationModel(alphas=np.array([0.5]))  # k = 2 > n: alpha = inf
+    one = np.array([0.5])  # k = 2 > n: alpha = inf
     ((lower, upper),) = intervals_for(summary([6.0], [0.0]), one, [0.8])[0.8]
     assert lower == -math.inf and upper == math.inf
     report(8, "score and interval unit examples exact to 1e-12")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dropconf.conformal import (
-    CalibrationModel,
     alpha_at_level,
     build_calibration,
     dropout_icp,
@@ -43,53 +42,52 @@ class TestNonconformity:
 class TestBuildCalibration:
     def test_singleton(self):
         preds = from_passes(np.array([[0.6]]))
-        cal, _ = build_calibration([1.0], preds)
-        assert cal.alphas.tolist() == [pytest.approx(0.4, abs=1e-12)]
+        cal = build_calibration([1.0], preds)
+        assert cal.alpha.tolist() == [pytest.approx(0.4, abs=1e-12)]
 
     def test_sorted_output(self):
-        # residuals {1.0, 0.2} with sigma {0, ln 2} -> alphas [0.1, 1.0]
-        passes = np.array([[2.0], [0.0]])  # stds are 0
-        preds = from_passes(passes)
-        # override sigma by constructing pass rows with the right spread is
-        # fiddly; use nonconformity directly for the sigma=ln2 instance
-        a1 = nonconformity(3.0, 2.0, 0.0)
-        a2 = nonconformity(0.2, 0.0, math.log(2))
-        cal = CalibrationModel(alphas=np.sort([a1, a2]))
-        assert cal.alphas[0] == pytest.approx(0.1, abs=1e-12)
-        assert cal.alphas[1] == pytest.approx(1.0, abs=1e-12)
+        # sigma {0, ln 2, 0, 0}: alphas [1.0, 0.25, 0.5, 0.25], so the order is
+        # rows 1, 3 (the tie, in row order), 2, 0
+        preds = summary([2.0, 0.0, 1.0, 4.0], [0.0, math.log(2), 0.0, 0.0])
+        cal = build_calibration([3.0, 0.5, 1.5, 4.25], preds, ids=["a", "b", "c", "d"])
+        assert cal.alpha.tolist() == [0.25, 0.25, 0.5, 1.0]
+        assert cal.ids == ("b", "d", "c", "a")
+        assert cal.y.tolist() == [0.5, 4.25, 1.5, 3.0]
+        assert cal.y_hat.tolist() == [0.0, 4.0, 1.0, 2.0]
+        assert cal.sigma.tolist() == [math.log(2), 0.0, 0.0, 0.0]
 
     def test_length_mismatch(self):
         preds = from_passes(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             build_calibration([1.0], preds)
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValueError, match="at least one score"):
+            build_calibration([], from_passes(np.zeros((0, 3))))
+
 
 class TestAlphaAtLevel:
     def test_derived_example(self):
-        cal = CalibrationModel(alphas=np.arange(0.1, 1.0, 0.1))
-        assert alpha_at_level(cal, 0.80) == pytest.approx(0.8, abs=1e-12)
+        assert alpha_at_level(np.arange(0.1, 1.0, 0.1), 0.80) == pytest.approx(0.8, abs=1e-12)
 
     def test_insufficient_data_gives_inf(self):
-        cal = CalibrationModel(alphas=np.array([0.1, 0.2, 0.3]))
-        assert alpha_at_level(cal, 0.90) == math.inf
+        assert alpha_at_level(np.array([0.1, 0.2, 0.3]), 0.90) == math.inf
 
     def test_constant_list(self):
-        cal = CalibrationModel(alphas=np.full(10, 0.7))
-        assert alpha_at_level(cal, 0.5) == 0.7
+        assert alpha_at_level(np.full(10, 0.7), 0.5) == 0.7
 
     def test_oracle_agreement_random_lists(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             n = int(rng.integers(1, 51))
             alphas = np.sort(rng.random(n))
-            cal = CalibrationModel(alphas=alphas)
             cl = float(rng.uniform(0.01, 0.99))
-            assert alpha_at_level(cal, cl) == oracle_alpha_at_level(alphas, cl, n)
+            assert alpha_at_level(alphas, cl) == oracle_alpha_at_level(alphas, cl, n)
 
     def test_monotone_in_cl(self):
         rng = np.random.default_rng(18)
-        cal = CalibrationModel(alphas=np.sort(rng.random(30)))
-        values = [alpha_at_level(cal, cl) for cl in np.linspace(0.05, 0.99, 40)]
+        alphas = np.sort(rng.random(30))
+        values = [alpha_at_level(alphas, cl) for cl in np.linspace(0.05, 0.99, 40)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -104,9 +102,8 @@ def one_interval(y_hat, sigma, alpha_cl, cl=0.8):
     """[lower, upper] for one instance, from a calibration whose score at
     level cl is alpha_cl (a single score when alpha_cl is inf: k = 2 > n)."""
     alphas = np.full(9, alpha_cl) if math.isfinite(alpha_cl) else np.zeros(1)
-    cal = CalibrationModel(alphas=alphas)
-    assert alpha_at_level(cal, cl) == alpha_cl
-    return intervals_for(summary([y_hat], [sigma]), cal, [cl])[cl][0]
+    assert alpha_at_level(alphas, cl) == alpha_cl
+    return intervals_for(summary([y_hat], [sigma]), alphas, [cl])[cl][0]
 
 
 class TestArrayFormulas:
@@ -119,10 +116,10 @@ class TestArrayFormulas:
         assert nonconformity(y, y_hat, sigma).tolist() == [
             abs(a - b) * math.exp(-min(s, 745.0)) for a, b, s in zip(y, y_hat, sigma)
         ]
-        cal = CalibrationModel(alphas=np.sort(rng.random(50)))
-        a_cl = alpha_at_level(cal, 0.8)
+        alphas = np.sort(rng.random(50))
+        a_cl = alpha_at_level(alphas, 0.8)
         half = [math.exp(min(s, 700.0)) * a_cl for s in sigma]
-        bounds = intervals_for(summary(y_hat, sigma), cal, [0.8])[0.8]
+        bounds = intervals_for(summary(y_hat, sigma), alphas, [0.8])[0.8]
         assert bounds[:, 0].tolist() == [m - h for m, h in zip(y_hat, half)]
         assert bounds[:, 1].tolist() == [m + h for m, h in zip(y_hat, half)]
 
@@ -173,9 +170,8 @@ class TestProperties:
             sigma = rng.uniform(0, 1, size=n)
             alphas = np.array([nonconformity(a, b, s) for a, b, s in zip(y, y_hat, sigma)])
             assert len(np.unique(alphas)) == n
-            cal = CalibrationModel(alphas=np.sort(alphas))
             for cl in (0.5, 0.8, 0.9):
-                bounds = intervals_for(summary(y_hat, sigma), cal, [cl])[cl]
+                bounds = intervals_for(summary(y_hat, sigma), np.sort(alphas), [cl])[cl]
                 covered = round(coverage(bounds, y) * n)
                 assert covered == math.ceil(cl * (n + 1))
 
@@ -198,7 +194,7 @@ class TestPipelines:
         ivs = res.intervals[0.8]
         widths = {round(upper - lower, 12) for lower, upper in ivs}
         assert len(widths) == 1
-        alphas = np.sort(res.calibration_detail.alpha)
+        alphas = np.sort(res.calibration.alpha)
         k = math.ceil(0.8 * (len(alphas) + 1))
         half = ivs[0][1] - res.test_prediction.means[0]
         assert half == pytest.approx(alphas[k - 1], abs=1e-12)
@@ -242,5 +238,5 @@ class TestPipelines:
         test_view = ds.subset(sp.test)
         r1 = rf_ccp(train_view, test_view, ForestConfig(n_trees=5), k=3, cl_list=[0.8], seed=9)
         r2 = rf_ccp(train_view, test_view, ForestConfig(n_trees=5), k=3, cl_list=[0.8], seed=9)
-        assert np.array_equal(np.sort(r1.calibration_detail.alpha), np.sort(r2.calibration_detail.alpha))
+        assert np.array_equal(np.sort(r1.calibration.alpha), np.sort(r2.calibration.alpha))
         assert np.array_equal(r1.intervals[0.8], r2.intervals[0.8])

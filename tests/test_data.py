@@ -89,6 +89,15 @@ class TestLoadTable:
         with pytest.raises(DataError, match="header"):
             load_table(p)
 
+    @pytest.mark.parametrize("header, name", [
+        ("id,y,f0,y", "y"), ("id,y,f0,id", "id"), ("y,id,id,y,f0", "id")])
+    def test_repeated_id_or_label_column(self, tmp_path, header, name):
+        # the second one was once read as a feature column
+        p = tmp_path / "t.csv"
+        write_lines(p, [header, ",".join(["1"] * (header.count(",") + 1))])
+        with pytest.raises(DataError, match=f"more than one '{name}' column"):
+            load_table(p)
+
     @pytest.mark.parametrize("content", [
         b"id,y,f0\na,1.0,\x80\n",  # not UTF-8
         b'id,y,f0\na,1.0,"' + b"9" * 200_000 + b'"\n',  # field over csv's size limit

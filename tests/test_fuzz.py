@@ -64,6 +64,7 @@ def _assert_valid_config(cfg):
     assert list(cfg.cutoffs) == sorted(set(cfg.cutoffs))
     assert all(math.isfinite(c) for c in cfg.cutoffs)
     assert all(0 <= p < 1 for p in cfg.dropout_p)
+    assert cfg.dropout_p or "dnn" not in cfg.models
     assert min(cfg.n_runs, cfg.n_passes, cfg.workers) >= 1 and cfg.cv_folds >= 2
     assert cfg.models and set(cfg.models) <= {"dnn", "rf"}
     if cfg.dataset is None:

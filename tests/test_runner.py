@@ -42,6 +42,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="dropout_p"):
             parse_config_text("dataset = x.csv\ndropout_p = 1.5\n")
 
+    def test_dnn_needs_a_dropout_rate(self):
+        # an empty dropout_p once ran no dnn model at all, and run exited 0
+        with pytest.raises(ConfigError, match="dropout_p"):
+            parse_config_text("dataset = x.csv\nmodels = dnn\ndropout_p =\n")
+        assert parse_config_text("dataset = x.csv\nmodels = rf\ndropout_p =\n").dropout_p == ()
+
     def test_needs_data_source(self):
         with pytest.raises(ConfigError, match="dataset"):
             parse_config_text("n_runs = 2\n")
@@ -274,6 +280,31 @@ class TestRunExperiment:
             run_experiment(replace(cfg, workers=workers), out_dir=str(tmp_path / f"w{workers}"))
         one, two = ((tmp_path / f"w{w}" / "manifest.json").read_bytes() for w in (1, 2))
         assert one == two and b"run_001/dnn_p0.25_report.json" in one
+
+    def test_pool_has_no_more_workers_than_runs(self, tmp_path, monkeypatch):
+        # under fork the pool starts every worker on the first submit, so
+        # workers = 64 once forked 64 processes for 2 runs; this pool forks none
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        artifacts = run_experiment(tiny_config(workers=64), out_dir=str(tmp_path / "out"))
+        assert sizes == [2]
+        assert len(artifacts.reports["rf"]) == 2
 
     def test_reports_are_the_json_written(self, tmp_path):
         artifacts = run_experiment(tiny_config(), out_dir=str(tmp_path / "out"))
@@ -515,7 +546,7 @@ def _old_write_csv(path, header, rows):
 
 def _old_dump_conformal(prefix, result, test_ids, run_dir):
     """The row construction _dump_conformal replaced, on the old writer."""
-    detail = result.calibration_detail
+    detail = result.calibration
     order = np.argsort(detail.alpha, kind="stable")
     _old_write_csv(
         os.path.join(run_dir, f"{prefix}_calibration.csv"),
@@ -545,14 +576,14 @@ def _conformal_result(n_cal, n_test, cls, seed=0):
     have infinite half-widths, as an undersized calibration set gives."""
     rng = np.random.default_rng(seed)
     cal_pred = from_passes(rng.standard_normal((n_cal, 4)))
-    _cal, detail = build_calibration(rng.standard_normal(n_cal), cal_pred,
-                                     ids=[f"c{i}" for i in range(n_cal)])
+    cal = build_calibration(rng.standard_normal(n_cal), cal_pred,
+                            ids=[f"c{i}" for i in range(n_cal)])
     test_pred = from_passes(rng.standard_normal((n_test, 4)))
     intervals = {}
     for cl in cls:
         half = math.inf if cl > 0.9 else cl * np.exp(test_pred.stds)
         intervals[float(cl)] = np.column_stack((test_pred.means - half, test_pred.means + half))
-    return ConformalResult(intervals=intervals, calibration_detail=detail, test_prediction=test_pred)
+    return ConformalResult(intervals=intervals, calibration=cal, test_prediction=test_pred)
 
 
 class TestWriteCsv:
