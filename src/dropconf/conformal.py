@@ -8,7 +8,8 @@ ensemble standard deviation of that instance's own passes. Since e^sigma >= 1
 every score is bounded by the raw residual, so the largest calibration score
 never exceeds the largest calibration residual. The interval at level cl is
 y_hat +/- e^sigma * alpha_cl, kept as an (n_test, 2) array of
-[lower, upper] per level.
+[lower, upper] per level, next to its two factors: scale = e^sigma per test
+instance and alpha_cl per level.
 
 e^sigma is taken with math.exp, one instance at a time: np.exp can differ
 from it in the last bit, and every emitted byte derives from these values.
@@ -41,11 +42,24 @@ class Calibration:
     alpha: np.ndarray
 
 
+class Intervals(dict):
+    """cl -> (n_test, 2) array of [lower, upper] = y_hat -/+ scale * alpha[cl],
+    holding its factors: ``scale`` per test instance and ``alpha`` (cl ->
+    score, +inf for the whole line) per level."""
+
+    def __init__(self, y_hat: np.ndarray, scale: np.ndarray, alpha: dict):
+        super().__init__()
+        for cl, a in alpha.items():
+            half = scale * a
+            self[cl] = np.column_stack((y_hat - half, y_hat + half))
+        self.scale, self.alpha = scale, alpha
+
+
 @dataclass
 class ConformalResult:
-    """Intervals per confidence level plus the calibration artifacts."""
+    """Intervals per confidence level with their factors, and the calibration."""
 
-    intervals: dict  # cl -> ndarray (n_test, 2) of [lower, upper]
+    intervals: Intervals
     calibration: Calibration
     test_prediction: EnsemblePrediction
 
@@ -84,8 +98,14 @@ def build_calibration(y, preds: EnsemblePrediction, ids=None) -> Calibration:
     )
 
 
+def rank_at_level(n: int, cl: float) -> int:
+    """k = ceil(cl*(n+1)), at least 1: the rank among n ascending scores of
+    the score that sets level cl; k > n means no score does."""
+    return max(1, math.ceil(cl * (n + 1) - 1e-9))
+
+
 def alpha_at_level(alphas: np.ndarray, cl: float) -> float:
-    """The k-th smallest of the ascending scores for k = ceil(cl*(n+1)), or
+    """The k-th smallest of the ascending scores for k = rank_at_level, or
     +inf if k > n.
 
     The +inf case yields an unbounded interval, preserving validity when the
@@ -93,25 +113,20 @@ def alpha_at_level(alphas: np.ndarray, cl: float) -> float:
     """
     if not 0.0 < cl < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {cl}")
-    n = len(alphas)
-    k = math.ceil(cl * (n + 1) - 1e-9)
-    if k > n:
+    k = rank_at_level(len(alphas), cl)
+    if k > len(alphas):
         return math.inf
     return float(alphas[k - 1])
 
 
-def intervals_for(preds: EnsemblePrediction, alphas: np.ndarray, cl_list) -> dict:
+def intervals_for(preds: EnsemblePrediction, alphas: np.ndarray, cl_list) -> Intervals:
     """Intervals y_hat +/- e^sigma * alpha_cl per confidence level from the
     ascending scores, each an (n_test, 2) array of [lower, upper]; +inf alpha
-    gives the whole line."""
+    gives the whole line. Each level's alpha is looked up once."""
     if not np.isfinite(preds.means).all():
         raise ValueError("y_hat must be finite")
-    scale = _exp(np.minimum(preds.stds, 700.0))
-    out = {}
-    for cl in cl_list:
-        half = scale * alpha_at_level(alphas, cl)
-        out[float(cl)] = np.column_stack((preds.means - half, preds.means + half))
-    return out
+    return Intervals(preds.means, _exp(np.minimum(preds.stds, 700.0)),
+                     {float(cl): alpha_at_level(alphas, cl) for cl in cl_list})
 
 
 def _conformal(cal_set: Dataset, cal_pred, test_pred, cl_list) -> ConformalResult:

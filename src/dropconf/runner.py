@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .conformal import ConformalResult, dropout_icp, rf_ccp
+from .conformal import ConformalResult, dropout_icp, rank_at_level, rf_ccp
 from .data import Dataset, load_table, make_synthetic, random_split
 from .evaluate import CATEGORIES, aggregate_runs, evaluate_model
 from .net import TrainingDivergedError, train
@@ -34,16 +34,11 @@ class RunArtifacts:
     manifest: dict
 
 
-class _Cells(list):
-    """A column already formatted as CSV cell strings."""
-
-
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
-def _format_column(column) -> _Cells:
-    """One column as CSV cell strings; a _Cells column is returned as is, so
-    a column shared by many blocks can be formatted once up front.
+def _format_column(column) -> list:
+    """One column as CSV cell strings.
 
     Float arrays go through repr() of plain Python floats, so every bit
     survives; integer arrays through str(). Other columns keep a per-cell
@@ -51,21 +46,16 @@ def _format_column(column) -> _Cells:
     their numpy repr), str(v) for anything else, quoted as csv.writer's
     QUOTE_MINIMAL quotes it when it holds a comma, quote, CR or LF.
     """
-    if isinstance(column, _Cells):
-        return column
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
-        return _Cells(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
     cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in column)
-    return _Cells('"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells)
+    return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
 
 
 def write_csv(path, header, blocks) -> None:
     """Write a table given as blocks of equal-length columns, one column per
     header name; the rows of each block follow those of the block before.
-
-    Each column is formatted once (see _format_column) and each block is written
-    before the next is read, so a generator of blocks keeps only one block's
-    strings in memory.
+    Each column is formatted once (see _format_column).
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -111,29 +101,24 @@ def train_with_retry(train_set, val_set, net_cfg, seed, retry_limit):
 
 
 def _dump_conformal(prefix: str, result: ConformalResult, test_ids, run_dir) -> None:
-    cal = result.calibration
+    """The calibration rows, then the intervals as one row per test instance
+    and one per level: bounds y_hat -/+ scale * alpha, the line if alpha = inf."""
+    cal, test, iv = result.calibration, result.test_prediction, result.intervals
     write_csv(
         os.path.join(run_dir, f"{prefix}_calibration.csv"),
         ["id", "y", "y_hat", "sigma", "alpha"],
         [[cal.ids, cal.y, cal.y_hat, cal.sigma, cal.alpha]],
     )
     write_csv(
-        os.path.join(run_dir, f"{prefix}_intervals.csv"),
-        ["id", "cl", "y_hat", "half_width", "lower", "upper", "unbounded"],
-        _interval_blocks(result, test_ids),
+        os.path.join(run_dir, f"{prefix}_test.csv"),
+        ["id", "y_hat", "sigma", "scale"],
+        [[test_ids, test.means, test.stds, iv.scale]],
     )
-
-
-def _interval_blocks(result: ConformalResult, test_ids):
-    """One block of interval-table columns per confidence level, ascending;
-    the id and y_hat cells are formatted once and shared by every level."""
-    y_hat = result.test_prediction.means
-    ids, y_hat_cells = _format_column(test_ids), _format_column(y_hat)
-    for cl in sorted(result.intervals):
-        lower, upper = result.intervals[cl].T
-        half = upper - y_hat
-        yield [ids, _Cells([repr(float(cl))] * len(ids)), y_hat_cells, half, lower, upper,
-               np.isinf(half).astype(int)]
+    cls = sorted(iv.alpha)
+    alpha = np.array([iv.alpha[cl] for cl in cls])
+    ks = np.array([rank_at_level(len(cal.alpha), cl) for cl in cls])
+    write_csv(os.path.join(run_dir, f"{prefix}_levels.csv"), ["cl", "k", "alpha", "unbounded"],
+              [[np.array(cls), ks, alpha, np.isinf(alpha).astype(int)]])
 
 
 def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir: str):

@@ -10,6 +10,7 @@ from dropconf.conformal import (
     dropout_icp,
     intervals_for,
     nonconformity,
+    rank_at_level,
     rf_ccp,
 )
 from dropconf.data import make_synthetic, random_split
@@ -83,6 +84,17 @@ class TestAlphaAtLevel:
             alphas = np.sort(rng.random(n))
             cl = float(rng.uniform(0.01, 0.99))
             assert alpha_at_level(alphas, cl) == oracle_alpha_at_level(alphas, cl, n)
+
+    def test_oracle_agreement_tiny_levels(self):
+        # cl*(n+1) under the 1e-9 slack once gave k = 0, so alphas[-1]: the
+        # largest score where the oracle takes the smallest
+        assert alpha_at_level(np.array([0.1, 0.5, 2.0]), 1e-10) == 0.1
+        rng = np.random.default_rng(19)
+        for cl in (5e-324, 1e-300, 1e-12, 1e-10, 2.5e-10, 1e-9, 1e-6):
+            for n in (1, 3, 50):
+                alphas = np.sort(rng.random(n))
+                assert rank_at_level(n, cl) == 1
+                assert alpha_at_level(alphas, cl) == oracle_alpha_at_level(alphas, cl, n)
 
     def test_monotone_in_cl(self):
         rng = np.random.default_rng(18)

@@ -14,7 +14,7 @@ import pytest
 
 from dropconf.cli import main
 from dropconf.config import _KEYS, ConfigError, ExperimentConfig, parse_config, parse_config_text
-from dropconf.conformal import ConformalResult, build_calibration
+from dropconf.conformal import ConformalResult, Intervals, build_calibration
 from dropconf.ensemble import from_passes
 from dropconf.runner import _dump_conformal, reaggregate, run_experiment, write_csv
 
@@ -209,7 +209,9 @@ class TestRunExperiment:
         assert (out / "manifest.json").exists()
         assert (out / "run_000" / "rf_report.json").exists()
         assert (out / "run_000" / "rf_calibration.csv").exists()
-        assert (out / "run_000" / "rf_intervals.csv").exists()
+        assert (out / "run_000" / "rf_test.csv").exists()
+        assert (out / "run_000" / "rf_levels.csv").exists()
+        assert not (out / "run_000" / "rf_intervals.csv").exists()
         assert len(artifacts.manifest["files"]) >= 5
         # no dnn outputs when rf-only
         assert not any("dnn" in f["path"] for f in artifacts.manifest["files"])
@@ -224,11 +226,11 @@ class TestRunExperiment:
             for i in range(60):
                 writer.writerow([f"c,{i}" if i % 2 else f"r{i}", *rng.random(3)])
         run_experiment(tiny_config(dataset=str(table), n_runs=1), out_dir=str(tmp_path / "out"))
-        for name, width in (("rf_calibration.csv", 5), ("rf_intervals.csv", 7)):
+        for name, width in (("rf_calibration.csv", 5), ("rf_test.csv", 4), ("rf_levels.csv", 4)):
             with open(tmp_path / "out" / "run_000" / name, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
             assert {len(row) for row in rows} == {width}
-            assert any(row[0].startswith("c,") for row in rows)
+            assert name == "rf_levels.csv" or any(row[0].startswith("c,") for row in rows)
 
     def test_dnn_pipeline_and_training_log(self, tmp_path):
         from dropconf.net import NetConfig
@@ -409,7 +411,36 @@ class TestCli:
         assert rc == 0
         with open(os.path.join(out, "manifest.json"), "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        assert digest == "de8b385ca9f49c93cea9d11a3e9f2f00b03aee3b7c1d763a521869ff7833fcc3"
+        assert digest == "c9c3b28f07c515b1fdbd4a79109f28fd54a0145505fb99754c8b9ed7d4fe31df"
+
+    def test_fixture_factored_files_rebuild_the_interval_tables(self, tmp_path, monkeypatch):
+        from dropconf import runner
+
+        # the one-row-per-(instance, level) tables an earlier writer emitted
+        # for this fixture, by their sha256
+        old_digests = {
+            ("run_000", "dnn_p0.25"): "f5d4db2f07e5221cf9f57ea326a89288d33d85bd3750c39e5c57bdd282351f79",
+            ("run_000", "rf"): "9c8f07a64c089fec7dc87b23b0c6c2cce160fbc7a9274466bf5273e26a6fcb8d",
+            ("run_001", "dnn_p0.25"): "bba0e01c0a3b0a12f25b3c61dc064f17863721491b55be5c0306dac98236d5af",
+            ("run_001", "rf"): "c82247827717c3f17b98d3c2045bdd5bb32fa8f819a70bf06732889ada735b7b",
+        }
+        oracle_dir = tmp_path / "oracle"
+        oracle_dir.mkdir()
+        dump = runner._dump_conformal
+
+        def dump_and_oracle(prefix, result, test_ids, run_dir):
+            dump(prefix, result, test_ids, run_dir)
+            _interval_table(oracle_dir / f"{os.path.basename(run_dir)}_{prefix}.csv",
+                            result, test_ids)
+
+        monkeypatch.setattr(runner, "_dump_conformal", dump_and_oracle)
+        out = tmp_path / "out"
+        assert main(["run", "--config", os.path.join(FIXTURES, "synthetic.cfg"),
+                     "--seed", "7", "--out", str(out)]) == 0
+        for (run, prefix), digest in old_digests.items():
+            rebuilt = _rebuilt_interval_table(out / run, prefix, tmp_path / "rebuilt.csv")
+            assert rebuilt == (oracle_dir / f"{run}_{prefix}.csv").read_bytes()
+            assert hashlib.sha256(rebuilt).hexdigest() == digest
 
     def test_run_and_report(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
@@ -544,8 +575,8 @@ def _old_write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _old_dump_conformal(prefix, result, test_ids, run_dir):
-    """The row construction _dump_conformal replaced, on the old writer."""
+def _old_dump_conformal(prefix, result, run_dir):
+    """The calibration rows _dump_conformal replaced, on the old writer."""
     detail = result.calibration
     order = np.argsort(detail.alpha, kind="stable")
     _old_write_csv(
@@ -557,32 +588,55 @@ def _old_dump_conformal(prefix, result, test_ids, run_dir):
             for i in order
         ],
     )
+
+
+_INTERVAL_HEADER = ["id", "cl", "y_hat", "half_width", "lower", "upper", "unbounded"]
+
+
+def _interval_table(path, result, test_ids):
+    """The interval table _dump_conformal wrote before the factored files,
+    one row per (test instance, level), levels ascending: the byte oracle."""
     y_hat = result.test_prediction.means
-    rows = []
+    blocks = []
     for cl in sorted(result.intervals):
         lower, upper = result.intervals[cl].T
         half = upper - y_hat
-        rows += zip(test_ids, [float(cl)] * len(y_hat), y_hat.tolist(), half.tolist(),
-                    lower.tolist(), upper.tolist(), np.isinf(half).astype(int).tolist())
-    _old_write_csv(
-        os.path.join(run_dir, f"{prefix}_intervals.csv"),
-        ["id", "cl", "y_hat", "half_width", "lower", "upper", "unbounded"],
-        rows,
-    )
+        blocks.append([test_ids, [float(cl)] * len(y_hat), y_hat, half, lower, upper,
+                       np.isinf(half).astype(int)])
+    write_csv(path, _INTERVAL_HEADER, blocks)
+
+
+def _rebuilt_interval_table(run_dir, prefix, path):
+    """The interval table's bytes rebuilt from <prefix>_test.csv and
+    <prefix>_levels.csv alone: lower, upper = y_hat -/+ scale * alpha."""
+    def read(name):
+        with open(os.path.join(run_dir, f"{prefix}_{name}.csv"), newline="",
+                  encoding="utf-8") as fh:
+            return list(zip(*list(csv.reader(fh))[1:]))
+
+    ids, y_hat, _sigma, scale = read("test")
+    y_hat, scale = np.array(y_hat, dtype=float), np.array(scale, dtype=float)
+    blocks = []
+    for cl, _k, alpha, _unbounded in zip(*read("levels")):
+        lower, upper = y_hat - scale * float(alpha), y_hat + scale * float(alpha)
+        half = upper - y_hat
+        blocks.append([ids, [float(cl)] * len(ids), y_hat, half, lower, upper,
+                       np.isinf(half).astype(int)])
+    write_csv(path, _INTERVAL_HEADER, blocks)
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _conformal_result(n_cal, n_test, cls, seed=0):
     """A ConformalResult with random predictions; the levels above 0.9
-    have infinite half-widths, as an undersized calibration set gives."""
+    have infinite alpha, as an undersized calibration set gives."""
     rng = np.random.default_rng(seed)
     cal_pred = from_passes(rng.standard_normal((n_cal, 4)))
     cal = build_calibration(rng.standard_normal(n_cal), cal_pred,
                             ids=[f"c{i}" for i in range(n_cal)])
     test_pred = from_passes(rng.standard_normal((n_test, 4)))
-    intervals = {}
-    for cl in cls:
-        half = math.inf if cl > 0.9 else cl * np.exp(test_pred.stds)
-        intervals[float(cl)] = np.column_stack((test_pred.means - half, test_pred.means + half))
+    alpha = {float(cl): math.inf if cl > 0.9 else float(cl) for cl in cls}
+    intervals = Intervals(test_pred.means, np.exp(test_pred.stds), alpha)
     return ConformalResult(intervals=intervals, calibration=cal, test_prediction=test_pred)
 
 
@@ -624,41 +678,52 @@ class TestWriteCsv:
         ids = tuple(f"t{i}" for i in range(5))
         (tmp_path / "old").mkdir()
         (tmp_path / "new").mkdir()
-        _old_dump_conformal("m", result, ids, tmp_path / "old")
+        _old_dump_conformal("m", result, tmp_path / "old")
         _dump_conformal("m", result, ids, tmp_path / "new")
-        for name in ("m_calibration.csv", "m_intervals.csv"):
-            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
-        assert b",0.95," in (tmp_path / "new" / "m_intervals.csv").read_bytes()
-        assert b"-inf,inf,1\n" in (tmp_path / "new" / "m_intervals.csv").read_bytes()
+        name = "m_calibration.csv"
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+        assert (tmp_path / "new" / "m_levels.csv").read_bytes() == (
+            b"cl,k,alpha,unbounded\n0.2,2,0.2,0\n0.5,4,0.5,0\n0.8,7,0.8,0\n0.95,8,inf,1\n")
+        _interval_table(tmp_path / "oracle.csv", result, ids)
+        oracle = (tmp_path / "oracle.csv").read_bytes()
+        assert _rebuilt_interval_table(tmp_path / "new", "m", tmp_path / "rebuilt.csv") == oracle
+        assert b",0.95," in oracle and b"-inf,inf,1\n" in oracle
 
     def test_ids_that_need_quotes_read_back(self, tmp_path):
         # load_table reads ids with csv.reader, so a quoted id may hold any of these
         ids = ("c,0", 'q"1', "n\n2", "r\r3", "plain")
+        result = _conformal_result(n_cal=3, n_test=5, cls=(0.5, 0.8))
         write_csv(tmp_path / "t.csv", ["id", "y"], [[ids, np.arange(5.0)]])
-        _dump_conformal("m", _conformal_result(n_cal=3, n_test=5, cls=(0.5, 0.8)), ids, tmp_path)
-        for name, width in (("t.csv", 2), ("m_intervals.csv", 7)):
+        _dump_conformal("m", result, ids, tmp_path)
+        for name, width in (("t.csv", 2), ("m_test.csv", 4)):
             with open(tmp_path / name, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
             assert all(len(row) == width for row in rows)
             assert tuple(row[0] for row in rows[1:6]) == ids
         assert (tmp_path / "t.csv").read_bytes() == (
             b'id,y\n"c,0",0.0\n"q""1",1.0\n"n\n2",2.0\n"r\r3",3.0\nplain,4.0\n')
+        _interval_table(tmp_path / "oracle.csv", result, ids)
+        assert _rebuilt_interval_table(tmp_path, "m", tmp_path / "rebuilt.csv") == (
+            tmp_path / "oracle.csv").read_bytes()
 
-    def test_interval_table_streams_one_level_at_a_time(self, tmp_path):
-        # 99 levels x 750 rows is about 7 MB; holding all rows' strings at
-        # once would peak above that
-        cls = [round(0.01 * i, 2) for i in range(1, 100)]
-        result = _conformal_result(n_cal=10, n_test=750, cls=cls)
-        ids = tuple(f"s{i:06d}" for i in range(750))
-        tracemalloc.start()
-        try:
-            _dump_conformal("m", result, ids, tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        size = os.path.getsize(tmp_path / "m_intervals.csv")
-        assert size > 5_000_000
-        assert peak < size / 10
+    def test_bytes_grow_with_rows_plus_levels_not_their_product(self, tmp_path):
+        # 750 rows x 99 levels took about 7 MB as one row per (instance, level)
+        grid = [round(0.01 * i, 2) for i in range(1, 100)]
+        sizes = {}
+        for n_test in (75, 750):
+            for cls in (grid[::11], grid):
+                out = tmp_path / f"{n_test}_{len(cls)}"
+                out.mkdir()
+                _dump_conformal("m", _conformal_result(n_cal=10, n_test=n_test, cls=cls),
+                                tuple(f"s{i:06d}" for i in range(n_test)), out)
+                sizes[n_test, len(cls)] = {
+                    name: os.path.getsize(out / f"m_{name}.csv") for name in ("test", "levels")}
+        # the test file does not depend on the levels nor the levels file on the rows
+        for n_test in (75, 750):
+            assert sizes[n_test, 9]["test"] == sizes[n_test, 99]["test"]
+        for n_levels in (9, 99):
+            assert sizes[75, n_levels]["levels"] == sizes[750, n_levels]["levels"]
+        assert sizes[750, 99]["test"] < 100 * 751 and sizes[750, 99]["levels"] < 100 * 100
 
 
 def test_import_leaves_the_process_pool_out():
