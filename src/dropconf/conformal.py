@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,9 +100,10 @@ def build_calibration(y, preds: EnsemblePrediction, ids=None) -> Calibration:
 
 
 def rank_at_level(n: int, cl: float) -> int:
-    """k = ceil(cl*(n+1)), at least 1: the rank among n ascending scores of
+    """k = ceil(cl*(n+1)) with cl the decimal its repr shows (0.2 is 1/5, not
+    the float just above), at least 1: the rank among n ascending scores of
     the score that sets level cl; k > n means no score does."""
-    return max(1, math.ceil(cl * (n + 1) - 1e-9))
+    return max(1, math.ceil(Fraction(repr(float(cl))) * (n + 1)))
 
 
 def alpha_at_level(alphas: np.ndarray, cl: float) -> float:

@@ -121,11 +121,9 @@ def _dump_conformal(prefix: str, result: ConformalResult, test_ids, run_dir) -> 
               [[np.array(cls), ks, alpha, np.isinf(alpha).astype(int)]])
 
 
-def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir: str):
-    """One split/train/calibrate/evaluate cycle; writes its own run directory.
-
-    Returns the run's failures as (run index, model key, reason).
-    """
+def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir: str) -> None:
+    """One split/train/calibrate/evaluate cycle; writes its own run directory,
+    with failures.json listing the models that failed, if any did."""
     run_dir = os.path.join(out_dir, f"run_{run_index:03d}")
     os.makedirs(run_dir, exist_ok=True)
     split = random_split(
@@ -142,7 +140,6 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
     train_set = dataset.subset(split.train)
     val_set = dataset.subset(split.validation)
     test_set = dataset.subset(split.test)
-
     failures = []
 
     def emit(key, result):
@@ -168,7 +165,8 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
                       log.val_rmses]],
                 )
             if model is None:
-                failures.append((run_index, key, f"not converged after {attempts} attempts"))
+                failures.append({"model": key,
+                                 "reason": f"not converged after {attempts} attempts"})
                 continue
             emit(key, dropout_icp(
                 model, val_set, test_set, cfg.n_passes, cfg.cl_grid,
@@ -184,15 +182,17 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
             derive_seed(cfg.seed, "run", run_index, "rf"),
         ))
 
-    return failures
+    if failures:
+        write_json(os.path.join(run_dir, "failures.json"), failures)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArtifacts:
     """Execute the runs, then rebuild summary + manifest with reaggregate.
 
     A full run first removes every run_<digits> directory in out_dir, and
-    ``only_run`` R removes run R's, so no run directory keeps a file that an
-    earlier invocation wrote for the runs executed now.
+    ``only_run`` R removes run R's and every one at or above n_runs, so no
+    run directory holds a file that an earlier invocation wrote for a run
+    executed now or outside the run count.
     """
     if only_run is not None and not 0 <= only_run < cfg.n_runs:
         raise ValueError(f"only_run: {only_run} not in [0, {cfg.n_runs})")
@@ -203,16 +203,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
 
     run_indices = [only_run] if only_run is not None else list(range(cfg.n_runs))
     for name in _run_dirs(out_dir):
-        if only_run is None or int(name[4:]) == only_run:
+        if only_run in (None, int(name[4:])) or int(name[4:]) >= cfg.n_runs:
             shutil.rmtree(os.path.join(out_dir, name))
     jobs = [(cfg, dataset, r, out_dir) for r in run_indices]
     if cfg.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: a costly import
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
-            per_run = list(pool.map(run_single, *zip(*jobs)))
+            list(pool.map(run_single, *zip(*jobs)))  # list(): re-raises a worker's exception
     else:
-        per_run = [run_single(*job) for job in jobs]
-    return reaggregate(cfg, out_dir, dict(zip(run_indices, per_run)))
+        for job in jobs:
+            run_single(*job)
+    return reaggregate(cfg, out_dir)
 
 
 def build_manifest(out_dir) -> dict:
@@ -245,33 +246,30 @@ def _read_json(path):
         return json.load(fh)
 
 
-def reaggregate(cfg_or_none, out_dir, ran=None) -> RunArtifacts:
+def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
     """Rebuild summary.json, the flat aggregate CSVs and the manifest from
-    the per-run report JSONs on disk, run directories in index order.
-
-    Seed and run count come from cfg_or_none when given, else from the
-    summary on disk. ``ran`` maps each run just executed to its failures; a
-    failure in the old summary stays only if its run is below the run count
-    and not in ``ran``.
+    the report JSONs and failures.json files of the run directories, taken
+    in index order. Seed and run count come from cfg_or_none when given,
+    else from the summary on disk, which is read for nothing else.
     """
     run_dirs = _run_dirs(out_dir)
     if not run_dirs:
         raise FileNotFoundError(f"no run_* directories under {out_dir}")
-    reports_by_model = {}
+    reports_by_model, failures = {}, []
     for rd in run_dirs:
         for name in sorted(os.listdir(os.path.join(out_dir, rd))):
             if name.endswith("_report.json"):
                 report = _read_json(os.path.join(out_dir, rd, name))
                 reports_by_model.setdefault(report["model"], []).append(report)
+            elif name == "failures.json":
+                failures += [(int(rd[4:]), f["model"], f["reason"])
+                             for f in _read_json(os.path.join(out_dir, rd, name))]
     summary_path = os.path.join(out_dir, "summary.json")
-    old = _read_json(summary_path) if os.path.exists(summary_path) else {}
-    seed, n_runs = old.get("seed", 0), old.get("n_runs", len(run_dirs))
     if cfg_or_none is not None:
         seed, n_runs = cfg_or_none.seed, cfg_or_none.n_runs
-    ran = ran or {}
-    kept = [(f["run"], f["model"], f["reason"]) for f in old.get("failures", [])
-            if f["run"] < n_runs and f["run"] not in ran]
-    failures = sorted(kept + [f for fails in ran.values() for f in fails], key=lambda f: f[0])
+    else:
+        old = _read_json(summary_path) if os.path.exists(summary_path) else {}
+        seed, n_runs = old.get("seed", 0), old.get("n_runs", len(run_dirs))
 
     aggregate = {
         "seed": seed, "n_runs": n_runs,

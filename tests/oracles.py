@@ -8,6 +8,7 @@ and calibration quantiles from a counting scan with exact rational k.
 from __future__ import annotations
 
 import math
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,20 @@ def oracle_alpha_at_level(alphas_sorted, cl: float, n: int) -> float:
     """Counting-scan quantile with exact rational ceil for k."""
     target = Fraction(cl) * (n + 1)
     k = -((-target.numerator) // target.denominator)  # ceil
+    if k > n:
+        return math.inf
+    for a in alphas_sorted:
+        if int(np.sum(np.asarray(alphas_sorted) <= a)) >= k:
+            return float(a)
+    raise AssertionError("scan must find a value when k <= n")
+
+
+def oracle_alpha_at_decimal_level(alphas_sorted, cl_text: str, n: int) -> float:
+    """Counting-scan quantile at the level as the decimal written, so "0.2"
+    is 1/5 and not the binary float just above it: k = ceil(cl*(n+1)), at
+    least 1, in exact decimal arithmetic."""
+    product = Context(prec=200).multiply(Decimal(cl_text), n + 1)
+    k = max(1, int(product.to_integral_value(rounding=ROUND_CEILING)))
     if k > n:
         return math.inf
     for a in alphas_sorted:

@@ -19,7 +19,7 @@ from dropconf.evaluate import coverage
 from dropconf.forest import ForestConfig
 from dropconf.net import NetConfig, train
 
-from oracles import oracle_alpha_at_level
+from oracles import oracle_alpha_at_decimal_level, oracle_alpha_at_level
 
 
 class TestNonconformity:
@@ -95,6 +95,36 @@ class TestAlphaAtLevel:
                 alphas = np.sort(rng.random(n))
                 assert rank_at_level(n, cl) == 1
                 assert alpha_at_level(alphas, cl) == oracle_alpha_at_level(alphas, cl, n)
+
+    @pytest.mark.parametrize("cl_text, n, k", [
+        ("0.3", 9, 3),  # on a rank boundary: 0.3 * 10 = 3
+        ("0.30000000001", 9, 4),  # just above it; the old 1e-9 slack gave 3
+        ("0.2", 4, 1),  # the float 0.2 lies just above 1/5, the level does not
+        ("0.200000000001", 4, 2),
+        ("0.8", 99, 80),
+        ("0.80000000000001", 99, 81),
+        ("0.9", 9, 9),
+        ("0.9000000000001", 9, 10),  # k > n: no score sets the level
+    ])
+    def test_rank_on_and_just_above_a_boundary(self, cl_text, n, k):
+        alphas = np.arange(1.0, n + 1)  # the k-th score is k
+        assert rank_at_level(n, float(cl_text)) == k
+        assert alpha_at_level(alphas, float(cl_text)) == (k if k <= n else math.inf)
+        assert alpha_at_level(alphas, float(cl_text)) == oracle_alpha_at_decimal_level(
+            alphas, cl_text, n)
+
+    def test_decimal_oracle_agreement_on_grids(self):
+        # every level of a 0.01-step grid, and each level plus 1e-11, at every
+        # n up to 200 where the level sets a rank boundary: cl * (n+1) whole;
+        # numpy levels give the same rank
+        alphas = np.arange(1.0, 201)
+        for j in range(1, 100):
+            for cl_text in (f"0.{j:02d}", f"0.{j:02d}000000001"):
+                cl = float(cl_text)
+                for n in (n for n in range(1, 201) if (n + 1) * j % 100 == 0):
+                    expected = oracle_alpha_at_decimal_level(alphas[:n], cl_text, n)
+                    assert alpha_at_level(alphas[:n], cl) == expected
+                    assert rank_at_level(n, np.float64(cl)) == rank_at_level(n, cl)
 
     def test_monotone_in_cl(self):
         rng = np.random.default_rng(18)

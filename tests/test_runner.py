@@ -198,6 +198,17 @@ def tiny_config(**over):
     return ExperimentConfig(**base)
 
 
+def failing_config(**over):
+    """tiny_config whose dnn models can never converge: lr0 = 0 leaves the
+    network untrained and no RMSE passes a 1e-9 gate. rf still reports."""
+    from dropconf.net import NetConfig
+
+    base = dict(models=("dnn", "rf"), dropout_p=(0.25,), retry_limit=1,
+                net=NetConfig(hidden_sizes=(4,), lr0=0.0, max_epochs=5, patience=5,
+                              rmse_gate=1e-9))
+    return tiny_config(**{**base, **over})
+
+
 class TestRunExperiment:
     def test_rf_only_runs_and_emits(self, tmp_path):
         cfg = tiny_config()
@@ -344,7 +355,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(runner, "train", diverge)
         artifacts = run_experiment(cfg, out_dir=str(out), only_run=1)
-        assert os.listdir(out / "run_001") == ["split.csv"]
+        assert sorted(os.listdir(out / "run_001")) == ["failures.json", "split.csv"]
         assert artifacts.aggregate["models"]["dnn_p0.25"]["n_runs"] == 1
         assert artifacts.failures == [(1, "dnn_p0.25", "not converged after 2 attempts")]
 
@@ -361,22 +372,45 @@ class TestRunExperiment:
         assert [r["rmse"] for r in reports] == [2, 3, 1, 0]
 
     def test_failure_containment(self, tmp_path):
-        from dropconf.net import NetConfig
-
-        # lr0=0 can never pass the gate: every dnn run fails, rf still reports
-        cfg = tiny_config(
-            models=("dnn", "rf"),
-            dropout_p=(0.25,),
-            net=NetConfig(hidden_sizes=(4,), lr0=0.0, max_epochs=5, patience=5,
-                          rmse_gate=1e-9),
-            retry_limit=1,
-        )
-        artifacts = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        # every dnn run fails, rf still reports
+        artifacts = run_experiment(failing_config(), out_dir=str(tmp_path / "out"))
         assert len(artifacts.failures) == 2
         assert "rf" in artifacts.reports and len(artifacts.reports["rf"]) == 2
         with open(tmp_path / "out" / "summary.json") as fh:
             summary = json.load(fh)
         assert len(summary["failures"]) == 2
+
+    def test_failures_are_kept_in_their_run_directory(self, tmp_path):
+        # the summary once took failures from the old summary.json, so without
+        # it reaggregate reported none; a missing summary gives seed 0
+        out = tmp_path / "out"
+        artifacts = run_experiment(failing_config(seed=0), out_dir=str(out))
+        assert artifacts.failures == [(r, "dnn_p0.25", "not converged after 2 attempts")
+                                      for r in (0, 1)]
+        summary = (out / "summary.json").read_bytes()
+        (out / "summary.json").unlink()
+        assert reaggregate(None, str(out)).failures == artifacts.failures
+        assert (out / "summary.json").read_bytes() == summary
+        assert json.loads((out / "run_001" / "failures.json").read_text()) == [
+            {"model": "dnn_p0.25", "reason": "not converged after 2 attempts"}]
+
+    def test_failures_of_one_run_keep_run_order(self, tmp_path):
+        # as file names dnn_p0.1 sorts before dnn_p0; a run trains p = 0 first
+        out = tmp_path / "out"
+        run_experiment(failing_config(n_runs=1, dropout_p=(0.0, 0.1)), out_dir=str(out))
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(f["run"], f["model"]) for f in summary["failures"]] == [
+            (0, "dnn_p0"), (0, "dnn_p0.1")]
+        assert not list(out.glob("run_000/dnn_*_report.json"))
+
+    def test_two_workers_record_the_failures_of_one(self, tmp_path):
+        # the pool's workers hand their failures over on disk
+        for workers in (1, 2):
+            run_experiment(failing_config(workers=workers), out_dir=str(tmp_path / f"w{workers}"))
+        one, two = ((tmp_path / f"w{w}" / "manifest.json").read_bytes() for w in (1, 2))
+        assert one == two and b"run_001/failures.json" in one
+        summaries = ((tmp_path / f"w{w}" / "summary.json").read_bytes() for w in (1, 2))
+        assert len(set(summaries)) == 1
 
     def test_reaggregate_matches(self, tmp_path):
         cfg = tiny_config()
@@ -456,6 +490,33 @@ class TestCli:
         written = {name: (out / name).read_bytes() for name in names}
         assert main(["report", "--in", str(out)]) == 0
         assert {name: (out / name).read_bytes() for name in names} == written
+
+    def test_report_keeps_the_bytes_of_a_directory_with_failures(self, tmp_path):
+        out = tmp_path / "out"
+        run_experiment(failing_config(), out_dir=str(out))
+        names = ("manifest.json", "summary.json")
+        written = {name: (out / name).read_bytes() for name in names}
+        assert b"run_000/failures.json" in written["manifest.json"]
+        assert main(["report", "--in", str(out)]) == 0
+        assert {name: (out / name).read_bytes() for name in names} == written
+
+    def test_only_run_under_fewer_runs_writes_a_fresh_directory(self, tmp_path):
+        # 3 runs and then --only-run 0 at n_runs 2: run_002 once stayed, and
+        # the summary of n_runs 2 aggregated rf over 3 runs
+        cfg_file = tmp_path / "exp.cfg"
+        text = ("synthetic.n = 120\nsynthetic.d = 3\nseed = 3\n"
+                "models = dnn,rf\ndropout_p = 0.25\nforest.n_trees = 5\ncv_folds = 3\n"
+                "cl_grid = 0.5,0.8\nn_passes = 10\nretry_limit = 0\n"
+                "net.hidden_sizes = 4\nnet.lr0 = 0\nnet.max_epochs = 3\nnet.rmse_gate = 1e-9\n")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        cfg_file.write_text(text + "n_runs = 3\n")
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 0
+        cfg_file.write_text(text + "n_runs = 2\n")
+        assert main(["run", "--config", str(cfg_file), "--out", str(out), "--only-run", "0"]) == 0
+        assert main(["run", "--config", str(cfg_file), "--out", str(fresh)]) == 0
+        assert sorted(os.listdir(out)) == sorted(os.listdir(fresh))
+        assert (out / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
+        assert json.loads((out / "summary.json").read_text())["models"]["rf"]["n_runs"] == 2
 
     def test_fewer_runs_into_one_out_write_a_fresh_directory(self, tmp_path):
         # 3 runs and then 1 run into one --out: the manifest once still listed
