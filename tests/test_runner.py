@@ -382,17 +382,32 @@ class TestRunExperiment:
 
     def test_failures_are_kept_in_their_run_directory(self, tmp_path):
         # the summary once took failures from the old summary.json, so without
-        # it reaggregate reported none; a missing summary gives seed 0
-        out = tmp_path / "out"
-        artifacts = run_experiment(failing_config(seed=0), out_dir=str(out))
+        # it reaggregate reported none
+        out, cfg = tmp_path / "out", failing_config()
+        artifacts = run_experiment(cfg, out_dir=str(out))
         assert artifacts.failures == [(r, "dnn_p0.25", "not converged after 2 attempts")
                                       for r in (0, 1)]
         summary = (out / "summary.json").read_bytes()
         (out / "summary.json").unlink()
-        assert reaggregate(None, str(out)).failures == artifacts.failures
+        assert reaggregate(cfg, str(out)).failures == artifacts.failures
         assert (out / "summary.json").read_bytes() == summary
         assert json.loads((out / "run_001" / "failures.json").read_text()) == [
             {"model": "dnn_p0.25", "reason": "not converged after 2 attempts"}]
+
+    @pytest.mark.parametrize("summary", [None, "{}\n"])
+    def test_report_without_a_summary_does_not_guess_the_seed(self, tmp_path, summary):
+        # without a config only summary.json records seed and n_runs: no guess
+        out = tmp_path / "out"
+        run_experiment(tiny_config(seed=5), out_dir=str(out))
+        if summary is None:
+            (out / "summary.json").unlink()
+        else:
+            (out / "summary.json").write_text(summary)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        with pytest.raises(ValueError, match="summary.json is missing or lacks seed and n_runs"):
+            reaggregate(None, str(out))
+        assert main(["report", "--in", str(out)]) == 2
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_failures_of_one_run_keep_run_order(self, tmp_path):
         # as file names dnn_p0.1 sorts before dnn_p0; a run trains p = 0 first
@@ -575,6 +590,25 @@ class TestCli:
         (tmp_path / "t.cfg").write_text("dataset = t.csv\nmodels = rf\ncv_folds = 17\n")
         assert main(["validate-config", "--config", "t.cfg"]) == 0
         assert "config ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("table, message", [
+        ("id,y,f0\nr0,0.5,1.0\nr1,0.5\n", "t.csv: row 2 has 2 cells, expected 3"),
+        (None, "Is a directory"),
+    ])
+    def test_run_names_dataset_for_a_table_it_cannot_read(self, tmp_path, monkeypatch, capsys,
+                                                          table, message):
+        # both commands name the key of a table they cannot read
+        monkeypatch.chdir(tmp_path)
+        if table is None:
+            (tmp_path / "t.csv").mkdir()
+        else:
+            (tmp_path / "t.csv").write_text(table)
+        (tmp_path / "t.cfg").write_text("dataset = t.csv\n")
+        for command in (["validate-config"], ["run", "--out", "out"]):
+            assert main([*command, "--config", "t.cfg"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: dataset: ") and message in err
+        assert not (tmp_path / "out" / "run_000").exists()
 
     def test_run_checks_the_table_rows_before_the_first_run(self, tmp_path, monkeypatch, capsys):
         from dropconf import runner
