@@ -91,7 +91,7 @@ def load_table(path) -> Dataset:
     grown in place, so loading holds about one copy of the result.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
     with fh:

@@ -2,14 +2,15 @@
 
 ReLU hidden layers, scalar linear output, trained by mini-batch SGD with
 Nesterov momentum, a cyclical step-decay learning-rate schedule, and early
-stopping on validation RMSE. Dropout is the inverted kind: kept activations
-are rescaled by 1/(1-p) so stochastic and deterministic passes share the
-same expectation scale. Training steps, validation and dropout passes run
-the hidden layers through one loop, ``_hidden_layers``. Training holds
-three weight-sized arrays (weights, velocity, best-epoch snapshot):
-``train`` forms each weight gradient from its two factors one block of rows
-at a time, in a small reused buffer, and takes the Nesterov step on those
-rows while they are in cache.
+stopping on validation RMSE. Training stops early, at the epoch cap, or on
+divergence (a non-finite training loss), and returns its log either way.
+Dropout is the inverted kind: kept activations are rescaled by 1/(1-p) so
+stochastic and deterministic passes share the same expectation scale.
+Training steps, validation and dropout passes run the hidden layers through
+one loop, ``_hidden_layers``. Training holds three weight-sized arrays
+(weights, velocity, best-epoch snapshot): ``train`` forms each weight
+gradient from its two factors one block of rows at a time, in a small reused
+buffer, and takes the Nesterov step on those rows while they are in cache.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ import numpy as np
 
 from .data import Dataset
 from .seeds import rng_for
-
-
-class TrainingDivergedError(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ class TrainingLog:
     learning_rates: list
     train_losses: list
     val_rmses: list
-    stop_reason: str = "max_epochs"
+    stop_reason: str = "max_epochs"  # unless train sets "early_stop" or "diverged"
     best_epoch: int = 0
     best_val_rmse: float = math.inf
     converged: bool = False
@@ -230,8 +227,10 @@ def _nesterov_step(w, v, g, mu: float, lr: float, scratch) -> None:
 def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
     """Train with SGD + Nesterov momentum, early stopping on validation RMSE.
 
-    Returns (model, log); the model carries the parameters achieving the best
-    validation RMSE, and log.converged reflects best_val_rmse < rmse_gate.
+    Returns (model, log): the weights of the best validation RMSE (the initial
+    ones if none was finite) and a log whose stop_reason is "early_stop",
+    "max_epochs" or "diverged" (an epoch's training loss was not finite; that
+    epoch is not logged). log.converged: best_val_rmse < rmse_gate, not diverged.
     """
     if train_set.n_features != val_set.n_features:
         raise ValueError("train and validation feature dimensions differ")
@@ -269,7 +268,8 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
                 _nesterov_step(b, v, g, config.momentum, lr, step)
         epoch_loss = sq_err_sum / n
         if not math.isfinite(epoch_loss):
-            raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
+            log.stop_reason = "diverged"
+            break
         pred = forward_batch(model, val_set.features)
         val_rmse = float(np.sqrt(np.mean((pred - val_set.labels) ** 2)))
 
@@ -284,10 +284,8 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
         elif epoch - log.best_epoch >= config.patience:
             log.stop_reason = "early_stop"
             break
-    else:
-        log.stop_reason = "max_epochs"
 
     model.weights, model.biases = best[: len(weights)], best[len(weights) :]
-    log.converged = log.best_val_rmse < config.rmse_gate
+    log.converged = log.stop_reason != "diverged" and log.best_val_rmse < config.rmse_gate
     return model, log
 

@@ -21,7 +21,7 @@ from .config import ConfigError, ExperimentConfig
 from .conformal import ConformalResult, dropout_icp, rank_at_level, rf_ccp
 from .data import DataError, Dataset, load_table, make_synthetic, random_split
 from .evaluate import CATEGORIES, aggregate_runs, evaluate_model
-from .net import TrainingDivergedError, train
+from .net import train
 from .seeds import derive_seed
 
 
@@ -34,6 +34,9 @@ class RunArtifacts:
     manifest: dict
 
 
+# the files reaggregate writes to the top of an output directory
+AGGREGATE_FILES = ("summary.json", "calibration_curve.csv", "width_stats.csv",
+                   "retrieval_counts.csv")
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
@@ -86,20 +89,14 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def train_with_retry(train_set, val_set, net_cfg, seed, retry_limit):
-    """Retrain with derived seeds while the convergence gate fails.
-
-    Returns (model, log, attempts) with model=None if every attempt failed.
-    """
-    last = (None, None)
+    """Retrain with derived seeds while the convergence gate fails (the attempt
+    diverged or missed rmse_gate). Returns the last attempt's (model, log) and
+    the number of attempts; the model passed the gate iff log.converged."""
     for attempt in range(retry_limit + 1):
-        try:
-            model, log = train(train_set, val_set, net_cfg, derive_seed(seed, "attempt", attempt))
-        except TrainingDivergedError:
-            continue
-        last = (model, log)
+        model, log = train(train_set, val_set, net_cfg, derive_seed(seed, "attempt", attempt))
         if log.converged:
-            return model, log, attempt + 1
-    return None, last[1], retry_limit + 1
+            break
+    return model, log, attempt + 1
 
 
 def _dump_conformal(prefix: str, result: ConformalResult, test_ids, run_dir) -> None:
@@ -159,14 +156,12 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
                 derive_seed(cfg.seed, "run", run_index, key, "train"),
                 cfg.retry_limit,
             )
-            if log is not None:
-                write_csv(
-                    os.path.join(run_dir, f"{key}_training_log.csv"),
-                    ["epoch", "lr", "train_loss", "val_rmse"],
-                    [[range(log.n_epochs), log.learning_rates, log.train_losses,
-                      log.val_rmses]],
-                )
-            if model is None:
+            write_csv(
+                os.path.join(run_dir, f"{key}_training_log.csv"),
+                ["epoch", "lr", "train_loss", "val_rmse"],
+                [[range(log.n_epochs), log.learning_rates, log.train_losses, log.val_rmses]],
+            )
+            if not log.converged:
                 failures.append({"model": key,
                                  "reason": f"not converged after {attempts} attempts"})
                 continue
@@ -218,18 +213,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
 
 
 def build_manifest(out_dir) -> dict:
-    """SHA-256 digest of every emitted file; written as manifest.json."""
+    """SHA-256 digest of each file this program writes to out_dir: the
+    aggregate files and every file under a run_<digits> directory. Written as
+    manifest.json; any other file in out_dir is not listed."""
+    paths = list(AGGREGATE_FILES)
+    for rd in _run_dirs(out_dir):
+        for root, _dirs, files in os.walk(os.path.join(out_dir, rd)):
+            paths += [os.path.relpath(os.path.join(root, f), out_dir) for f in files]
     entries = []
-    for root, _dirs, files in os.walk(out_dir):
-        for name in sorted(files):
-            if name == "manifest.json":
-                continue
-            full = os.path.join(root, name)
-            rel = os.path.relpath(full, out_dir)
-            with open(full, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            entries.append({"path": rel.replace(os.sep, "/"), "sha256": digest})
-    entries.sort(key=lambda e: e["path"])
+    for rel in sorted(p.replace(os.sep, "/") for p in paths):
+        with open(os.path.join(out_dir, rel), "rb") as fh:
+            entries.append({"path": rel, "sha256": hashlib.sha256(fh.read()).hexdigest()})
     manifest = {"files": entries}
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
@@ -265,7 +259,8 @@ def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
             elif name == "failures.json":
                 failures += [(int(rd[4:]), f["model"], f["reason"])
                              for f in _read_json(os.path.join(out_dir, rd, name))]
-    summary_path = os.path.join(out_dir, "summary.json")
+    summary_path, curve_path, width_path, retrieval_path = (
+        os.path.join(out_dir, name) for name in AGGREGATE_FILES)
     if cfg_or_none is not None:
         seed, n_runs = cfg_or_none.seed, cfg_or_none.n_runs
     else:
@@ -297,12 +292,9 @@ def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
         retrieval.append([[key] * len(cutoffs), [float(c) for c in cutoffs]]
                          + [[agg["retrieval"][c][cat]["mean"] for c in cutoffs]
                             for cat in CATEGORIES])
-    write_csv(os.path.join(out_dir, "calibration_curve.csv"),
-              ["model", "cl", "coverage_mean", "coverage_std"], curve)
-    write_csv(os.path.join(out_dir, "width_stats.csv"),
-              ["model", "cl", "mean_width_mean", "mean_width_std", "fraction_unbounded_mean"],
-              width)
-    write_csv(os.path.join(out_dir, "retrieval_counts.csv"),
-              ["model", "cutoff", *CATEGORIES], retrieval)
+    write_csv(curve_path, ["model", "cl", "coverage_mean", "coverage_std"], curve)
+    write_csv(width_path, ["model", "cl", "mean_width_mean", "mean_width_std",
+                           "fraction_unbounded_mean"], width)
+    write_csv(retrieval_path, ["model", "cutoff", *CATEGORIES], retrieval)
     return RunArtifacts(out_dir=out_dir, reports=reports_by_model, failures=failures,
                         aggregate=aggregate, manifest=build_manifest(out_dir))

@@ -47,6 +47,13 @@ class TestLoadTable:
         assert ds.ids == ("a", "b", "c")
         assert ds.labels.tolist() == [1.0, 2.0, 3.0]
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel and many ChEMBL exports start with one; it once hid the 'id' column
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"\xef\xbb\xbfid,y,f0\na,1.0,0.5\n")
+        ds = load_table(p)
+        assert ds.ids == ("a",) and ds.labels.tolist() == [1.0] and ds.n_features == 1
+
     def test_bad_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "t.csv"
         write_lines(p, ["id,y,f0,f1", "a,1.0,0.5,2.0", "b,2.0,abc,3.0", "c,3.0,2.5,4.0"])

@@ -13,7 +13,6 @@ from dropconf import net
 from dropconf.data import Dataset, make_synthetic, random_split
 from dropconf.net import (
     NetConfig,
-    TrainingDivergedError,
     TrainingLog,
     compute_gradients,
     draw_masks,
@@ -242,6 +241,20 @@ class TestTrain:
         assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
         assert all(np.array_equal(a, b) for a, b in zip(m1.biases, m2.biases))
 
+    def test_divergence_is_a_stop_reason(self):
+        # a non-finite training loss once raised, and the attempt's log and
+        # best-epoch snapshot were lost
+        ds = make_synthetic(60, 3, "homoscedastic", 0.3, 1)
+        cfg = NetConfig(hidden_sizes=(8,), lr0=1.0, max_epochs=50, patience=50)
+        with np.errstate(all="ignore"):
+            model, log = train(ds.subset(range(40)), ds.subset(range(40, 60)), cfg, seed=3)
+        assert log.stop_reason == "diverged" and log.converged is False
+        # epoch 0's loss is finite but its validation RMSE is not; epoch 1 diverges
+        assert log.n_epochs == 1 and log.val_rmses == [math.inf]
+        init = init_mlp(3, cfg, seed=3)
+        for a, b in zip(model.weights + model.biases, init.weights + init.biases):
+            assert np.array_equal(a, b) and np.isfinite(a).all()
+
     def test_returned_weights_are_best_epoch_snapshot(self):
         # Training runs past the best epoch and stops early; a run cut off at
         # the best epoch ends on that epoch's weights. Equal results show the
@@ -351,7 +364,8 @@ def oracle_train(train_set, val_set, config, seed):
                 a -= step
         epoch_loss = sq_err_sum / n
         if not math.isfinite(epoch_loss):
-            raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
+            log.stop_reason = "diverged"
+            break
         val_rmse = float(np.sqrt(np.mean((forward_batch(model, Xv) - yv) ** 2)))
         log.learning_rates.append(lr)
         log.train_losses.append(epoch_loss)
@@ -367,7 +381,7 @@ def oracle_train(train_set, val_set, config, seed):
         log.stop_reason = "max_epochs"
     model.weights, model.biases = best_w, best_b
     log.best_epoch, log.best_val_rmse = best_epoch, best_rmse
-    log.converged = best_rmse < config.rmse_gate
+    log.converged = log.stop_reason != "diverged" and best_rmse < config.rmse_gate
     return model, log
 
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -341,7 +342,7 @@ class TestRunExperiment:
         # the report an earlier invocation wrote for run 1 once stayed in its
         # directory and was aggregated as if this run had produced it
         from dropconf import runner
-        from dropconf.net import NetConfig, TrainingDivergedError
+        from dropconf.net import NetConfig, TrainingLog
 
         cfg = tiny_config(models=("dnn",), dropout_p=(0.25,),
                           net=NetConfig(hidden_sizes=(6,), max_epochs=15, patience=15,
@@ -351,13 +352,42 @@ class TestRunExperiment:
         assert (out / "run_001" / "dnn_p0.25_report.json").exists()
 
         def diverge(*args):
-            raise TrainingDivergedError("loss is nan")
+            return None, TrainingLog([], [], [], stop_reason="diverged")
 
         monkeypatch.setattr(runner, "train", diverge)
         artifacts = run_experiment(cfg, out_dir=str(out), only_run=1)
-        assert sorted(os.listdir(out / "run_001")) == ["failures.json", "split.csv"]
+        assert sorted(os.listdir(out / "run_001")) == [
+            "dnn_p0.25_training_log.csv", "failures.json", "split.csv"]
         assert artifacts.aggregate["models"]["dnn_p0.25"]["n_runs"] == 1
         assert artifacts.failures == [(1, "dnn_p0.25", "not converged after 2 attempts")]
+
+    def test_diverged_attempts_fail_and_keep_the_last_log(self, tmp_path, monkeypatch):
+        # a diverged attempt once raised: the failed network kept an earlier
+        # attempt's training log, or none when every attempt diverged
+        from dropconf import runner
+        from dropconf.net import NetConfig, train
+
+        logs = []
+
+        def spy(*args):
+            model, log = train(*args)
+            logs.append(log)
+            return model, log
+
+        monkeypatch.setattr(runner, "train", spy)
+        cfg = tiny_config(n_runs=1, models=("dnn",), dropout_p=(0.25,), retry_limit=2,
+                          net=NetConfig(hidden_sizes=(8,), lr0=0.2, max_epochs=50, patience=50))
+        with np.errstate(all="ignore"):
+            artifacts = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        assert [log.stop_reason for log in logs] == ["diverged"] * 3
+        assert artifacts.failures == [(0, "dnn_p0.25", "not converged after 3 attempts")]
+        last = logs[-1]
+        assert last != logs[0]  # so the file below tells the attempts apart
+        with open(tmp_path / "out" / "run_000" / "dnn_p0.25_training_log.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["epoch", "lr", "train_loss", "val_rmse"]] + [
+            [str(e), repr(lr), repr(loss), repr(rmse)] for e, (lr, loss, rmse)
+            in enumerate(zip(last.learning_rates, last.train_losses, last.val_rmses))]
 
     def test_run_dirs_are_read_in_index_order(self, tmp_path):
         # as text, run_1000 sorts between run_100 and run_101
@@ -461,6 +491,20 @@ class TestCli:
         with open(os.path.join(out, "manifest.json"), "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == "c9c3b28f07c515b1fdbd4a79109f28fd54a0145505fb99754c8b9ed7d4fe31df"
+
+    def test_manifest_lists_only_the_files_run_writes(self, tmp_path, capsys):
+        # every file under --out was once hashed, foreign ones included
+        argv = ["run", "--config", os.path.join(FIXTURES, "synthetic.cfg"), "--seed", "7"]
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        (out / "run_old").mkdir(parents=True)
+        (out / "notes.txt").write_text("mine\n")
+        (out / "run_old" / "f.txt").write_text("mine\n")
+        assert main(argv + ["--out", str(fresh)]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 24 files to {out}\n"
+        assert (out / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
+        assert (out / "notes.txt").exists() and (out / "run_old" / "f.txt").exists()
 
     def test_fixture_factored_files_rebuild_the_interval_tables(self, tmp_path, monkeypatch):
         from dropconf import runner
@@ -830,3 +874,18 @@ def test_import_leaves_the_process_pool_out():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # read from the source, not sys.modules: site hooks may import more
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "dropconf")
+    imported = set()  # (module file, top-level package) of every absolute import
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            for node in ast.walk(ast.parse(fh.read(), name)):
+                if isinstance(node, ast.Import):
+                    imported |= {(name, alias.name.split(".")[0]) for alias in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add((name, node.module.split(".")[0]))
+    assert sorted((name, top) for name, top in imported
+                  if top != "numpy" and top not in sys.stdlib_module_names) == []
