@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
+import os
 import sys
 from dataclasses import replace
 
@@ -41,6 +43,12 @@ def main(argv=None) -> int:
                 cfg = replace(cfg, workers=args.workers)
             artifacts = run_experiment(cfg, out_dir=args.out, only_run=args.only_run)
             print(f"wrote {len(artifacts.manifest['files'])} files to {artifacts.out_dir}")
+            with open(os.path.join(artifacts.out_dir, "manifest.json"), "rb") as fh:
+                print(f"manifest.json sha256 {hashlib.sha256(fh.read()).hexdigest()}")
+            for model, agg in artifacts.aggregate["models"].items():
+                r2 = agg["r_squared"]["mean"]
+                r2_text = "n/a" if r2 is None else f"{r2:.4f}"
+                print(f"  {model}: rmse {agg['rmse']['mean']:.4f}, calibration R^2 {r2_text}")
             for r, key, reason in artifacts.failures:
                 print(f"warning: run {r} {key}: {reason}", file=sys.stderr)
             return 0

@@ -219,4 +219,6 @@ def parse_config(path) -> ExperimentConfig:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"no such config file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a readable UTF-8 file: {exc}") from None
     return parse_config_text(text, origin=str(path))

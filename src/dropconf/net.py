@@ -251,39 +251,41 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
 
     log = TrainingLog(learning_rates=[], train_losses=[], val_rmses=[], best_epoch=-1)
 
-    for epoch in range(config.max_epochs):
-        lr = lr_at_epoch(config, epoch)
-        perm = rng.permutation(n)
-        sq_err_sum = 0.0
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            masks = draw_masks(model, len(idx), rng)
-            acts, deltas, b_grads, loss = compute_gradients(model, X[idx], y[idx], masks)
-            sq_err_sum += loss * len(idx)
-            for w, v, a, d, wb in zip(weights, vel, acts, deltas, blocks[len(idx)]):
-                for r, e in wb:
-                    g = np.matmul(a.T[r:e], d, out=grad[: w[r:e].size].reshape(e - r, -1))
-                    _nesterov_step(w[r:e], v[r:e], g, config.momentum, lr, step)
-            for b, v, g in zip(biases, vel[len(weights) :], b_grads):
-                _nesterov_step(b, v, g, config.momentum, lr, step)
-        epoch_loss = sq_err_sum / n
-        if not math.isfinite(epoch_loss):
-            log.stop_reason = "diverged"
-            break
-        pred = forward_batch(model, val_set.features)
-        val_rmse = float(np.sqrt(np.mean((pred - val_set.labels) ** 2)))
+    # a diverging attempt overflows before its loss shows it; stop_reason reports that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.max_epochs):
+            lr = lr_at_epoch(config, epoch)
+            perm = rng.permutation(n)
+            sq_err_sum = 0.0
+            for start in range(0, n, batch_size):
+                idx = perm[start : start + batch_size]
+                masks = draw_masks(model, len(idx), rng)
+                acts, deltas, b_grads, loss = compute_gradients(model, X[idx], y[idx], masks)
+                sq_err_sum += loss * len(idx)
+                for w, v, a, d, wb in zip(weights, vel, acts, deltas, blocks[len(idx)]):
+                    for r, e in wb:
+                        g = np.matmul(a.T[r:e], d, out=grad[: w[r:e].size].reshape(e - r, -1))
+                        _nesterov_step(w[r:e], v[r:e], g, config.momentum, lr, step)
+                for b, v, g in zip(biases, vel[len(weights) :], b_grads):
+                    _nesterov_step(b, v, g, config.momentum, lr, step)
+            epoch_loss = sq_err_sum / n
+            if not math.isfinite(epoch_loss):
+                log.stop_reason = "diverged"
+                break
+            pred = forward_batch(model, val_set.features)
+            val_rmse = float(np.sqrt(np.mean((pred - val_set.labels) ** 2)))
 
-        log.learning_rates.append(lr)
-        log.train_losses.append(epoch_loss)
-        log.val_rmses.append(val_rmse)
+            log.learning_rates.append(lr)
+            log.train_losses.append(epoch_loss)
+            log.val_rmses.append(val_rmse)
 
-        if val_rmse < log.best_val_rmse:
-            log.best_val_rmse, log.best_epoch = val_rmse, epoch
-            for kept, a in zip(best, weights + biases):
-                np.copyto(kept, a)
-        elif epoch - log.best_epoch >= config.patience:
-            log.stop_reason = "early_stop"
-            break
+            if val_rmse < log.best_val_rmse:
+                log.best_val_rmse, log.best_epoch = val_rmse, epoch
+                for kept, a in zip(best, weights + biases):
+                    np.copyto(kept, a)
+            elif epoch - log.best_epoch >= config.patience:
+                log.stop_reason = "early_stop"
+                break
 
     model.weights, model.biases = best[: len(weights)], best[len(weights) :]
     log.converged = log.stop_reason != "diverged" and log.best_val_rmse < config.rmse_gate

@@ -238,7 +238,10 @@ def _run_dirs(out_dir) -> list:
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
@@ -246,19 +249,26 @@ def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
     the report JSONs and failures.json files of the run directories, taken
     in index order. Seed and run count come from cfg_or_none when given,
     else from the summary on disk, read for nothing else; without them it
-    raises before writing."""
+    raises before writing, as it does, naming the file, for a run file that
+    is not JSON or not of a report's or failures.json's outer shape."""
     run_dirs = _run_dirs(out_dir)
     if not run_dirs:
         raise FileNotFoundError(f"no run_* directories under {out_dir}")
     reports_by_model, failures = {}, []
     for rd in run_dirs:
         for name in sorted(os.listdir(os.path.join(out_dir, rd))):
+            path = os.path.join(out_dir, rd, name)
             if name.endswith("_report.json"):
-                report = _read_json(os.path.join(out_dir, rd, name))
+                report = _read_json(path)
+                if not isinstance(report, dict) or not isinstance(report.get("model"), str):
+                    raise ValueError(f"{path}: not a report object with a string 'model'")
                 reports_by_model.setdefault(report["model"], []).append(report)
             elif name == "failures.json":
-                failures += [(int(rd[4:]), f["model"], f["reason"])
-                             for f in _read_json(os.path.join(out_dir, rd, name))]
+                listed = _read_json(path)
+                if not isinstance(listed, list) or not all(
+                        isinstance(f, dict) and {"model", "reason"} <= f.keys() for f in listed):
+                    raise ValueError(f"{path}: not a list of objects with 'model' and 'reason'")
+                failures += [(int(rd[4:]), f["model"], f["reason"]) for f in listed]
     summary_path, curve_path, width_path, retrieval_path = (
         os.path.join(out_dir, name) for name in AGGREGATE_FILES)
     if cfg_or_none is not None:

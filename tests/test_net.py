@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -243,10 +244,12 @@ class TestTrain:
 
     def test_divergence_is_a_stop_reason(self):
         # a non-finite training loss once raised, and the attempt's log and
-        # best-epoch snapshot were lost
+        # best-epoch snapshot were lost; its overflows once also wrote six
+        # RuntimeWarnings before the stop reason reported them
         ds = make_synthetic(60, 3, "homoscedastic", 0.3, 1)
         cfg = NetConfig(hidden_sizes=(8,), lr0=1.0, max_epochs=50, patience=50)
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             model, log = train(ds.subset(range(40)), ds.subset(range(40, 60)), cfg, seed=3)
         assert log.stop_reason == "diverged" and log.converged is False
         # epoch 0's loss is finite but its validation RMSE is not; epoch 1 diverges

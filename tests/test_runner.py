@@ -20,6 +20,8 @@ from dropconf.ensemble import from_passes
 from dropconf.runner import _dump_conformal, reaggregate, run_experiment, write_csv
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+# sha256 of the manifest.json the fixture config writes at seed 7
+FIXTURE_DIGEST = "c9c3b28f07c515b1fdbd4a79109f28fd54a0145505fb99754c8b9ed7d4fe31df"
 
 
 class TestParseConfig:
@@ -108,6 +110,14 @@ class TestParseConfig:
         assert len(cfg.cl_grid) == 99
         assert cfg.cl_grid[0] == 0.01 and cfg.cl_grid[-1] == 0.99
 
+    def test_readme_table_documents_every_key(self):
+        # val_fraction, test_fraction, net.decay_every and
+        # forest.min_samples_leaf were once missing even by their bare names
+        with open(os.path.join(FIXTURES, os.pardir, "README.md"), encoding="utf-8") as fh:
+            section = fh.read().split("## Config format", 1)[1].split("\n## ", 1)[0]
+        table = "\n".join(line for line in section.splitlines() if line.startswith("| `"))
+        assert [key for key in sorted(_KEYS) if f"`{key}`" not in table] == []
+
     def test_fixture_config_parses(self):
         cfg = parse_config(os.path.join(FIXTURES, "synthetic.cfg"))
         assert cfg.synthetic_n == 240
@@ -116,6 +126,15 @@ class TestParseConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="no such config"):
             parse_config("/nonexistent/path.cfg")
+
+    def test_undecodable_file_is_named(self, tmp_path, capsys):
+        # the decode error once reached the CLI without the file's name
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"synthetic.n = 120\nseed = \xff\n")
+        with pytest.raises(ConfigError, match="bad.cfg: not a readable UTF-8 file: 'utf-8' codec"):
+            parse_config(str(path))
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a readable UTF-8 file")
 
     @pytest.mark.parametrize("key", sorted(_KEYS))
     def test_every_key_sets_its_field(self, key):
@@ -481,16 +500,17 @@ class TestCli:
         assert rc != 0
         assert "error:" in capsys.readouterr().err
 
-    def test_fixture_manifest_digest_is_pinned(self, tmp_path):
+    def test_fixture_manifest_digest_is_pinned(self, tmp_path, capsys):
         # every change so far kept these bytes; one that alters an emitted byte
-        # updates this digest and names the change
+        # updates this digest and names the change. run prints it too.
         out = str(tmp_path / "out")
         rc = main(["run", "--config", os.path.join(FIXTURES, "synthetic.cfg"),
                    "--seed", "7", "--out", out])
         assert rc == 0
         with open(os.path.join(out, "manifest.json"), "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        assert digest == "c9c3b28f07c515b1fdbd4a79109f28fd54a0145505fb99754c8b9ed7d4fe31df"
+        assert digest == FIXTURE_DIGEST
+        assert capsys.readouterr().out.splitlines()[1] == f"manifest.json sha256 {digest}"
 
     def test_manifest_lists_only_the_files_run_writes(self, tmp_path, capsys):
         # every file under --out was once hashed, foreign ones included
@@ -502,7 +522,11 @@ class TestCli:
         assert main(argv + ["--out", str(fresh)]) == 0
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 0
-        assert capsys.readouterr().out == f"wrote 24 files to {out}\n"
+        assert capsys.readouterr().out == (
+            f"wrote 24 files to {out}\n"
+            f"manifest.json sha256 {FIXTURE_DIGEST}\n"
+            "  dnn_p0.25: rmse 0.8267, calibration R^2 0.9907\n"
+            "  rf: rmse 0.6385, calibration R^2 0.9984\n")
         assert (out / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
         assert (out / "notes.txt").exists() and (out / "run_old" / "f.txt").exists()
 
@@ -549,6 +573,33 @@ class TestCli:
         written = {name: (out / name).read_bytes() for name in names}
         assert main(["report", "--in", str(out)]) == 0
         assert {name: (out / name).read_bytes() for name in names} == written
+
+    def test_run_prints_na_for_an_undefined_r_squared(self, tmp_path, capsys):
+        # one level gives one calibration point, so R^2 is undefined
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("synthetic.n = 120\nn_runs = 1\nmodels = rf\nforest.n_trees = 5\n"
+                            "cv_folds = 3\ncl_grid = 0.8\n")
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("  rf: rmse ") and last.endswith(", calibration R^2 n/a")
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("rf_report.json", "not json", "rf_report.json: Expecting value: line 1 column 1"),
+        ("rf_report.json", "{}", "rf_report.json: not a report object with a string 'model'"),
+        ("rf_report.json", "[]", "rf_report.json: not a report object with a string 'model'"),
+        ("failures.json", '{"a": 1}', "failures.json: not a list of objects with 'model' and"),
+        ("failures.json", '[{"model": "rf"}]', "failures.json: not a list of objects with"),
+        ("summary.json", "\xff", "summary.json: 'utf-8' codec can't decode"),
+    ])
+    def test_report_names_a_run_file_it_cannot_read(self, tmp_path, capsys, name, text, message):
+        # these once died with a traceback, or with an error that named no file
+        out = tmp_path / "out"
+        run_experiment(tiny_config(n_runs=1), out_dir=str(out))
+        path = out / ("run_000" if name != "summary.json" else "") / name
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["report", "--in", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
 
     def test_report_keeps_the_bytes_of_a_directory_with_failures(self, tmp_path):
         out = tmp_path / "out"
