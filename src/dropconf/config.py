@@ -7,10 +7,10 @@ grid may also be written as ``start:stop:step``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, dataclass, field, fields
 
-from .data import DataError, check_folds, check_fractions, check_split, check_synthetic
+from .data import (DataError, bounded, check_bounds, check_folds, check_fractions, check_split,
+                   check_synthetic)
 from .net import NetConfig
 from .forest import ForestConfig
 
@@ -27,20 +27,20 @@ class ExperimentConfig:
     synthetic_noise: str = "heteroscedastic"
     synthetic_scale: float = 0.3
     seed: int = 0
-    n_runs: int = 20
+    n_runs: int = bounded(20, 1)
     train_fraction: float = 0.70
     val_fraction: float = 0.15
     test_fraction: float = 0.15
     models: tuple = ("dnn", "rf")
-    dropout_p: tuple = (0.1, 0.25, 0.5)
-    n_passes: int = 100
-    cv_folds: int = 10
-    cl_grid: tuple = tuple(round(0.05 * i, 2) for i in range(1, 20))
-    default_cl: float = 0.80
-    cutoffs: tuple = (5.0, 6.0, 7.0, 8.0, 9.0)
-    retry_limit: int = 3
+    dropout_p: tuple = bounded((0.1, 0.25, 0.5), 0, 1)
+    n_passes: int = bounded(100, 1)
+    cv_folds: int = bounded(10, 2)
+    cl_grid: tuple = bounded(tuple(round(0.05 * i, 2) for i in range(1, 20)), 0, 1, "()")
+    default_cl: float = bounded(0.80, 0, 1, "()")
+    cutoffs: tuple = bounded((5.0, 6.0, 7.0, 8.0, 9.0), closed="()")
+    retry_limit: int = bounded(3, 0)
     out_dir: str = "results"
-    workers: int = 1
+    workers: int = bounded(1, 1)
     net: NetConfig = field(default_factory=NetConfig)
     forest: ForestConfig = field(default_factory=ForestConfig)
 
@@ -57,16 +57,7 @@ class ExperimentConfig:
             check_fractions(self.fractions)
         except DataError as exc:
             raise ConfigError(f"train_fraction, val_fraction, test_fraction: {exc}") from None
-        if self.n_runs < 1:
-            raise ConfigError("n_runs: must be >= 1")
-        if self.retry_limit < 0:
-            raise ConfigError("retry_limit: must be >= 0")
-        if self.n_passes < 1:
-            raise ConfigError("n_passes: must be >= 1")
-        if self.cv_folds < 2:
-            raise ConfigError("cv_folds: must be >= 2")
-        if self.workers < 1:
-            raise ConfigError("workers: must be >= 1")
+        check_bounds(self, ConfigError)
         for m in self.models:
             if m not in ("dnn", "rf"):
                 raise ConfigError(f"models: unknown model '{m}'")
@@ -74,17 +65,6 @@ class ExperimentConfig:
             raise ConfigError("models: at least one of dnn, rf required")
         if "dnn" in self.models and not self.dropout_p:
             raise ConfigError("dropout_p: at least one rate required when models include dnn")
-        for p in self.dropout_p:
-            if not 0.0 <= p < 1.0:
-                raise ConfigError(f"dropout_p: {p} not in [0, 1)")
-        for cl in self.cl_grid:
-            if not 0.0 < cl < 1.0:
-                raise ConfigError(f"cl_grid: {cl} not in (0, 1)")
-        if not 0.0 < self.default_cl < 1.0:
-            raise ConfigError(f"default_cl: {self.default_cl} not in (0, 1)")
-        for c in self.cutoffs:
-            if not math.isfinite(c):
-                raise ConfigError(f"cutoffs: {c} is not finite")
         object.__setattr__(self, "cl_grid", tuple(sorted(set(self.cl_grid) | {self.default_cl})))
         object.__setattr__(self, "cutoffs", tuple(sorted(set(self.cutoffs))))
         # a repeated rate would train twice into the same files
@@ -209,7 +189,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         try:
             nested[section] = cls(**over[section])
         except ValueError as exc:
-            raise ConfigError(f"{section}.*: {exc}") from None
+            raise ConfigError(f"{section}.{exc}") from None
     return ExperimentConfig(**nested, **over[""])
 
 

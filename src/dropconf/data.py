@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -154,6 +154,21 @@ def _parse_cell(cell: str, path, rownum: int, colname: str) -> float:
     if not math.isfinite(value):
         raise DataError(f"{path}: row {rownum}, column {colname}: non-finite value '{cell}'")
     return value
+
+
+def bounded(default, lo=-math.inf, hi=math.inf, closed="[)"):
+    """A field that check_bounds keeps from lo to hi, ends open or closed as ``closed``."""
+    return field(default=default, metadata={"bounds": (lo, hi, closed)})
+
+
+def check_bounds(obj, error=ValueError) -> None:
+    """Raise ``error("<field>: <value> not in <interval>")`` for the first
+    value of a bounded field of ``obj`` outside its interval."""
+    for f in filter(lambda f: "bounds" in f.metadata, fields(obj)):
+        (lo, hi, closed), value = f.metadata["bounds"], getattr(obj, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if not (lo < v < hi or v == lo and closed[0] == "[" or v == hi and closed[1] == "]"):
+                raise error(f"{f.name}: {v} not in {closed[0]}{lo}, {hi}{closed[1]}")
 
 
 def check_fractions(fractions) -> None:

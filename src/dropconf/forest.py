@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_folds
+from .data import Dataset, bounded, check_bounds, check_folds
 from .ensemble import EnsemblePrediction, from_passes
 from .seeds import derive_seed, rng_for
 
@@ -27,21 +27,16 @@ _BATCH_ROWS = 8192
 
 @dataclass(frozen=True)
 class ForestConfig:
-    n_trees: int = 100
+    n_trees: int = bounded(100, 1)
     max_features: int | str = "all"
-    min_samples_split: int = 2
-    min_samples_leaf: int = 1
+    min_samples_split: int = bounded(2, 2)
+    min_samples_leaf: int = bounded(1, 1)
     bootstrap: bool = True
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
         if self.max_features != "all" and int(self.max_features) < 1:
-            raise ValueError("max_features must be 'all' or >= 1")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+            raise ValueError("max_features: must be 'all' or >= 1")
+        check_bounds(self)
 
 
 @dataclass

@@ -20,46 +20,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, bounded, check_bounds
 from .seeds import rng_for
 
 
 @dataclass(frozen=True)
 class NetConfig:
-    hidden_sizes: tuple = (1000, 1000, 100, 10)
-    dropout_p: float = 0.25
-    lr0: float = 0.005
-    decay_factor: float = 0.6
-    decay_every: int = 200
-    cycle_length: int = 1000
-    max_epochs: int = 4000
-    patience: int = 300
-    momentum: float = 0.9
-    batch_fraction: float = 0.15
-    rmse_gate: float = 1.2
+    hidden_sizes: tuple = bounded((1000, 1000, 100, 10), 1)
+    dropout_p: float = bounded(0.25, 0, 1)
+    lr0: float = bounded(0.005, 0)  # 0 exercises early stopping and the convergence gate
+    decay_factor: float = bounded(0.6, 0, 1, "()")
+    decay_every: int = bounded(200, 1)
+    cycle_length: int = bounded(1000, 1)
+    max_epochs: int = bounded(4000, 1)
+    patience: int = bounded(300, 1)
+    momentum: float = bounded(0.9, 0, 1)
+    batch_fraction: float = bounded(0.15, 0, 1, "(]")
+    rmse_gate: float = bounded(1.2, 0, math.inf, "(]")
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
-            raise ValueError("hidden_sizes: all layer widths must be >= 1")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must be in [0, 1)")
-        if not 0.0 < self.batch_fraction <= 1.0:
-            raise ValueError("batch_fraction must be in (0, 1]")
-        if not 0.0 <= self.lr0 < math.inf:
-            # lr0 == 0 is allowed: it is the standard way to exercise the
-            # early-stopping and convergence-gate paths.
-            raise ValueError("lr0 must be finite and >= 0")
-        if not self.rmse_gate > 0.0:
-            raise ValueError("rmse_gate must be > 0")
-        if not 0.0 < self.decay_factor < 1.0:
-            raise ValueError("decay_factor must be in (0, 1)")
-        if self.decay_every < 1 or self.cycle_length < 1:
-            raise ValueError("decay_every and cycle_length must be >= 1")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("max_epochs and patience must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+        if not self.hidden_sizes:
+            raise ValueError("hidden_sizes: at least one layer width required")
+        check_bounds(self)
 
 
 @dataclass

@@ -244,6 +244,20 @@ def _read_json(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
+def _aggregate(reports, paths) -> dict:
+    """aggregate_runs of one model's reports; where it fails, a ValueError
+    names the first report file that fails with the first, or on its own."""
+    try:
+        return aggregate_runs(reports)
+    except (LookupError, TypeError, ValueError):
+        for path, report in zip(paths, reports):
+            try:
+                aggregate_runs([reports[0], report])
+            except (LookupError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: cannot aggregate: {type(exc).__name__}: {exc}") from None
+        raise
+
+
 def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
     """Rebuild summary.json, the flat aggregate CSVs and the manifest from
     the report JSONs and failures.json files of the run directories, taken
@@ -254,7 +268,7 @@ def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
     run_dirs = _run_dirs(out_dir)
     if not run_dirs:
         raise FileNotFoundError(f"no run_* directories under {out_dir}")
-    reports_by_model, failures = {}, []
+    reports_by_model, paths, failures = {}, {}, []
     for rd in run_dirs:
         for name in sorted(os.listdir(os.path.join(out_dir, rd))):
             path = os.path.join(out_dir, rd, name)
@@ -263,6 +277,7 @@ def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
                 if not isinstance(report, dict) or not isinstance(report.get("model"), str):
                     raise ValueError(f"{path}: not a report object with a string 'model'")
                 reports_by_model.setdefault(report["model"], []).append(report)
+                paths.setdefault(report["model"], []).append(path)
             elif name == "failures.json":
                 listed = _read_json(path)
                 if not isinstance(listed, list) or not all(
@@ -281,7 +296,7 @@ def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
 
     aggregate = {
         "seed": seed, "n_runs": n_runs,
-        "models": {key: aggregate_runs(rs) for key, rs in sorted(reports_by_model.items())},
+        "models": {key: _aggregate(rs, paths[key]) for key, rs in sorted(reports_by_model.items())},
         "failures": [{"run": r, "model": key, "reason": reason} for r, key, reason in failures],
     }
     write_json(summary_path, aggregate)

@@ -391,6 +391,14 @@ class TestPredict:
 
 
 class TestForest:
+    @pytest.mark.parametrize("name, value", [("n_trees", math.nan), ("n_trees", math.inf),
+                                             ("min_samples_split", math.nan),
+                                             ("min_samples_leaf", math.inf)])
+    def test_nonfinite_count_rejected(self, name, value):
+        # nan < 1 and inf < 1 are both false, so these once passed
+        with pytest.raises(ValueError, match=rf"^{name}: {value} not in \[[12], inf\)$"):
+            ForestConfig(**{name: value})
+
     def test_single_tree_no_bootstrap_equals_tree(self):
         ds = small_dataset(25)
         cfg = ForestConfig(n_trees=1, bootstrap=False)

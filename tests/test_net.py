@@ -290,6 +290,19 @@ class TestConfigInvariants:
         with pytest.raises(ValueError):
             NetConfig(decay_factor=1.0)
 
+    def test_dropout_p_interval(self):
+        # not a config key: run_single sets it to each rate of dropout_p
+        with pytest.raises(ValueError, match=r"^dropout_p: 1\.0 not in \[0, 1\)$"):
+            NetConfig(dropout_p=1.0)
+
+    @pytest.mark.parametrize("name, value", [("max_epochs", math.inf), ("patience", math.nan),
+                                             ("decay_every", math.nan),
+                                             ("cycle_length", math.inf)])
+    def test_nonfinite_count_rejected(self, name, value):
+        # nan < 1 and inf < 1 are both false, so these once passed
+        with pytest.raises(ValueError, match=rf"^{name}: {value} not in \[1, inf\)$"):
+            NetConfig(**{name: value})
+
 
 # The training loop as it was before weight gradients were factored and
 # blocked: per-layer mask draws, dense weight gradients, one Nesterov

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,11 +18,48 @@ from dropconf.cli import main
 from dropconf.config import _KEYS, ConfigError, ExperimentConfig, parse_config, parse_config_text
 from dropconf.conformal import ConformalResult, Intervals, build_calibration
 from dropconf.ensemble import from_passes
+from dropconf.forest import ForestConfig
+from dropconf.net import NetConfig
 from dropconf.runner import _dump_conformal, reaggregate, run_experiment, write_csv
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 # sha256 of the manifest.json the fixture config writes at seed 7
 FIXTURE_DIGEST = "c9c3b28f07c515b1fdbd4a79109f28fd54a0145505fb99754c8b9ed7d4fe31df"
+
+
+# Each bounded key's admissible values, as its rejection message prints the
+# interval; a bound changed in the code is an edit to this table.
+_INTERVALS = {
+    "n_runs": "[1, inf)",
+    "dropout_p": "[0, 1)",
+    "n_passes": "[1, inf)",
+    "cv_folds": "[2, inf)",
+    "cl_grid": "(0, 1)",
+    "default_cl": "(0, 1)",
+    "cutoffs": "(-inf, inf)",
+    "retry_limit": "[0, inf)",
+    "workers": "[1, inf)",
+    "net.hidden_sizes": "[1, inf)",
+    "net.lr0": "[0, inf)",
+    "net.decay_factor": "(0, 1)",
+    "net.decay_every": "[1, inf)",
+    "net.cycle_length": "[1, inf)",
+    "net.max_epochs": "[1, inf)",
+    "net.patience": "[1, inf)",
+    "net.momentum": "[0, 1)",
+    "net.batch_fraction": "(0, 1]",
+    "net.rmse_gate": "(0, inf]",
+    "forest.n_trees": "[1, inf)",
+    "forest.min_samples_split": "[2, inf)",
+    "forest.min_samples_leaf": "[1, inf)",
+}
+
+
+def _field(target):
+    """The dataclass field that config key target (see _KEYS) sets."""
+    section, _, name = target.rpartition(".")
+    owner = {"": ExperimentConfig, "net": NetConfig, "forest": ForestConfig}[section]
+    return next(f for f in dataclasses.fields(owner) if f.name == name)
 
 
 class TestParseConfig:
@@ -115,8 +153,11 @@ class TestParseConfig:
         # forest.min_samples_leaf were once missing even by their bare names
         with open(os.path.join(FIXTURES, os.pardir, "README.md"), encoding="utf-8") as fh:
             section = fh.read().split("## Config format", 1)[1].split("\n## ", 1)[0]
-        table = "\n".join(line for line in section.splitlines() if line.startswith("| `"))
-        assert [key for key in sorted(_KEYS) if f"`{key}`" not in table] == []
+        rows = {line.split("`")[1]: line for line in section.splitlines() if line.startswith("| `")}
+        assert [key for key in sorted(_KEYS) if key not in rows] == []
+        # each bounded key's row states the interval its rejection prints
+        assert [key for key, iv in _INTERVALS.items() if f"`{iv}`" not in rows[key]] == []
+        assert "`<key>: <value> not in <interval>`" in section
 
     def test_fixture_config_parses(self):
         cfg = parse_config(os.path.join(FIXTURES, "synthetic.cfg"))
@@ -162,8 +203,40 @@ class TestParseConfig:
                                           ("rmse_gate", "0")])
     def test_nonfinite_lr0_and_nonpositive_rmse_gate_rejected(self, key, raw):
         # either trained every attempt to max_epochs and recorded it as not converged
-        with pytest.raises(ConfigError, match=rf"net\.\*: {key} must be"):
+        with pytest.raises(ConfigError, match=rf"net\.{key}: \S+ not in "):
             parse_config_text(f"dataset = x.csv\nnet.{key} = {raw}\n")
+
+    def test_bounded_keys_are_the_interval_table(self):
+        bounded_keys = {key for key, (target, _conv) in _KEYS.items()
+                        if "bounds" in _field(target).metadata}
+        assert bounded_keys == set(_INTERVALS)
+
+    @pytest.mark.parametrize("key, interval", sorted(_INTERVALS.items()))
+    def test_bounded_key_admits_exactly_its_interval(self, key, interval):
+        # net.* and forest.* rejections once named no key ("net.*: lr0 must be ...")
+        target, _conv = _KEYS[key]
+        section, _, name = target.rpartition(".")
+        default = getattr(_field_owner(parse_config_text("dataset = x.csv\n"), section), name)
+        integer = isinstance(default[0] if isinstance(default, tuple) else default, int)
+        cases = [] if integer else [(math.nan, False)]  # (value, admitted)
+        for end, closed, out in ((interval[1:].split(", ")[0], interval[0] == "[", -1),
+                                 (interval[:-1].split(", ")[1], interval[-1] == "]", 1)):
+            end = float(end)
+            if integer and math.isfinite(end):
+                cases += [(int(end), closed), (int(end) + out, False), (int(end) - out, True)]
+            elif math.isfinite(end):
+                cases += [(end, closed), (math.nextafter(end, out * math.inf), False),
+                          (math.nextafter(end, -out * math.inf), True)]
+            elif not integer:  # an integer key cannot be written as inf
+                cases.append((end, closed))
+        for value, admitted in cases:
+            text = f"dataset = x.csv\n{key} = {value!r}\n"
+            if admitted:
+                parse_config_text(text)
+                continue
+            with pytest.raises(ConfigError) as info:
+                parse_config_text(text)
+            assert str(info.value) == f"{key}: {value!r} not in {interval}"
 
     def test_zero_lr0_and_infinite_rmse_gate_allowed(self):
         cfg = parse_config_text("dataset = x.csv\nnet.lr0 = 0\nnet.rmse_gate = inf\n")
@@ -212,8 +285,6 @@ def tiny_config(**over):
     )
     base.update(over)
     if "forest" not in base:
-        from dropconf.forest import ForestConfig
-
         base["forest"] = ForestConfig(n_trees=5)
     return ExperimentConfig(**base)
 
@@ -600,6 +671,39 @@ class TestCli:
         assert main(["report", "--in", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"model": "rf"}', "KeyError: 'curve'"),
+        ('{"model": "rf", "curve": 3}', "TypeError: "),
+        ('{"model": "rf", "curve": {}}', "KeyError: 'cl'"),
+    ])
+    def test_report_names_a_report_it_cannot_aggregate(self, tmp_path, capsys, text, message):
+        # these once died with a traceback from evaluate.aggregate_runs
+        out = tmp_path / "out"
+        run_experiment(tiny_config(n_runs=2), out_dir=str(out))
+        path = out / "run_000" / "rf_report.json"
+        path.write_text(text)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(["report", "--in", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot aggregate: {message}")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda report: report["width_stats"].popitem(), "KeyError: '0.8'"),
+        (lambda report: report["curve"]["cl"].pop(), "ValueError: reports have mismatched cl"),
+    ])
+    def test_report_names_the_report_that_disagrees_with_the_first(self, tmp_path, capsys,
+                                                                   edit, message):
+        # each edited report aggregates on its own, but not beside run 0's
+        out = tmp_path / "out"
+        run_experiment(tiny_config(n_runs=2), out_dir=str(out))
+        path = out / "run_001" / "rf_report.json"
+        report = json.loads(path.read_text())
+        edit(report)
+        path.write_text(json.dumps(report))
+        assert main(["report", "--in", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: cannot aggregate: {message}")
 
     def test_report_keeps_the_bytes_of_a_directory_with_failures(self, tmp_path):
         out = tmp_path / "out"
