@@ -51,21 +51,18 @@ def main(argv=None) -> int:
                 print(f"  {model}: rmse {agg['rmse']['mean']:.4f}, calibration R^2 {r2_text}")
             for r, key, reason in artifacts.failures:
                 print(f"warning: run {r} {key}: {reason}", file=sys.stderr)
-            return 0
-        if args.command == "report":
-            reaggregate(None, args.in_dir)
+        elif args.command == "report":
+            reaggregate(args.in_dir)
             print(f"re-aggregated {args.in_dir}")
-            return 0
-        if args.command == "validate-config":
+        else:  # validate-config
             cfg = parse_config(args.config)
             if cfg.dataset is not None:  # run's checks of the table, without its synthetic data
                 load_experiment_dataset(cfg)
             print("config ok")
-            return 0
     except (OSError, ValueError) as exc:  # ConfigError and DataError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 
-from .data import (DataError, bounded, check_bounds, check_folds, check_fractions, check_split,
-                   check_synthetic)
+from .data import DataError, bounded, check_bounds, check_folds, check_fractions, check_split
 from .net import NetConfig
 from .forest import ForestConfig
 
@@ -22,10 +21,10 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str | None = None
-    synthetic_n: int | None = None
-    synthetic_d: int = 8
+    synthetic_n: int | None = bounded(None, 10)
+    synthetic_d: int = bounded(8, 1)
     synthetic_noise: str = "heteroscedastic"
-    synthetic_scale: float = 0.3
+    synthetic_scale: float = bounded(0.3, 0)
     seed: int = 0
     n_runs: int = bounded(20, 1)
     train_fraction: float = 0.70
@@ -47,17 +46,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dataset is None and self.synthetic_n is None:
             raise ConfigError("dataset: either a dataset path or synthetic.n is required")
-        if self.dataset is None:
-            try:
-                check_synthetic(self.synthetic_n, self.synthetic_d, self.synthetic_noise,
-                                self.synthetic_scale)
-            except DataError as exc:
-                raise ConfigError(f"synthetic.*: {exc}") from None
         try:
             check_fractions(self.fractions)
         except DataError as exc:
             raise ConfigError(f"train_fraction, val_fraction, test_fraction: {exc}") from None
         check_bounds(self, ConfigError)
+        if self.synthetic_noise not in ("homoscedastic", "heteroscedastic"):
+            raise ConfigError(f"synthetic.noise: unknown noise model '{self.synthetic_noise}'")
         for m in self.models:
             if m not in ("dnn", "rf"):
                 raise ConfigError(f"models: unknown model '{m}'")

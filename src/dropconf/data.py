@@ -162,13 +162,14 @@ def bounded(default, lo=-math.inf, hi=math.inf, closed="[)"):
 
 
 def check_bounds(obj, error=ValueError) -> None:
-    """Raise ``error("<field>: <value> not in <interval>")`` for the first
-    value of a bounded field of ``obj`` outside its interval."""
+    """Raise ``error("<key>: <value> not in <interval>")`` for the first set
+    (not None) value of a bounded field of ``obj`` outside its interval."""
     for f in filter(lambda f: "bounds" in f.metadata, fields(obj)):
         (lo, hi, closed), value = f.metadata["bounds"], getattr(obj, f.name)
-        for v in value if isinstance(value, tuple) else (value,):
+        for v in value if isinstance(value, tuple) else (value,) if value is not None else ():
             if not (lo < v < hi or v == lo and closed[0] == "[" or v == hi and closed[1] == "]"):
-                raise error(f"{f.name}: {v} not in {closed[0]}{lo}, {hi}{closed[1]}")
+                key = f.name.replace("synthetic_", "synthetic.")
+                raise error(f"{key}: {v} not in {closed[0]}{lo}, {hi}{closed[1]}")
 
 
 def check_fractions(fractions) -> None:

@@ -34,9 +34,9 @@ class RunArtifacts:
     manifest: dict
 
 
-# the files reaggregate writes to the top of an output directory
-AGGREGATE_FILES = ("summary.json", "calibration_curve.csv", "width_stats.csv",
-                   "retrieval_counts.csv")
+# the files written to the top of an output directory, manifest.json aside
+TOP_FILES = ("experiment.json", "summary.json", "calibration_curve.csv", "width_stats.csv",
+             "retrieval_counts.csv")
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
@@ -121,10 +121,10 @@ def _dump_conformal(prefix: str, result: ConformalResult, test_ids, run_dir) -> 
 
 
 def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir: str) -> None:
-    """One split/train/calibrate/evaluate cycle; writes its own run directory,
-    with failures.json listing the models that failed, if any did."""
-    run_dir = os.path.join(out_dir, f"run_{run_index:03d}")
-    os.makedirs(run_dir, exist_ok=True)
+    """One split/train/calibrate/evaluate cycle, written to run_<r>.partial and
+    renamed to run_<r>; failures.json lists the models that failed, if any."""
+    run_dir = os.path.join(out_dir, f"run_{run_index:03d}.partial")
+    os.makedirs(run_dir)
     split = random_split(
         dataset.n_rows, cfg.fractions, derive_seed(cfg.seed, "run", run_index, "split")
     )
@@ -181,26 +181,39 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
 
     if failures:
         write_json(os.path.join(run_dir, "failures.json"), failures)
+    os.rename(run_dir, run_dir.removesuffix(".partial"))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArtifacts:
     """Execute the runs, then rebuild summary + manifest with reaggregate.
 
-    A full run first removes every run_<digits> directory in out_dir, and
-    ``only_run`` R removes run R's and every one at or above n_runs, so no
-    run directory holds a file that an earlier invocation wrote for a run
-    executed now or outside the run count.
+    A full run first removes every run_<digits>[.partial] directory and top
+    file in out_dir; ``only_run`` R refuses run directories that
+    experiment.json does not record under this config's digest, and removes
+    run R's and every one at or above n_runs. Either then writes the record.
     """
     if only_run is not None and not 0 <= only_run < cfg.n_runs:
         raise ValueError(f"only_run: {only_run} not in [0, {cfg.n_runs})")
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     dataset = load_experiment_dataset(cfg)
+    kept = {k: v for k, v in vars(cfg).items() if k not in ("dataset", "out_dir", "workers", "n_runs")}
+    digest = hashlib.sha256(repr((kept, dataset.ids)).encode())
+    for array in (dataset.labels, dataset.features):
+        digest.update(array)  # in place: a Dataset's arrays are C-contiguous
+    path = os.path.join(out_dir, "experiment.json")
+    if only_run is not None and _run_dirs(out_dir) and not (os.path.isfile(path) and isinstance(
+            old := _read_json(path), dict) and old.get("config") == digest.hexdigest()):
+        raise ConfigError(f"{path}: missing or of another config; run without --only-run")
 
     run_indices = [only_run] if only_run is not None else list(range(cfg.n_runs))
-    for name in _run_dirs(out_dir):
-        if only_run in (None, int(name[4:])) or int(name[4:]) >= cfg.n_runs:
+    for name in os.listdir(out_dir):  # the old runs and, on a full run, the old top files
+        run = re.fullmatch(r"run_(\d+)(\.partial)?", name)
+        if run and (only_run in (None, int(run[1])) or int(run[1]) >= cfg.n_runs):
             shutil.rmtree(os.path.join(out_dir, name))
+        elif only_run is None and name in (*TOP_FILES, "manifest.json"):
+            os.remove(os.path.join(out_dir, name))
+    write_json(path, {"config": digest.hexdigest(), "n_runs": cfg.n_runs, "seed": cfg.seed})
     jobs = [(cfg, dataset, r, out_dir) for r in run_indices]
     if cfg.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: a costly import
@@ -209,14 +222,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
     else:
         for job in jobs:
             run_single(*job)
-    return reaggregate(cfg, out_dir)
+    return reaggregate(out_dir)
 
 
 def build_manifest(out_dir) -> dict:
-    """SHA-256 digest of each file this program writes to out_dir: the
-    aggregate files and every file under a run_<digits> directory. Written as
+    """SHA-256 digest of each file this program writes to out_dir: the top
+    files and every file under a run_<digits> directory. Written as
     manifest.json; any other file in out_dir is not listed."""
-    paths = list(AGGREGATE_FILES)
+    paths = list(TOP_FILES)
     for rd in _run_dirs(out_dir):
         for root, _dirs, files in os.walk(os.path.join(out_dir, rd)):
             paths += [os.path.relpath(os.path.join(root, f), out_dir) for f in files]
@@ -258,16 +271,17 @@ def _aggregate(reports, paths) -> dict:
         raise
 
 
-def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
+def reaggregate(out_dir) -> RunArtifacts:
     """Rebuild summary.json, the flat aggregate CSVs and the manifest from
-    the report JSONs and failures.json files of the run directories, taken
-    in index order. Seed and run count come from cfg_or_none when given,
-    else from the summary on disk, read for nothing else; without them it
-    raises before writing, as it does, naming the file, for a run file that
-    is not JSON or not of a report's or failures.json's outer shape."""
+    experiment.json's seed and run count and the run directories' report
+    JSONs and failures.json files, in index order. It raises before writing,
+    naming the file, for one that is not JSON or not of its outer shape."""
+    record_path, summary_path, curve_path, width_path, retrieval_path = (
+        os.path.join(out_dir, name) for name in TOP_FILES)
+    record = _read_json(record_path)
+    if not (isinstance(record, dict) and "seed" in record and isinstance(record.get("n_runs"), int)):
+        raise ValueError(f"{record_path}: not an object with 'seed' and an integer 'n_runs'")
     run_dirs = _run_dirs(out_dir)
-    if not run_dirs:
-        raise FileNotFoundError(f"no run_* directories under {out_dir}")
     reports_by_model, paths, failures = {}, {}, []
     for rd in run_dirs:
         for name in sorted(os.listdir(os.path.join(out_dir, rd))):
@@ -284,18 +298,10 @@ def reaggregate(cfg_or_none, out_dir) -> RunArtifacts:
                         isinstance(f, dict) and {"model", "reason"} <= f.keys() for f in listed):
                     raise ValueError(f"{path}: not a list of objects with 'model' and 'reason'")
                 failures += [(int(rd[4:]), f["model"], f["reason"]) for f in listed]
-    summary_path, curve_path, width_path, retrieval_path = (
-        os.path.join(out_dir, name) for name in AGGREGATE_FILES)
-    if cfg_or_none is not None:
-        seed, n_runs = cfg_or_none.seed, cfg_or_none.n_runs
-    else:
-        old = _read_json(summary_path) if os.path.exists(summary_path) else {}
-        if "seed" not in old or "n_runs" not in old:
-            raise ValueError(f"{summary_path} is missing or lacks seed and n_runs: both unknown")
-        seed, n_runs = old["seed"], old["n_runs"]
 
     aggregate = {
-        "seed": seed, "n_runs": n_runs,
+        "seed": record["seed"], "n_runs": record["n_runs"],
+        "missing_runs": sorted(set(range(record["n_runs"])) - {int(rd[4:]) for rd in run_dirs}),
         "models": {key: _aggregate(rs, paths[key]) for key, rs in sorted(reports_by_model.items())},
         "failures": [{"run": r, "model": key, "reason": reason} for r, key, reason in failures],
     }

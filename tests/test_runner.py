@@ -24,12 +24,15 @@ from dropconf.runner import _dump_conformal, reaggregate, run_experiment, write_
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 # sha256 of the manifest.json the fixture config writes at seed 7
-FIXTURE_DIGEST = "c9c3b28f07c515b1fdbd4a79109f28fd54a0145505fb99754c8b9ed7d4fe31df"
+FIXTURE_DIGEST = "c7ba4837e008e15f0dafab1ad0d87aea3c02e649941d14f5328c2bc4adc67de9"
 
 
 # Each bounded key's admissible values, as its rejection message prints the
 # interval; a bound changed in the code is an edit to this table.
 _INTERVALS = {
+    "synthetic.n": "[10, inf)",
+    "synthetic.d": "[1, inf)",
+    "synthetic.scale": "[0, inf)",
     "n_runs": "[1, inf)",
     "dropout_p": "[0, 1)",
     "n_passes": "[1, inf)",
@@ -214,10 +217,11 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, interval", sorted(_INTERVALS.items()))
     def test_bounded_key_admits_exactly_its_interval(self, key, interval):
         # net.* and forest.* rejections once named no key ("net.*: lr0 must be ...")
-        target, _conv = _KEYS[key]
+        target, conv = _KEYS[key]
         section, _, name = target.rpartition(".")
         default = getattr(_field_owner(parse_config_text("dataset = x.csv\n"), section), name)
-        integer = isinstance(default[0] if isinstance(default, tuple) else default, int)
+        sample = default[0] if isinstance(default, tuple) else default
+        integer = conv is int or isinstance(sample, int)  # synthetic.n's default is None
         cases = [] if integer else [(math.nan, False)]  # (value, admitted)
         for end, closed, out in ((interval[1:].split(", ")[0], interval[0] == "[", -1),
                                  (interval[:-1].split(", ")[1], interval[-1] == "]", 1)):
@@ -252,7 +256,8 @@ def _field_owner(cfg, section):
 
 def _other_value(key, default):
     """A valid value of the field behind ``key`` that is not its default."""
-    special = {"dataset": "other.csv", "synthetic.n": 50, "forest.max_features": 3}
+    special = {"dataset": "other.csv", "synthetic.n": 50, "synthetic.noise": "homoscedastic",
+               "forest.max_features": 3}
     if key in special:
         return special[key]
     if isinstance(default, bool):
@@ -488,7 +493,7 @@ class TestRunExperiment:
         for rmse, name in enumerate(("run_1000", "run_101", "run_099", "run_100")):
             (out / name).mkdir()
             (out / name / "rf_report.json").write_text(json.dumps({**report, "rmse": rmse}))
-        reports = reaggregate(None, str(out)).reports["rf"]
+        reports = reaggregate(str(out)).reports["rf"]
         assert [r["rmse"] for r in reports] == [2, 3, 1, 0]
 
     def test_failure_containment(self, tmp_path):
@@ -509,23 +514,23 @@ class TestRunExperiment:
                                       for r in (0, 1)]
         summary = (out / "summary.json").read_bytes()
         (out / "summary.json").unlink()
-        assert reaggregate(cfg, str(out)).failures == artifacts.failures
+        assert reaggregate(str(out)).failures == artifacts.failures
         assert (out / "summary.json").read_bytes() == summary
         assert json.loads((out / "run_001" / "failures.json").read_text()) == [
             {"model": "dnn_p0.25", "reason": "not converged after 2 attempts"}]
 
-    @pytest.mark.parametrize("summary", [None, "{}\n"])
-    def test_report_without_a_summary_does_not_guess_the_seed(self, tmp_path, summary):
-        # without a config only summary.json records seed and n_runs: no guess
+    @pytest.mark.parametrize("record", [None, "", "{}\n", '{"n_runs": "2", "seed": 5}'])
+    def test_report_without_a_record_does_not_guess_the_seed(self, tmp_path, record):
+        # only experiment.json records seed and n_runs: no guess, nothing written
         out = tmp_path / "out"
         run_experiment(tiny_config(seed=5), out_dir=str(out))
-        if summary is None:
-            (out / "summary.json").unlink()
+        if record is None:
+            (out / "experiment.json").unlink()
         else:
-            (out / "summary.json").write_text(summary)
+            (out / "experiment.json").write_text(record)
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
-        with pytest.raises(ValueError, match="summary.json is missing or lacks seed and n_runs"):
-            reaggregate(None, str(out))
+        with pytest.raises((OSError, ValueError), match="experiment.json"):
+            reaggregate(str(out))
         assert main(["report", "--in", str(out)]) == 2
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
@@ -552,7 +557,7 @@ class TestRunExperiment:
         artifacts = run_experiment(cfg, out_dir=str(tmp_path / "out"))
         with open(tmp_path / "out" / "summary.json") as fh:
             before = json.load(fh)
-        agg = reaggregate(cfg, str(tmp_path / "out"))
+        agg = reaggregate(str(tmp_path / "out"))
         with open(tmp_path / "out" / "summary.json") as fh:
             after = json.load(fh)
         assert before == after
@@ -594,7 +599,7 @@ class TestCli:
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 0
         assert capsys.readouterr().out == (
-            f"wrote 24 files to {out}\n"
+            f"wrote 25 files to {out}\n"
             f"manifest.json sha256 {FIXTURE_DIGEST}\n"
             "  dnn_p0.25: rmse 0.8267, calibration R^2 0.9907\n"
             "  rf: rmse 0.6385, calibration R^2 0.9984\n")
@@ -618,8 +623,8 @@ class TestCli:
 
         def dump_and_oracle(prefix, result, test_ids, run_dir):
             dump(prefix, result, test_ids, run_dir)
-            _interval_table(oracle_dir / f"{os.path.basename(run_dir)}_{prefix}.csv",
-                            result, test_ids)
+            run = os.path.basename(run_dir).removesuffix(".partial")
+            _interval_table(oracle_dir / f"{run}_{prefix}.csv", result, test_ids)
 
         monkeypatch.setattr(runner, "_dump_conformal", dump_and_oracle)
         out = tmp_path / "out"
@@ -660,13 +665,13 @@ class TestCli:
         ("rf_report.json", "[]", "rf_report.json: not a report object with a string 'model'"),
         ("failures.json", '{"a": 1}', "failures.json: not a list of objects with 'model' and"),
         ("failures.json", '[{"model": "rf"}]', "failures.json: not a list of objects with"),
-        ("summary.json", "\xff", "summary.json: 'utf-8' codec can't decode"),
+        ("experiment.json", "\xff", "experiment.json: 'utf-8' codec can't decode"),
     ])
     def test_report_names_a_run_file_it_cannot_read(self, tmp_path, capsys, name, text, message):
         # these once died with a traceback, or with an error that named no file
         out = tmp_path / "out"
         run_experiment(tiny_config(n_runs=1), out_dir=str(out))
-        path = out / ("run_000" if name != "summary.json" else "") / name
+        path = out / ("run_000" if name != "experiment.json" else "") / name
         path.write_bytes(text.encode("latin-1"))
         assert main(["report", "--in", str(out)]) == 2
         err = capsys.readouterr().err
@@ -748,11 +753,12 @@ class TestCli:
         assert json.loads((out / "summary.json").read_text())["models"]["rf"]["n_runs"] == 1
 
     @pytest.mark.parametrize("lines, key", [
-        ("synthetic.n = 5\nsynthetic.noise = bogus\n", "synthetic.*"),
+        ("synthetic.n = 5\nsynthetic.noise = bogus\n", "synthetic.n: 5 not in [10, inf)"),
         ("synthetic.n = 100\ntrain_fraction = 0.8\nval_fraction = 0.2\n"
          "test_fraction = 0.2\n", "train_fraction"),
         ("synthetic.n = 100\ntrain_fraction = nan\n", "train_fraction"),
-        ("synthetic.n = 100\nsynthetic.scale = inf\n", "synthetic.*"),
+        ("synthetic.n = 100\nsynthetic.scale = inf\n", "synthetic.scale: inf not in [0, inf)"),
+        ("synthetic.n = 100\nsynthetic.noise = bogus\n", "synthetic.noise: unknown noise model 'bogus'"),
         ("synthetic.n = 10\ntrain_fraction = 0.98\nval_fraction = 0.01\n"
          "test_fraction = 0.01\n", "synthetic.n"),
         ("synthetic.n = 20\ncv_folds = 30\n", "cv_folds"),
@@ -839,6 +845,100 @@ class TestCli:
         assert len(json.loads(full["summary.json"])["failures"]) == 2
         assert main(["run", "--config", str(cfg_file), "--out", str(out), "--only-run", "1"]) == 0
         assert {name: (out / name).read_bytes() for name in full} == full
+
+    def test_an_interrupted_invocation_leaves_none_of_the_one_before(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        # seed 8's run_000 once sat next to seed 7's summary, and report wrote
+        # "seed": 7 with an rf aggregate over 1 run and no failure
+        from dropconf import runner
+
+        cfg_file, out = tmp_path / "rf.cfg", tmp_path / "out"
+        with open(os.path.join(FIXTURES, "synthetic.cfg"), encoding="utf-8") as fh:
+            cfg_file.write_text(fh.read() + "models = rf\n")
+        argv = ["run", "--config", str(cfg_file), "--out", str(out)]
+        assert main(argv) == 0
+        run_single = runner.run_single
+
+        def stop_in_run_1(cfg, dataset, run_index, out_dir):
+            if run_index == 1:
+                raise RuntimeError("stopped")
+            run_single(cfg, dataset, run_index, out_dir)
+
+        monkeypatch.setattr(runner, "run_single", stop_in_run_1)
+        with pytest.raises(RuntimeError, match="stopped"):
+            main(argv + ["--seed", "8"])
+        assert sorted(os.listdir(out)) == ["experiment.json", "run_000"]
+        assert json.loads((out / "experiment.json").read_text())["seed"] == 8
+        assert main(["report", "--in", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["seed"], summary["n_runs"], summary["missing_runs"]) == (8, 2, [1])
+        assert summary["models"]["rf"]["n_runs"] == 1 and summary["failures"] == []
+
+    def test_a_run_stopped_between_its_models_is_missing(self, tmp_path, monkeypatch):
+        # run_001 once kept the network's report alone, and report counted it
+        from dropconf import runner
+
+        rf_ccp, calls = runner.rf_ccp, []
+
+        def stop_in_run_1(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("stopped")
+            return rf_ccp(*args)
+
+        monkeypatch.setattr(runner, "rf_ccp", stop_in_run_1)
+        out = tmp_path / "out"
+        cfg = tiny_config(models=("dnn", "rf"), dropout_p=(0.25,),
+                          net=NetConfig(hidden_sizes=(6,), max_epochs=15, patience=15,
+                                        rmse_gate=100.0))
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_experiment(cfg, out_dir=str(out))
+        assert (out / "run_001.partial" / "dnn_p0.25_report.json").exists()
+        assert not (out / "run_001").exists()
+        assert main(["report", "--in", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["missing_runs"] == [1]
+        assert {key: agg["n_runs"] for key, agg in summary["models"].items()} == {
+            "dnn_p0.25": 1, "rf": 1}
+        assert "run_001.partial" not in (out / "manifest.json").read_text()
+
+    @pytest.mark.parametrize("change", ["seed", "net.lr0", "table", "no record"])
+    def test_only_run_refuses_runs_of_another_config(self, tmp_path, monkeypatch, capsys, change):
+        # --only-run once wrote a run of one config next to runs of another
+        monkeypatch.chdir(tmp_path)
+        rows = [f"r{i},{i * 0.25},{i % 7}.0,{i % 3}.0" for i in range(60)]
+        (tmp_path / "t.csv").write_text("\n".join(["id,y,f0,f1"] + rows) + "\n")
+        text = ("dataset = t.csv\nseed = 3\nn_runs = 2\nmodels = rf\nforest.n_trees = 5\n"
+                "cv_folds = 3\ncl_grid = 0.5,0.8\n")
+        (tmp_path / "t.cfg").write_text(text)
+        argv = ["run", "--config", "t.cfg", "--out", "out"]
+        assert main(argv) == 0
+        if change == "net.lr0":
+            (tmp_path / "t.cfg").write_text(text + "net.lr0 = 0.01\n")
+        elif change == "table":
+            (tmp_path / "t.csv").write_text("\n".join(["id,y,f0,f1"] + rows[:-1]
+                                                      + ["r59,0.5,3.0,2.0"]) + "\n")
+        elif change == "no record":  # as a directory written before the record existed
+            (tmp_path / "out" / "experiment.json").unlink()
+        before = {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(argv + ["--only-run", "1"] + (["--seed", "4"] if change == "seed" else [])) == 2
+        assert capsys.readouterr().err.startswith(f"error: {os.path.join('out', 'experiment.json')}: ")
+        assert {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()} == before
+
+    def test_the_same_table_at_another_path_keeps_the_record(self, tmp_path, monkeypatch):
+        # the record hashes the table's content, not its path
+        monkeypatch.chdir(tmp_path)
+        rows = [f"r{i},{i * 0.25},{i % 7}.0" for i in range(60)]
+        for where in ("a", "b"):
+            os.mkdir(where)
+            (tmp_path / where / "t.csv").write_text("\n".join(["id,y,f0"] + rows) + "\n")
+            (tmp_path / f"{where}.cfg").write_text(
+                f"dataset = {where}/t.csv\nn_runs = 2\nmodels = rf\nforest.n_trees = 5\n"
+                "cv_folds = 3\ncl_grid = 0.5,0.8\n")
+            assert main(["run", "--config", f"{where}.cfg", "--out", f"out_{where}"]) == 0
+        for name in ("experiment.json", "manifest.json"):
+            assert (tmp_path / "out_a" / name).read_bytes() == (tmp_path / "out_b" / name).read_bytes()
 
     @pytest.mark.parametrize("only_run", ["7", "-1"])
     def test_only_run_outside_the_runs_rejected(self, tmp_path, capsys, only_run):
