@@ -170,8 +170,8 @@ def rf_ccp(
 
     Calibration scores come from k-fold out-of-fold residuals and per-tree
     spread; test predictions come from a single forest fit on all the
-    training data.
+    training data, dropped before the fold forests grow.
     """
+    test_pred = forest_predict(fit_forest(train, config, derive_seed(seed, "final")), test.features)
     oof = oof_calibration(train, config, k, derive_seed(seed, "oof"))
-    final = fit_forest(train, config, derive_seed(seed, "final"))
-    return _conformal(train, oof, forest_predict(final, test.features), cl_list)
+    return _conformal(train, oof, test_pred, cl_list)

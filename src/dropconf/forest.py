@@ -12,7 +12,7 @@ forest is one set of node arrays, numbered level by level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .ensemble import EnsemblePrediction, from_passes
 from .seeds import derive_seed, rng_for
 
 _EPS = np.finfo(np.float64).eps
-# rows per _grow call from fit_forest: ~0.7 KB of peak memory a row, no faster when wider
+# rows per _grow call, which the k fold forests share: ~0.5 KB peak memory a row, no faster when wider
 _BATCH_ROWS = 8192
 
 
@@ -80,13 +80,14 @@ def _exact_sse(values) -> float:
     return math.fsum((v - mean) ** 2 for v in values)
 
 
-def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
+def _best_splits(Xt, cols, y, P, st, m, allowed, min_leaf: int):
     """Greedy best (feature, threshold) minimizing summed child SSE for every
     node of one depth; feature -1 marks a node no split strictly improves.
 
     Node i owns columns st[i]:st[i] + m[i] of ``P``: its row ids sorted by
     each feature in rows 0..d-1, ties in row-id order, and ascending in row
-    d. ``allowed`` is None or a (d, nodes) mask of the features each node may
+    d. Row r's features are column cols[r] of ``Xt`` and its label is y[r].
+    ``allowed`` is None or a (d, nodes) mask of the features each node may
     use. Thresholds are midpoints between consecutive distinct sorted values,
     or the lower value where the midpoint is not strictly between them. Ties
     break to the lowest feature index, then the lowest threshold.
@@ -105,7 +106,8 @@ def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
     ys = y[P[:d]]
     cum, cum2 = np.zeros((d, M + 1)), np.zeros((d, M + 1))
     np.cumsum(ys, axis=1, out=cum[:, 1:])
-    np.cumsum(ys * ys, axis=1, out=cum2[:, 1:])
+    np.cumsum(np.square(ys, out=ys), axis=1, out=cum2[:, 1:])
+    del ys  # the scoring block's peak holds three (d, M) arrays, not four
     reach = cum2[:, ends].max(axis=0)
     cum[:, 1:] -= np.repeat(cum[:, st], m, axis=1)
     cum2[:, 1:] -= np.repeat(cum2[:, st], m, axis=1)
@@ -116,8 +118,8 @@ def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
     # rounding error into a block's SSE
     for s in np.flatnonzero(~(3 * m * _EPS * (reach + np.sqrt(M * reach * tot2)) < tol / 4)):
         a, b = st[s], ends[s]
-        np.cumsum(ys[:, a:b], axis=1, out=cum[:, a:b])
-        np.cumsum(ys[:, a:b] * ys[:, a:b], axis=1, out=cum2[:, a:b])
+        np.cumsum(y[P[:d, a:b]], axis=1, out=cum[:, a:b])
+        np.cumsum(np.square(y[P[:d, a:b]]), axis=1, out=cum2[:, a:b])
         ysub = y[P[d, a:b]]
         tot[s], tot2[s] = ysub.sum(), (ysub * ysub).sum()
         tol[s] = 1e-9 * (tot2[s] + tot[s] * tot[s] / m[s]) + 1e-300
@@ -130,7 +132,9 @@ def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
     cum2 -= np.divide(cum, np.maximum(nr, 1), out=cum)
     sse += cum2
     del cum, cum2
-    xs = Xt.ravel()[P[:d] + Xt.shape[1] * np.arange(d)[:, None]]
+    xs = cols[P[:d]]  # each entry's index into Xt.ravel(), then its value
+    xs += Xt.shape[1] * np.arange(d)[:, None]
+    xs = Xt.ravel()[xs]
     invalid = np.ones((d, M), dtype=bool)
     np.less_equal(xs[:, 1:], xs[:, :-1], out=invalid[:, :-1])
     invalid |= (nl < min_leaf) | (nr < min_leaf)
@@ -163,10 +167,10 @@ def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
         a, b = st[s], ends[s]
         best_exact, winner = math.inf, -1
         for j in np.flatnonzero(cs == s):
-            score = _exact_sse(ys[cf[j], a : cp[j] + 1]) + _exact_sse(ys[cf[j], cp[j] + 1 : b])
+            score = _exact_sse(y[P[cf[j], a : cp[j] + 1]]) + _exact_sse(y[P[cf[j], cp[j] + 1 : b]])
             if score < best_exact:
                 best_exact, winner = score, j
-        f[s], p[s] = (cf[winner], cp[winner]) if best_exact < _exact_sse(ys[0, a:b]) else (-1, 0)
+        f[s], p[s] = (cf[winner], cp[winner]) if best_exact < _exact_sse(y[P[0, a:b]]) else (-1, 0)
     split = f >= 0
     lo, hi = xs[f[split], p[split]], xs[f[split], p[split] + 1]
     mid, thr = (lo + hi) / 2.0, np.zeros(k)
@@ -176,35 +180,34 @@ def _best_splits(Xt, y, P, st, m, allowed, min_leaf: int):
     return f, thr
 
 
-def _grow(samples, config: ForestConfig, rngs, offset: int = 0) -> list:
-    """One CART tree per (X, y) sample, all grown together breadth-first:
-    each pass handles every node of one depth of every tree. Leaves predict
-    the mean of their rows.
+def _grow(Xt, labels, trees, config: ForestConfig, offset: int = 0) -> list:
+    """One CART tree per (rows, rng) entry of ``trees``, all grown together
+    breadth-first: each pass handles every node of one depth of every tree.
+    A tree's rows index the columns of the (d, N) features ``Xt`` and
+    ``labels``, repeats allowed. Leaves predict the mean of their rows.
 
-    The samples' rows are stacked and each sample's columns argsorted once.
-    A (d + 1, rows) array holds one column block per node that may split,
-    tree by tree: its row ids sorted by each feature, plus a row in ascending
-    order. A split moves its block's columns to its two children by a stable
-    counting partition, so every node sees its rows sorted as a stable
-    per-node argsort of its ascending rows would. Infinite features split
-    like any others. Returns the Forest arrays, feature to roots, with ids
-    from ``offset`` on in level order: for b trees the roots are 0..b-1 and
-    the children of the k-th split are b + 2k and b + 2k + 1, plus offset.
+    Each tree's rows are argsorted once. A (d + 1, rows) array holds one
+    column block per node that may split, tree by tree: its row ids sorted
+    by each feature, plus a row in ascending order. A split moves its
+    block's columns to its two children by a stable counting partition, so
+    every node sees its rows sorted as a stable per-node argsort of its
+    ascending rows would. Infinite features split like any others. Returns
+    the Forest arrays, feature to roots, with ids from ``offset`` on in
+    level order: for b trees the roots are 0..b-1 and the children of the
+    k-th split are b + 2k and b + 2k + 1, plus offset.
 
     With ``max_features`` below d, a node draws its features from
-    ``default_rng([base, heap])``: ``base`` is drawn from the tree's entry of
-    ``rngs`` once, ``heap`` is 1 at the root and 2h, 2h + 1 at the children
+    ``default_rng([base, heap])``: ``base`` is drawn from the tree's rng
+    once, ``heap`` is 1 at the root and 2h, 2h + 1 at the children
     of node h.
     """
-    Xt = np.concatenate([X.T for X, _ in samples], axis=1)
-    y = np.concatenate([s for _, s in samples])
-    (d, n), sizes = Xt.shape, np.array([len(s) for _, s in samples])
+    cols, sizes = np.concatenate([c for c, _ in trees]), np.array([len(c) for c, _ in trees])
+    d, n, y = Xt.shape[0], len(cols), labels[cols]
     n_feat = d if config.max_features == "all" else min(int(config.max_features), d)
-    bases = [int(rng.integers(2**63)) for rng in rngs] if n_feat < d else None
-    P = np.vstack([np.hstack([np.argsort(Xt[:, a : a + k], axis=1, kind="stable") + a
+    keys = [(int(rng.integers(2**63)), 1) for _, rng in trees] if n_feat < d else None  # per node
+    P = np.vstack([np.hstack([np.argsort(Xt[:, cols[a : a + k]], axis=1, kind="stable") + a
                               for a, k in zip(np.cumsum(sizes) - sizes, sizes)]), np.arange(n)])
-    tree, heaps, levels = np.arange(len(sizes)), [1] * len(sizes), []
-    nodes = offset + len(sizes)  # the next level's first id
+    nodes, levels = offset + len(sizes), []  # the next level's first id, and the levels so far
     while True:
         starts, yv = np.cumsum(sizes) - sizes, y[P[d]]
         grow = (sizes >= config.min_samples_split) & (
@@ -214,14 +217,13 @@ def _grow(samples, config: ForestConfig, rngs, offset: int = 0) -> list:
         P, m = np.compress(np.repeat(grow, sizes), P, axis=1), sizes[grow]
         if grow.any():
             allowed = None
-            if bases is not None:
+            if keys is not None:
                 allowed = np.zeros((d, len(m)), dtype=bool)
                 for j, node in enumerate(np.flatnonzero(grow)):
-                    feats = np.random.default_rng([bases[tree[node]], heaps[node]]).choice(
-                        d, size=n_feat, replace=False)
+                    feats = np.random.default_rng(keys[node]).choice(d, size=n_feat, replace=False)
                     allowed[feats, j] = True
             feature[grow], threshold[grow] = _best_splits(
-                Xt, y, P, np.cumsum(m) - m, m, allowed, config.min_samples_leaf)
+                Xt, cols, y, P, np.cumsum(m) - m, m, allowed, config.min_samples_leaf)
         split = feature >= 0
         # + 0.0 makes a sum of one or two rows the bits of yv[a:b].sum()
         value[~split] = (np.add.reduceat(yv, starts) + 0.0)[~split] / sizes[~split]
@@ -231,27 +233,28 @@ def _grow(samples, config: ForestConfig, rngs, offset: int = 0) -> list:
         nodes += 2 * np.count_nonzero(split)
         levels.append((feature, threshold, left, left + split, value))  # right: left + 1, -1 at a leaf
         if not split.any():
-            return [np.concatenate(a) for a in zip(*levels)] + [np.arange(offset, offset + len(samples))]
+            return [np.concatenate(a) for a in zip(*levels)] + [np.arange(offset, offset + len(trees))]
         # stable partition of each splitting block, left child first
         P, m = np.compress(np.repeat(split[grow], m), P, axis=1), sizes[split]
-        st = np.cumsum(m) - m
+        st = (np.cumsum(m) - m).astype(np.int32)  # int32 below: every position is under the row count
         seg = np.repeat(np.arange(len(m)), m)
         go_left = np.zeros(n, dtype=bool)
-        go_left[P[d]] = Xt[feature[split][seg], P[d]] <= threshold[split][seg]
+        go_left[P[d]] = Xt[feature[split][seg], cols[P[d]]] <= threshold[split][seg]
         flags = go_left[P]
-        n_left = np.add.reduceat(flags[d], st, dtype=np.intp)
+        n_left = np.add.reduceat(flags[d], st, dtype=np.int32)
         # per entry, how many earlier columns of its block are set
         before = np.zeros((d + 1, P.shape[1] + 1), dtype=np.int32)
         np.cumsum(flags, axis=1, dtype=np.int32, out=before[:, 1:])
         before = before[:, :-1] - np.repeat(before[:, st], m, axis=1)
-        to = np.where(flags, st[seg] + before, n_left[seg] + np.arange(P.shape[1]) - before)
+        to = np.where(flags, st[seg] + before,
+                      n_left[seg] + np.arange(P.shape[1], dtype=np.int32) - before)
+        del before
         moved = np.empty_like(P)
         moved.ravel()[to + P.shape[1] * np.arange(d + 1)[:, None]] = P
-        del flags, before, to  # dead before the next depth's scoring
+        del flags, to  # dead before the next depth's scoring
         P, sizes = moved, np.column_stack([n_left, m - n_left]).ravel()
-        tree = np.repeat(tree[split], 2)
-        if bases is not None:
-            heaps = [c for h, s in zip(heaps, split) if s for c in (2 * h, 2 * h + 1)]
+        if keys is not None:
+            keys = [(b, c) for (b, h), s in zip(keys, split) if s for c in (2 * h, 2 * h + 1)]
 
 
 def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.Generator) -> Forest:
@@ -265,19 +268,30 @@ def fit_cart(X: np.ndarray, y: np.ndarray, config: ForestConfig, rng: np.random.
         raise ValueError(f"fit_cart got {X.shape[0]} feature rows for {len(y)} labels")
     if np.isnan(X).any():
         raise ValueError("fit_cart features must not be NaN")
-    return Forest(*_grow([(X, y)], config, [rng]), n_features=X.shape[1])
+    return Forest(*_grow(X.T.copy(), y, [(np.arange(len(y)), rng)], config), n_features=X.shape[1])
+
+
+def _fit_jobs(data: Dataset, jobs, config: ForestConfig) -> Forest:
+    """n_trees trees per (row ids, seed) job over ``data`` as one Forest, roots
+    in job order; tree t draws its bootstrap, then its max_features base, from
+    rng_for(seed, "tree", t). The trees share the fewest _grow batches of at
+    most _BATCH_ROWS rows (or one tree), split evenly across job boundaries."""
+    trees = [(ids, rng_for(seed, "tree", t)) for ids, seed in jobs for t in range(config.n_trees)]
+    n_batches = -(-len(trees) // max(1, _BATCH_ROWS // max(len(ids) for ids, _ in jobs)))
+    Xt, grown = np.ascontiguousarray(data.features.T), []
+    for b in range(n_batches):
+        batch = trees[b * len(trees) // n_batches : (b + 1) * len(trees) // n_batches]
+        sample = [(ids[rng.integers(0, len(ids), size=len(ids))] if config.bootstrap else ids, rng)
+                  for ids, rng in batch]
+        grown.append(_grow(Xt, data.labels, sample, config, sum(len(g[0]) for g in grown)))
+    return Forest(*map(np.concatenate, zip(*grown)), n_features=Xt.shape[0])
 
 
 def fit_forest(train: Dataset, config: ForestConfig, seed: int) -> Forest:
-    """Fit n_trees CART trees, each on its own bootstrap resample and stream,
-    grown together in batches of at most _BATCH_ROWS rows (or one tree)."""
-    X, y, n = train.features, train.labels, train.n_rows
-    per_batch, batches = max(1, _BATCH_ROWS // n), []
-    for first in range(0, config.n_trees, per_batch):
-        rngs = [rng_for(seed, "tree", t) for t in range(first, min(first + per_batch, config.n_trees))]
-        rows = [rng.integers(0, n, size=n) if config.bootstrap else slice(None) for rng in rngs]
-        batches.append(_grow([(X[r], y[r]) for r in rows], config, rngs, sum(len(b[0]) for b in batches)))
-    return Forest(*map(np.concatenate, zip(*batches)), n_features=X.shape[1])
+    """Fit n_trees CART trees, each on its own bootstrap resample and stream:
+    the one job of a ``_fit_jobs`` call (oof_calibration's k fold forests
+    are the k jobs of one call, sharing its batches)."""
+    return _fit_jobs(train, [(np.arange(train.n_rows), seed)], config)
 
 
 def forest_predict(forest: Forest, features) -> EnsemblePrediction:
@@ -291,14 +305,15 @@ def forest_predict(forest: Forest, features) -> EnsemblePrediction:
 def oof_calibration(train: Dataset, config: ForestConfig, k: int, seed: int) -> EnsemblePrediction:
     """k-fold out-of-fold predictions in row order: each instance's row of
     the pass matrix holds the trees of the one forest fit on the other k-1
-    folds."""
-    n = train.n_rows
+    folds. The k fold forests share _fit_jobs batches, and fold i's forest is
+    the slice of its roots from i * n_trees on."""
+    n, trees = train.n_rows, config.n_trees
     check_folds(n, k)
-    perm = rng_for(seed, "folds").permutation(n)
-    folds = np.array_split(perm, k)
-    passes = np.empty((n, config.n_trees))
+    folds = np.array_split(rng_for(seed, "folds").permutation(n), k)
+    jobs = [(np.concatenate(folds[:i] + folds[i + 1 :]), derive_seed(seed, "fold", i)) for i in range(k)]
+    forest = _fit_jobs(train, jobs, config)
+    passes = np.empty((n, trees))
     for i, held_out in enumerate(folds):
-        rest = np.concatenate([folds[j] for j in range(k) if j != i])
-        model = fit_forest(train.subset(rest), config, derive_seed(seed, "fold", i))
-        passes[held_out] = forest_predict(model, train.features[held_out]).passes
+        fold_forest = replace(forest, roots=forest.roots[i * trees : (i + 1) * trees])
+        passes[held_out] = forest_predict(fold_forest, train.features[held_out]).passes
     return from_passes(passes)

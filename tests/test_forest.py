@@ -304,8 +304,8 @@ class TestBatchedForest:
         ForestConfig(n_trees=40, bootstrap=False),
     ], ids=["default", "max_features_2", "min_samples_leaf_3", "no_bootstrap"])
     def test_trees_across_batches_match_reference(self, monkeypatch, config):
-        # 1,000 rows a batch: 40 trees of 90 rows grow 11, 11, 11 and 7 at a
-        # time, so the last batch is cut mid-forest
+        # 1,000 rows a batch: 40 trees of 90 rows grow 10 at a time, in the
+        # fewest batches of at most 11 trees
         monkeypatch.setattr(forest_module, "_BATCH_ROWS", 1000)
         ds = make_synthetic(90, 4, "heteroscedastic", 0.5, seed=11)
         assert_forest_matches_reference(ds, config, seed=12)
@@ -504,6 +504,19 @@ class TestNanFeatures:
         assert "NaN" in run_child(FIT_NAN_ROWS)
 
 
+def assert_oof_matches_fold_forests(oof, ds, config, k, seed):
+    """Every instance's row of the pass matrix is, bit for bit, the one of the
+    forest fit alone on the other folds."""
+    folds = np.array_split(rng_for(seed, "folds").permutation(ds.n_rows), k)
+    for i, held_out in enumerate(folds):
+        rest = np.concatenate([folds[j] for j in range(k) if j != i])
+        forest = fit_forest(ds.subset(rest), config, derive_seed(seed, "fold", i))
+        pred = forest_predict(forest, ds.features[held_out])
+        assert np.array_equal(oof.passes[held_out], pred.passes)
+        assert np.array_equal(oof.means[held_out], pred.means)
+        assert np.array_equal(oof.stds[held_out], pred.stds)
+
+
 class TestOofCalibration:
     def test_minimal_two_fold(self):
         ds = small_dataset(10)
@@ -515,18 +528,47 @@ class TestOofCalibration:
         ds = small_dataset(23)
         config, k, seed = ForestConfig(n_trees=2), 5, 10
         oof = oof_calibration(ds, config, k=k, seed=seed)
-        # brute force: every instance is predicted by the forest fit without
-        # its own fold, and fold sizes are near-equal
+        # fold sizes are near-equal
         folds = np.array_split(rng_for(seed, "folds").permutation(23), k)
         counts = np.array([len(f) for f in folds])
         assert counts.sum() == 23 and len(np.unique(np.concatenate(folds))) == 23
         assert counts.max() - counts.min() <= 1
-        for i, held_out in enumerate(folds):
-            rest = np.concatenate([folds[j] for j in range(k) if j != i])
-            forest = fit_forest(ds.subset(rest), config, derive_seed(seed, "fold", i))
-            pred = forest_predict(forest, ds.features[held_out])
-            assert np.array_equal(oof.means[held_out], pred.means)
-            assert np.array_equal(oof.stds[held_out], pred.stds)
+        assert_oof_matches_fold_forests(oof, ds, config, k, seed)
+
+    @pytest.mark.parametrize("cap", [100, 250, 8192])
+    @pytest.mark.parametrize("config", [
+        ForestConfig(n_trees=3),
+        ForestConfig(n_trees=3, max_features=2),
+        ForestConfig(n_trees=3, bootstrap=False, min_samples_leaf=2),
+    ], ids=["default", "max_features_2", "no_bootstrap_leaf_2"])
+    def test_shared_batches_match_fold_forests(self, monkeypatch, config, cap):
+        # 23 rows in 5 folds of 5, 5, 5, 4 and 4: the fold forests grow on 18
+        # or 19 rows. Caps of 100 and 250 rows grow the 15 trees 5, 5 and 5
+        # or 7 and 8 at a time, so a batch ends inside a fold forest; 8,192
+        # rows grow them all at once. Some batch mixes the two tree sizes.
+        monkeypatch.setattr(forest_module, "_BATCH_ROWS", cap)
+        batches, grow = [], forest_module._grow
+        monkeypatch.setattr(forest_module, "_grow", lambda Xt, labels, trees, *a: (
+            batches.append([len(rows) for rows, _ in trees]) or grow(Xt, labels, trees, *a)))
+        ds = small_dataset(23)
+        oof = oof_calibration(ds, config, k=5, seed=10)
+        assert len(batches) == {100: 3, 250: 2, 8192: 1}[cap]
+        assert all(sum(b) <= cap for b in batches) and any({18, 19} <= set(b) for b in batches)
+        assert_oof_matches_fold_forests(oof, ds, config, 5, 10)
+
+    def test_peak_memory_at_benchmark_scale(self):
+        # the rf_cv workload's calibration: 440 rows, d=8, 6 trees, 5 folds,
+        # so 30 trees of 352 rows in two batches of 5,280 rows. The bound was
+        # fixed before this test first ran.
+        ds = make_synthetic(440, 8, "heteroscedastic", 0.5, seed=1)
+        oof_calibration(ds, ForestConfig(n_trees=6), k=5, seed=2)
+        tracemalloc.start()
+        try:
+            oof_calibration(ds, ForestConfig(n_trees=6), k=5, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.8e6
 
     def test_exclusivity(self):
         # an instance's own fold never contributes to the forest predicting it:
