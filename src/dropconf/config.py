@@ -18,6 +18,11 @@ class ConfigError(ValueError):
     """Raised for unknown keys or invalid values; message names the key."""
 
 
+def dnn_key(p: float) -> str:
+    """The model name of the network at dropout rate p, its files' prefix."""
+    return f"dnn_p{p:g}"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str | None = None
@@ -62,8 +67,11 @@ class ExperimentConfig:
             raise ConfigError("dropout_p: at least one rate required when models include dnn")
         object.__setattr__(self, "cl_grid", tuple(sorted(set(self.cl_grid) | {self.default_cl})))
         object.__setattr__(self, "cutoffs", tuple(sorted(set(self.cutoffs))))
-        # a repeated rate would train twice into the same files
+        # rates repeated or of one name would train into the same files; sorted, they are neighbours
         object.__setattr__(self, "dropout_p", tuple(sorted(set(self.dropout_p))))
+        for a, b in zip(self.dropout_p, self.dropout_p[1:]):
+            if dnn_key(a) == dnn_key(b):
+                raise ConfigError(f"dropout_p: rates {a!r} and {b!r} both name model {dnn_key(a)}")
         if self.dataset is None:
             # the row count is known up front
             self.check_rows(self.synthetic_n, "synthetic.n")

@@ -132,9 +132,8 @@ def _best_splits(Xt, cols, y, P, st, m, allowed, min_leaf: int):
     cum2 -= np.divide(cum, np.maximum(nr, 1), out=cum)
     sse += cum2
     del cum, cum2
-    xs = cols[P[:d]]  # each entry's index into Xt.ravel(), then its value
-    xs += Xt.shape[1] * np.arange(d)[:, None]
-    xs = Xt.ravel()[xs]
+    # one flat gather: the 2-D fancy index Xt[rows, cols[P[:d]]] took twice as long
+    xs = Xt.ravel()[cols[P[:d]] + Xt.shape[1] * np.arange(d)[:, None]]
     invalid = np.ones((d, M), dtype=bool)
     np.less_equal(xs[:, 1:], xs[:, :-1], out=invalid[:, :-1])
     invalid |= (nl < min_leaf) | (nr < min_leaf)
@@ -189,8 +188,8 @@ def _grow(Xt, labels, trees, config: ForestConfig, offset: int = 0) -> list:
     Each tree's rows are argsorted once. A (d + 1, rows) array holds one
     column block per node that may split, tree by tree: its row ids sorted
     by each feature, plus a row in ascending order. A split moves its
-    block's columns to its two children by a stable counting partition, so
-    every node sees its rows sorted as a stable per-node argsort of its
+    block's columns to its two children by one stable sort on (node, side),
+    so every node sees its rows sorted as a stable per-node argsort of its
     ascending rows would. Infinite features split like any others. Returns
     the Forest arrays, feature to roots, with ids from ``offset`` on in
     level order: for b trees the roots are 0..b-1 and the children of the
@@ -234,25 +233,15 @@ def _grow(Xt, labels, trees, config: ForestConfig, offset: int = 0) -> list:
         levels.append((feature, threshold, left, left + split, value))  # right: left + 1, -1 at a leaf
         if not split.any():
             return [np.concatenate(a) for a in zip(*levels)] + [np.arange(offset, offset + len(trees))]
-        # stable partition of each splitting block, left child first
+        # a stable sort by (node, side) moves each splitting block's columns to
+        # its children, left first; a one- or two-byte key sorts by radix
         P, m = np.compress(np.repeat(split[grow], m), P, axis=1), sizes[split]
-        st = (np.cumsum(m) - m).astype(np.int32)  # int32 below: every position is under the row count
-        seg = np.repeat(np.arange(len(m)), m)
-        go_left = np.zeros(n, dtype=bool)
-        go_left[P[d]] = Xt[feature[split][seg], cols[P[d]]] <= threshold[split][seg]
-        flags = go_left[P]
-        n_left = np.add.reduceat(flags[d], st, dtype=np.int32)
-        # per entry, how many earlier columns of its block are set
-        before = np.zeros((d + 1, P.shape[1] + 1), dtype=np.int32)
-        np.cumsum(flags, axis=1, dtype=np.int32, out=before[:, 1:])
-        before = before[:, :-1] - np.repeat(before[:, st], m, axis=1)
-        to = np.where(flags, st[seg] + before,
-                      n_left[seg] + np.arange(P.shape[1], dtype=np.int32) - before)
-        del before
-        moved = np.empty_like(P)
-        moved.ravel()[to + P.shape[1] * np.arange(d + 1)[:, None]] = P
-        del flags, to  # dead before the next depth's scoring
-        P, sizes = moved, np.column_stack([n_left, m - n_left]).ravel()
+        seg = np.repeat(np.arange(len(m), dtype=np.min_scalar_type(2 * len(m))), m)
+        right = np.zeros(n, dtype=bool)
+        right[P[d]] = ~(Xt[feature[split][seg], cols[P[d]]] <= threshold[split][seg])
+        key = 2 * seg + right[P]
+        P = P[np.arange(d + 1)[:, None], np.argsort(key, axis=1, kind="stable")]
+        sizes = np.bincount(key[d], minlength=2 * len(m))  # left, right per split
         if keys is not None:
             keys = [(b, c) for (b, h), s in zip(keys, split) if s for c in (2 * h, 2 * h + 1)]
 

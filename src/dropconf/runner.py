@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, dnn_key
 from .conformal import ConformalResult, dropout_icp, rank_at_level, rf_ccp
 from .data import DataError, Dataset, load_table, make_synthetic, random_split
 from .evaluate import CATEGORIES, aggregate_runs, evaluate_model
@@ -149,7 +149,7 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
 
     if "dnn" in cfg.models:
         for p in cfg.dropout_p:
-            key = f"dnn_p{p:g}"
+            key = dnn_key(p)
             net_cfg = replace(cfg.net, dropout_p=p)
             model, log, attempts = train_with_retry(
                 train_set, val_set, net_cfg,
@@ -207,11 +207,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
         raise ConfigError(f"{path}: missing or of another config; run without --only-run")
 
     run_indices = [only_run] if only_run is not None else list(range(cfg.n_runs))
-    for name in os.listdir(out_dir):  # the old runs and, on a full run, the old top files
-        run = re.fullmatch(r"run_(\d+)(\.partial)?", name)
-        if run and (only_run in (None, int(run[1])) or int(run[1]) >= cfg.n_runs):
+    for run, name in _run_dirs(out_dir, partial=True):  # listed whole before any is removed
+        if only_run in (None, run) or run >= cfg.n_runs:
             shutil.rmtree(os.path.join(out_dir, name))
-        elif only_run is None and name in (*TOP_FILES, "manifest.json"):
+    if only_run is None:  # and the old top files
+        for name in {*TOP_FILES, "manifest.json"}.intersection(os.listdir(out_dir)):
             os.remove(os.path.join(out_dir, name))
     write_json(path, {"config": digest.hexdigest(), "n_runs": cfg.n_runs, "seed": cfg.seed})
     jobs = [(cfg, dataset, r, out_dir) for r in run_indices]
@@ -230,7 +230,7 @@ def build_manifest(out_dir) -> dict:
     files and every file under a run_<digits> directory. Written as
     manifest.json; any other file in out_dir is not listed."""
     paths = list(TOP_FILES)
-    for rd in _run_dirs(out_dir):
+    for _, rd in _run_dirs(out_dir):
         for root, _dirs, files in os.walk(os.path.join(out_dir, rd)):
             paths += [os.path.relpath(os.path.join(root, f), out_dir) for f in files]
     entries = []
@@ -242,11 +242,16 @@ def build_manifest(out_dir) -> dict:
     return manifest
 
 
-def _run_dirs(out_dir) -> list:
-    """Every run_<digits> directory in out_dir, in run index order."""
-    names = [d for d in os.listdir(out_dir) if d.startswith("run_") and d[4:].isdecimal()
-             and os.path.isdir(os.path.join(out_dir, d))]
-    return sorted(names, key=lambda d: (int(d[4:]), d))
+def _run_dirs(out_dir, partial=False) -> list:
+    """(run index, name) of every run_<digits> directory in out_dir, with
+    ``partial`` every run_<digits>.partial one too, in run index order;
+    ValueError names an entry of such a name that is not a directory."""
+    match = re.compile(r"run_(\d+)(\.partial)?" if partial else r"run_(\d+)").fullmatch
+    runs = sorted((int(m[1]), m[0]) for m in map(match, os.listdir(out_dir)) if m)
+    for path in (os.path.join(out_dir, name) for _, name in runs):
+        if not os.path.isdir(path):
+            raise ValueError(f"{path}: named as a run but not a directory")
+    return runs
 
 
 def _read_json(path):
@@ -283,7 +288,7 @@ def reaggregate(out_dir) -> RunArtifacts:
         raise ValueError(f"{record_path}: not an object with 'seed' and an integer 'n_runs'")
     run_dirs = _run_dirs(out_dir)
     reports_by_model, paths, failures = {}, {}, []
-    for rd in run_dirs:
+    for r, rd in run_dirs:
         for name in sorted(os.listdir(os.path.join(out_dir, rd))):
             path = os.path.join(out_dir, rd, name)
             if name.endswith("_report.json"):
@@ -297,11 +302,11 @@ def reaggregate(out_dir) -> RunArtifacts:
                 if not isinstance(listed, list) or not all(
                         isinstance(f, dict) and {"model", "reason"} <= f.keys() for f in listed):
                     raise ValueError(f"{path}: not a list of objects with 'model' and 'reason'")
-                failures += [(int(rd[4:]), f["model"], f["reason"]) for f in listed]
+                failures += [(r, f["model"], f["reason"]) for f in listed]
 
     aggregate = {
         "seed": record["seed"], "n_runs": record["n_runs"],
-        "missing_runs": sorted(set(range(record["n_runs"])) - {int(rd[4:]) for rd in run_dirs}),
+        "missing_runs": sorted(set(range(record["n_runs"])) - {r for r, _ in run_dirs}),
         "models": {key: _aggregate(rs, paths[key]) for key, rs in sorted(reports_by_model.items())},
         "failures": [{"run": r, "model": key, "reason": reason} for r, key, reason in failures],
     }

@@ -141,6 +141,12 @@ class TestParseConfig:
         cfg = parse_config_text("dataset = x.csv\ndropout_p = 0.5,0.25,0.5\n")
         assert cfg.dropout_p == (0.25, 0.5)
 
+    def test_dropout_rates_of_one_model_name_rejected(self):
+        # both once ran as dnn_p0.1, the second rate's files over the first's
+        with pytest.raises(ConfigError, match=r"^dropout_p: rates 0\.1 and 0\.1000001 both name "
+                                              r"model dnn_p0\.1$"):
+            parse_config_text("dataset = x.csv\ndropout_p = 0.1000001,0.25,0.1\n")
+
     @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf"])
     def test_nonfinite_cutoff_rejected(self, cutoff):
         with pytest.raises(ConfigError, match="cutoffs"):
@@ -829,6 +835,25 @@ class TestCli:
         assert main(["run", "--config", "t.cfg", "--out", "out"]) == 2
         assert "error: cv_folds" in capsys.readouterr().err
         assert not (tmp_path / "out" / "run_000").exists()
+
+    @pytest.mark.parametrize("name", ["run_005", "run_001.partial"])
+    def test_a_file_named_as_a_run_stops_run_before_any_change(self, tmp_path, capsys, name):
+        # a regular file run_005 once made the clean-up raise NotADirectoryError
+        # after it had removed run_000, and --only-run 0 passed over a file
+        # run_001.partial and wrote run_000 again; report skips a .partial name
+        cfg_file, out = tmp_path / "rf.cfg", tmp_path / "out"
+        cfg_file.write_text("synthetic.n = 120\nsynthetic.d = 3\nseed = 3\nmodels = rf\nn_runs = 2\n"
+                            "forest.n_trees = 5\ncv_folds = 3\ncl_grid = 0.5,0.8\n")
+        argv = ["run", "--config", str(cfg_file), "--out", str(out)]
+        assert main(argv) == 0
+        (out / name).write_text("not a run\n")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        for extra in ([], ["--only-run", "0"]):
+            capsys.readouterr()
+            assert main(argv + extra) == 2
+            assert capsys.readouterr().err == f"error: {out / name}: named as a run but not a directory\n"
+            assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert main(["report", "--in", str(out)]) == (0 if name.endswith(".partial") else 2)
 
     def test_only_run_keeps_summary_of_all_runs(self, tmp_path):
         # the failing dnn model also checks that the other run's failure stays
