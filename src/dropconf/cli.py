@@ -24,7 +24,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--only-run", type=int, default=None,
                        help="execute a single run index (for reproducing one run)")
 
-    rep_p = sub.add_parser("report", help="re-aggregate reports from an output directory")
+    rep_p = sub.add_parser("report", help="re-evaluate and re-aggregate an output directory's runs")
     rep_p.add_argument("--in", dest="in_dir", required=True)
 
     val_p = sub.add_parser("validate-config", help="parse and validate a config file")

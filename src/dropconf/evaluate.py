@@ -1,15 +1,13 @@
 """Validity, efficiency, accuracy, and virtual-screening retrieval metrics.
 
-A run's report is the plain JSON-ready dict that evaluate_model builds: it
-is written as-is to ``<model>_report.json``, and aggregate_runs reads either
-those dicts or the files loaded back with json.load.
+A run's report is the plain JSON-ready dict that evaluate_model builds from
+a run directory's factored interval files: it is written as-is to
+``<model>_report.json``, an output only, and aggregate_runs takes those dicts.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .ensemble import EnsemblePrediction
 
 
 CATEGORIES = ("true_positive", "false_positive", "false_negative", "true_negative", "uncertain")
@@ -69,14 +67,14 @@ def calibration_curve(intervals_by_cl: dict, y_true, cl_grid) -> dict:
 
 def width_stats(intervals) -> dict:
     """Summary of interval widths; unbounded intervals counted separately,
-    and every statistic NaN when no interval is bounded."""
+    and every statistic None when no interval is bounded."""
     lower, upper = _bounds(intervals)
     if len(lower) == 0:
         raise ValueError("width_stats requires at least one interval")
     widths = upper - lower
     finite = widths[np.isfinite(widths)]
     frac_unbounded = 1.0 - len(finite) / len(widths)
-    stats = dict.fromkeys(("mean", "median", "q1", "q3", "min", "max"), float("nan"))
+    stats = dict.fromkeys(("mean", "median", "q1", "q3", "min", "max"), None)
     if len(finite):
         stats = {
             "mean": float(finite.mean()),
@@ -128,40 +126,33 @@ def screen_counts(intervals, y_true, cutoffs=(5, 6, 7, 8, 9)) -> list:
     return out
 
 
-def sigma_error_pairs(preds: EnsemblePrediction, y_true):
-    """Raw (sigma, |error|) pairs plus their Pearson correlation (or None)."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    abs_err = np.abs(preds.means - y_true)
+def sigma_error_pairs(y_hat, sigma, y_true):
+    """|error| per instance plus its Pearson correlation with sigma (or None)."""
+    abs_err = np.abs(y_hat - np.asarray(y_true, dtype=np.float64))
     corr = None
-    if len(y_true) >= 2 and np.ptp(preds.stds) > 0 and np.ptp(abs_err) > 0:
-        corr = float(np.corrcoef(preds.stds, abs_err)[0, 1])
-    return preds.stds, abs_err, corr
+    if len(abs_err) >= 2 and np.ptp(sigma) > 0 and np.ptp(abs_err) > 0:
+        corr = float(np.corrcoef(sigma, abs_err)[0, 1])
+    return abs_err, corr
 
 
-def evaluate_model(
-    model_name: str,
-    result,
-    y_test,
-    cl_grid,
-    default_cl: float = 0.80,
-    cutoffs=(5, 6, 7, 8, 9),
-) -> dict:
-    """Full per-run report from a ConformalResult and the test labels, as
+def evaluate_model(model_name: str, intervals: dict, y_hat, sigma, y, default_cl: float,
+                   cutoffs) -> dict:
+    """Full per-run report from the intervals (cl -> (n_test, 2) bounds, its
+    keys the levels), the test predictions, their sigma and the labels, as
     the JSON-ready dict written to ``<model>_report.json``. Width stats are
     keyed by repr(cl); retrieval counts are taken at the default cl."""
-    y_test = np.asarray(y_test, dtype=np.float64)
-    cls = [float(c) for c in cl_grid]
-    if float(default_cl) not in result.intervals:
-        raise ValueError("result does not contain intervals at the default cl")
-    sigmas, abs_err, corr = sigma_error_pairs(result.test_prediction, y_test)
+    cls = sorted(intervals)
+    if float(default_cl) not in intervals:
+        raise ValueError(f"no intervals at the default cl {default_cl!r}")
+    abs_err, corr = sigma_error_pairs(y_hat, sigma, y)
     return {
         "model": model_name,
-        "rmse": rmse(y_test, result.test_prediction.means),
+        "rmse": rmse(y, y_hat),
         "default_cl": float(default_cl),
-        "curve": calibration_curve(result.intervals, y_test, cls),
-        "width_stats": {repr(c): width_stats(result.intervals[c]) for c in cls},
-        "retrieval": screen_counts(result.intervals[float(default_cl)], y_test, cutoffs),
-        "sigma": sigmas.tolist(),
+        "curve": calibration_curve(intervals, y, cls),
+        "width_stats": {repr(c): width_stats(intervals[c]) for c in cls},
+        "retrieval": screen_counts(intervals[float(default_cl)], y, cutoffs),
+        "sigma": sigma.tolist(),
         "abs_error": abs_err.tolist(),
         "sigma_error_correlation": corr,
     }
@@ -175,12 +166,9 @@ def _mean_std(values) -> dict:
 
 
 def aggregate_runs(reports: list) -> dict:
-    """Mean and standard deviation of every metric across repeated runs.
-
-    Takes report dicts as evaluate_model returns them. All reports must
-    share the same cl grid and cutoffs. Retrieval counts are averaged across
-    runs.
-    """
+    """Mean and standard deviation of every metric across repeated runs, from
+    report dicts as evaluate_model returns them: all of one cl grid, which is
+    checked, and of the same cutoffs. Retrieval counts are averaged too."""
     if not reports:
         raise ValueError("aggregate_runs requires at least one report")
     grid = reports[0]["curve"]["cl"]
@@ -188,8 +176,6 @@ def aggregate_runs(reports: list) -> dict:
     for r in reports[1:]:
         if r["curve"]["cl"] != grid:
             raise ValueError("reports have mismatched cl grids")
-        if [rc["cutoff"] for rc in r["retrieval"]] != cutoffs:
-            raise ValueError("reports have mismatched cutoffs")
     agg = {
         "n_runs": len(reports),
         "rmse": _mean_std([r["rmse"] for r in reports]),

@@ -143,7 +143,10 @@ def _best_splits(Xt, cols, y, P, st, m, allowed, min_leaf: int):
     best = np.minimum.reduceat(sse.min(axis=0), st)
     cf, cp = np.nonzero(sse <= np.where(np.isfinite(best), best + tol, np.nan)[seg])
     cs = seg[cp]  # candidates in feature-major order, and their nodes
-    nodes, first = np.unique(cs, return_index=True)
+    order = np.argsort(cs, kind="stable")  # by node, each node's candidates still feature-major
+    lim = np.searchsorted(cs[order], np.arange(k + 1))
+    nodes = np.flatnonzero(np.diff(lim))
+    first = order[lim[nodes]]
     f, p = np.full(k, -1), np.zeros(k, dtype=np.intp)
     f[nodes], p[nodes] = cf[first], cp[first]
     fast = (f >= 0) & ((tot2 - tot * tot / m) - best > 2 * tol)
@@ -165,7 +168,7 @@ def _best_splits(Xt, cols, y, P, st, m, allowed, min_leaf: int):
     for s in np.flatnonzero((f >= 0) & ~fast):
         a, b = st[s], ends[s]
         best_exact, winner = math.inf, -1
-        for j in np.flatnonzero(cs == s):
+        for j in order[lim[s] : lim[s + 1]]:
             score = _exact_sse(y[P[cf[j], a : cp[j] + 1]]) + _exact_sse(y[P[cf[j], cp[j] + 1 : b]])
             if score < best_exact:
                 best_exact, winner = score, j

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, dnn_key
-from .conformal import ConformalResult, dropout_icp, rank_at_level, rf_ccp
-from .data import DataError, Dataset, load_table, make_synthetic, random_split
+from .conformal import ConformalResult, Intervals, dropout_icp, rank_at_level, rf_ccp
+from .data import DataError, Dataset, _csv_rows, load_table, make_synthetic, random_split
 from .evaluate import CATEGORIES, aggregate_runs, evaluate_model
 from .net import train
 from .seeds import derive_seed
@@ -37,6 +37,8 @@ class RunArtifacts:
 # the files written to the top of an output directory, manifest.json aside
 TOP_FILES = ("experiment.json", "summary.json", "calibration_curve.csv", "width_stats.csv",
              "retrieval_counts.csv")
+TEST_HEADER = ["id", "y", "y_hat", "sigma", "scale"]
+LEVELS_HEADER = ["cl", "k", "alpha", "unbounded"]
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
@@ -70,7 +72,7 @@ def write_csv(path, header, blocks) -> None:
 
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
+        json.dump(obj, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -99,30 +101,27 @@ def train_with_retry(train_set, val_set, net_cfg, seed, retry_limit):
     return model, log, attempt + 1
 
 
-def _dump_conformal(prefix: str, result: ConformalResult, test_ids, run_dir) -> None:
+def _dump_conformal(prefix: str, result: ConformalResult, test: Dataset, run_dir) -> None:
     """The calibration rows, then the intervals as one row per test instance
     and one per level: bounds y_hat -/+ scale * alpha, the line if alpha = inf."""
-    cal, test, iv = result.calibration, result.test_prediction, result.intervals
+    cal, pred, iv = result.calibration, result.test_prediction, result.intervals
     write_csv(
         os.path.join(run_dir, f"{prefix}_calibration.csv"),
         ["id", "y", "y_hat", "sigma", "alpha"],
         [[cal.ids, cal.y, cal.y_hat, cal.sigma, cal.alpha]],
     )
-    write_csv(
-        os.path.join(run_dir, f"{prefix}_test.csv"),
-        ["id", "y_hat", "sigma", "scale"],
-        [[test_ids, test.means, test.stds, iv.scale]],
-    )
+    write_csv(os.path.join(run_dir, f"{prefix}_test.csv"), TEST_HEADER,
+              [[test.ids, test.labels, pred.means, pred.stds, iv.scale]])
     cls = sorted(iv.alpha)
     alpha = np.array([iv.alpha[cl] for cl in cls])
     ks = np.array([rank_at_level(len(cal.alpha), cl) for cl in cls])
-    write_csv(os.path.join(run_dir, f"{prefix}_levels.csv"), ["cl", "k", "alpha", "unbounded"],
+    write_csv(os.path.join(run_dir, f"{prefix}_levels.csv"), LEVELS_HEADER,
               [[np.array(cls), ks, alpha, np.isinf(alpha).astype(int)]])
 
 
 def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir: str) -> None:
-    """One split/train/calibrate/evaluate cycle, written to run_<r>.partial and
-    renamed to run_<r>; failures.json lists the models that failed, if any."""
+    """One split/train/calibrate cycle, written to run_<r>.partial and renamed
+    to run_<r>; failures.json lists the models that failed, if any."""
     run_dir = os.path.join(out_dir, f"run_{run_index:03d}.partial")
     os.makedirs(run_dir)
     split = random_split(
@@ -140,12 +139,6 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
     val_set = dataset.subset(split.validation)
     test_set = dataset.subset(split.test)
     failures = []
-
-    def emit(key, result):
-        report = evaluate_model(key, result, test_set.labels, cfg.cl_grid,
-                                cfg.default_cl, cfg.cutoffs)
-        _dump_conformal(key, result, test_set.ids, run_dir)
-        write_json(os.path.join(run_dir, f"{key}_report.json"), report)
 
     if "dnn" in cfg.models:
         for p in cfg.dropout_p:
@@ -165,19 +158,19 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
                 failures.append({"model": key,
                                  "reason": f"not converged after {attempts} attempts"})
                 continue
-            emit(key, dropout_icp(
+            _dump_conformal(key, dropout_icp(
                 model, val_set, test_set, cfg.n_passes, cfg.cl_grid,
                 derive_seed(cfg.seed, "run", run_index, key, "icp"),
-            ))
+            ), test_set, run_dir)
 
     if "rf" in cfg.models:
         # RF uses train + validation for fitting; calibration comes from the
         # out-of-fold residuals inside that combined set.
         trainval = dataset.subset(np.concatenate([split.train, split.validation]))
-        emit("rf", rf_ccp(
+        _dump_conformal("rf", rf_ccp(
             trainval, test_set, cfg.forest, cfg.cv_folds, cfg.cl_grid,
             derive_seed(cfg.seed, "run", run_index, "rf"),
-        ))
+        ), test_set, run_dir)
 
     if failures:
         write_json(os.path.join(run_dir, "failures.json"), failures)
@@ -213,7 +206,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, only_run=None) -> RunArt
     if only_run is None:  # and the old top files
         for name in {*TOP_FILES, "manifest.json"}.intersection(os.listdir(out_dir)):
             os.remove(os.path.join(out_dir, name))
-    write_json(path, {"config": digest.hexdigest(), "n_runs": cfg.n_runs, "seed": cfg.seed})
+    write_json(path, {"config": digest.hexdigest(), "cutoffs": list(cfg.cutoffs),
+                      "default_cl": cfg.default_cl, "n_runs": cfg.n_runs, "seed": cfg.seed})
     jobs = [(cfg, dataset, r, out_dir) for r in run_indices]
     if cfg.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: a costly import
@@ -262,41 +256,54 @@ def _read_json(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _aggregate(reports, paths) -> dict:
-    """aggregate_runs of one model's reports; where it fails, a ValueError
-    names the first report file that fails with the first, or on its own."""
+def _evaluate_run(run_dir, model, default_cl, cutoffs) -> dict:
+    """evaluate_model on the bounds rebuilt from the model's factored files.
+    A ValueError names the file of another header or width, or with a cell
+    that is not a number, and the test file for any other error."""
+    columns = []
+    for path, header in ((os.path.join(run_dir, f"{model}_test.csv"), TEST_HEADER),
+                         (os.path.join(run_dir, f"{model}_levels.csv"), LEVELS_HEADER)):
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(_csv_rows(fh, path))
+        if rows[:1] != [header] or any(len(row) != len(header) for row in rows):
+            raise ValueError(f"{path}: not a table of the {len(header)} columns {','.join(header)}")
+        cells = list(zip(*rows[1:])) or [()] * len(header)  # by column, the header's count
+        try:
+            columns += [np.array(c, dtype=np.float64) for name, c in zip(header, cells) if name != "id"]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    y, y_hat, sigma, scale, cls, _k, alpha, _unbounded = columns
+    intervals = Intervals(y_hat, scale, dict(zip(cls.tolist(), alpha.tolist())))
     try:
-        return aggregate_runs(reports)
-    except (LookupError, TypeError, ValueError):
-        for path, report in zip(paths, reports):
-            try:
-                aggregate_runs([reports[0], report])
-            except (LookupError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: cannot aggregate: {type(exc).__name__}: {exc}") from None
-        raise
+        return evaluate_model(model, intervals, y_hat, sigma, y, default_cl, cutoffs)
+    except ValueError as exc:
+        raise ValueError(f"{os.path.join(run_dir, model)}_test.csv: {exc}") from None
 
 
 def reaggregate(out_dir) -> RunArtifacts:
-    """Rebuild summary.json, the flat aggregate CSVs and the manifest from
-    experiment.json's seed and run count and the run directories' report
-    JSONs and failures.json files, in index order. It raises before writing,
-    naming the file, for one that is not JSON or not of its outer shape."""
+    """Evaluate every model of every run_<digits> directory from its factored
+    files and take its failures from failures.json, in index order, then write
+    the reports, summary.json, the flat aggregate CSVs and the manifest. It
+    raises before writing, naming the file, for one it cannot read."""
     record_path, summary_path, curve_path, width_path, retrieval_path = (
         os.path.join(out_dir, name) for name in TOP_FILES)
     record = _read_json(record_path)
-    if not (isinstance(record, dict) and "seed" in record and isinstance(record.get("n_runs"), int)):
-        raise ValueError(f"{record_path}: not an object with 'seed' and an integer 'n_runs'")
+    if not (isinstance(record, dict) and "seed" in record and isinstance(record.get("n_runs"), int)
+            and isinstance(record.get("cutoffs"), list)
+            and all(isinstance(v, float) for v in [record.get("default_cl"), *record["cutoffs"]])):
+        raise ValueError(f"{record_path}: not an object with 'seed', an integer 'n_runs', "
+                         "a float 'default_cl' and a list of float 'cutoffs'")
     run_dirs = _run_dirs(out_dir)
-    reports_by_model, paths, failures = {}, {}, []
+    reports_by_model, written, failures = {}, [], []
     for r, rd in run_dirs:
-        for name in sorted(os.listdir(os.path.join(out_dir, rd))):
-            path = os.path.join(out_dir, rd, name)
-            if name.endswith("_report.json"):
-                report = _read_json(path)
-                if not isinstance(report, dict) or not isinstance(report.get("model"), str):
-                    raise ValueError(f"{path}: not a report object with a string 'model'")
-                reports_by_model.setdefault(report["model"], []).append(report)
-                paths.setdefault(report["model"], []).append(path)
+        run_dir = os.path.join(out_dir, rd)
+        for name in sorted(os.listdir(run_dir)):
+            path = os.path.join(run_dir, name)
+            if name.endswith("_test.csv"):
+                model = name.removesuffix("_test.csv")
+                report = _evaluate_run(run_dir, model, record["default_cl"], record["cutoffs"])
+                reports_by_model.setdefault(model, []).append(report)
+                written.append((os.path.join(run_dir, f"{model}_report.json"), report))
             elif name == "failures.json":
                 listed = _read_json(path)
                 if not isinstance(listed, list) or not all(
@@ -307,9 +314,11 @@ def reaggregate(out_dir) -> RunArtifacts:
     aggregate = {
         "seed": record["seed"], "n_runs": record["n_runs"],
         "missing_runs": sorted(set(range(record["n_runs"])) - {r for r, _ in run_dirs}),
-        "models": {key: _aggregate(rs, paths[key]) for key, rs in sorted(reports_by_model.items())},
+        "models": {key: aggregate_runs(rs) for key, rs in sorted(reports_by_model.items())},
         "failures": [{"run": r, "model": key, "reason": reason} for r, key, reason in failures],
     }
+    for path, report in written:
+        write_json(path, report)
     write_json(summary_path, aggregate)
 
     # Flat aggregate CSVs, one per table and one block per model.

@@ -104,6 +104,12 @@ class TestWidthStats:
         assert ws["n_finite"] == 3
         assert ws["mean"] == 2.0
 
+    def test_no_bounded_interval_gives_no_statistics(self):
+        # these were NaN, which json.dump writes as the non-standard NaN
+        ws = width_stats([interval(-math.inf, math.inf)] * 2)
+        assert ws == {"mean": None, "median": None, "q1": None, "q3": None, "min": None,
+                      "max": None, "fraction_unbounded": 1.0, "n_finite": 0}
+
 
 class TestScreenClassify:
     def test_spanning_is_uncertain(self):
@@ -199,6 +205,6 @@ class TestSigmaErrorPairs:
         passes = np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 4.0]])
         preds = from_passes(passes)
         y = preds.means + np.array([0.0, 0.5, 2.0])
-        sig, err, corr = sigma_error_pairs(preds, y)
+        err, corr = sigma_error_pairs(preds.means, preds.stds, y)
         assert corr is not None and corr > 0.9
-        assert np.array_equal(sig, preds.stds)
+        assert np.array_equal(err, np.abs(preds.means - y))

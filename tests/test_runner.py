@@ -17,6 +17,7 @@ import pytest
 from dropconf.cli import main
 from dropconf.config import _KEYS, ConfigError, ExperimentConfig, parse_config, parse_config_text
 from dropconf.conformal import ConformalResult, Intervals, build_calibration
+from dropconf.data import Dataset
 from dropconf.ensemble import from_passes
 from dropconf.forest import ForestConfig
 from dropconf.net import NetConfig
@@ -24,7 +25,19 @@ from dropconf.runner import _dump_conformal, reaggregate, run_experiment, write_
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 # sha256 of the manifest.json the fixture config writes at seed 7
-FIXTURE_DIGEST = "c7ba4837e008e15f0dafab1ad0d87aea3c02e649941d14f5328c2bc4adc67de9"
+FIXTURE_DIGEST = "529447185e22eb688376c3b2fd4a38bd32bf33243da2992d630432127e1999c9"
+# and of its reports and aggregate files, which were kept when reports came
+# to be evaluated from the factored files rather than in memory
+FIXTURE_FILE_DIGESTS = {
+    "run_000/dnn_p0.25_report.json": "5642ae2a37ea2a4e53507bf69627bd44902a92e52f66fe0bd3bd11bc11e9228a",
+    "run_000/rf_report.json": "70bb47ec232caefccaa8e615c8537fa635553bfcd862aae6e3793ebfd6edd9ba",
+    "run_001/dnn_p0.25_report.json": "0f42f784d08dafc02ae2b559015cb869c0b6eabb31654db65f982299fc2a61da",
+    "run_001/rf_report.json": "3fdb88bbba7cb3203819892d550dabe5dd0c9dfad3e985db9bfe69474815bb29",
+    "summary.json": "15b3dcabbe106cb21609d1828be0eeaa712fb9fc5241f8689b07b3ae1ee5c33e",
+    "calibration_curve.csv": "f1ea35b470ee33269ab5e7ab22db9c5e0f084cdcb8d51269b49c180f920675fe",
+    "width_stats.csv": "aaa45fc1a3aca79d94a9dd03309c3297cc2ad2f2a0c8cebe4e81e4c44aeb1fa5",
+    "retrieval_counts.csv": "781795dd3e49dab6bbd2275910a9dd486a50b62c313dcf050ea533d47b85155c",
+}
 
 
 # Each bounded key's admissible values, as its rejection message prints the
@@ -339,7 +352,7 @@ class TestRunExperiment:
             for i in range(60):
                 writer.writerow([f"c,{i}" if i % 2 else f"r{i}", *rng.random(3)])
         run_experiment(tiny_config(dataset=str(table), n_runs=1), out_dir=str(tmp_path / "out"))
-        for name, width in (("rf_calibration.csv", 5), ("rf_test.csv", 4), ("rf_levels.csv", 4)):
+        for name, width in (("rf_calibration.csv", 5), ("rf_test.csv", 5), ("rf_levels.csv", 4)):
             with open(tmp_path / "out" / "run_000" / name, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
             assert {len(row) for row in rows} == {width}
@@ -494,13 +507,16 @@ class TestRunExperiment:
         # as text, run_1000 sorts between run_100 and run_101
         out = tmp_path / "out"
         run_experiment(tiny_config(n_runs=1), out_dir=str(out))
-        report = json.loads((out / "run_000" / "rf_report.json").read_text())
-        shutil.rmtree(out / "run_000")
+        with open(out / "run_000" / "rf_test.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
         for rmse, name in enumerate(("run_1000", "run_101", "run_099", "run_100")):
-            (out / name).mkdir()
-            (out / name / "rf_report.json").write_text(json.dumps({**report, "rmse": rmse}))
+            shutil.copytree(out / "run_000", out / name)
+            # labels rmse above every prediction give the run that test RMSE
+            write_csv(out / name / "rf_test.csv", rows[0], [list(zip(*(
+                [r[0], repr(float(r[2]) + rmse), *r[2:]] for r in rows[1:])))])
+        shutil.rmtree(out / "run_000")
         reports = reaggregate(str(out)).reports["rf"]
-        assert [r["rmse"] for r in reports] == [2, 3, 1, 0]
+        assert [round(r["rmse"], 9) for r in reports] == [2, 3, 1, 0]
 
     def test_failure_containment(self, tmp_path):
         # every dnn run fails, rf still reports
@@ -525,9 +541,12 @@ class TestRunExperiment:
         assert json.loads((out / "run_001" / "failures.json").read_text()) == [
             {"model": "dnn_p0.25", "reason": "not converged after 2 attempts"}]
 
-    @pytest.mark.parametrize("record", [None, "", "{}\n", '{"n_runs": "2", "seed": 5}'])
+    @pytest.mark.parametrize("record", [None, "", "{}\n", '{"n_runs": "2", "seed": 5}',
+                                        '{"config": "0", "n_runs": 2, "seed": 5}'])
     def test_report_without_a_record_does_not_guess_the_seed(self, tmp_path, record):
-        # only experiment.json records seed and n_runs: no guess, nothing written
+        # only experiment.json records seed, n_runs, default_cl and cutoffs: no
+        # guess, nothing written; the last record is one written before the
+        # record held default_cl and cutoffs
         out = tmp_path / "out"
         run_experiment(tiny_config(seed=5), out_dir=str(out))
         if record is None:
@@ -593,6 +612,9 @@ class TestCli:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == FIXTURE_DIGEST
         assert capsys.readouterr().out.splitlines()[1] == f"manifest.json sha256 {digest}"
+        for name, want in FIXTURE_FILE_DIGESTS.items():
+            with open(os.path.join(out, name), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == want, name
 
     def test_manifest_lists_only_the_files_run_writes(self, tmp_path, capsys):
         # every file under --out was once hashed, foreign ones included
@@ -627,10 +649,10 @@ class TestCli:
         oracle_dir.mkdir()
         dump = runner._dump_conformal
 
-        def dump_and_oracle(prefix, result, test_ids, run_dir):
-            dump(prefix, result, test_ids, run_dir)
+        def dump_and_oracle(prefix, result, test, run_dir):
+            dump(prefix, result, test, run_dir)
             run = os.path.basename(run_dir).removesuffix(".partial")
-            _interval_table(oracle_dir / f"{run}_{prefix}.csv", result, test_ids)
+            _interval_table(oracle_dir / f"{run}_{prefix}.csv", result, test.ids)
 
         monkeypatch.setattr(runner, "_dump_conformal", dump_and_oracle)
         out = tmp_path / "out"
@@ -666,9 +688,17 @@ class TestCli:
         assert last.startswith("  rf: rmse ") and last.endswith(", calibration R^2 n/a")
 
     @pytest.mark.parametrize("name, text, message", [
-        ("rf_report.json", "not json", "rf_report.json: Expecting value: line 1 column 1"),
-        ("rf_report.json", "{}", "rf_report.json: not a report object with a string 'model'"),
-        ("rf_report.json", "[]", "rf_report.json: not a report object with a string 'model'"),
+        ("rf_test.csv", "id,y_hat,sigma,scale\nt0,1.0,0.5,1.6\n",
+         "rf_test.csv: not a table of the 5 columns id,y,y_hat,sigma,scale"),
+        ("rf_test.csv", "id,y,y_hat,sigma,scale\nt0,1.0,x,0.5,1.6\n",
+         "rf_test.csv: could not convert string to float: 'x'"),
+        ("rf_test.csv", "id,y,y_hat,sigma,scale\nt0,1.0,2.0\n",
+         "rf_test.csv: not a table of the 5 columns id,y,y_hat,sigma,scale"),
+        ("rf_test.csv", "id,y,y_hat,sigma,scale\n\xff", "rf_test.csv: not a readable UTF-8 CSV"),
+        ("rf_levels.csv", "cl,alpha\n0.8,1.0\n",
+         "rf_levels.csv: not a table of the 4 columns cl,k,alpha,unbounded"),
+        ("rf_levels.csv", "cl,k,alpha,unbounded\n0.8,3,one,0\n",
+         "rf_levels.csv: could not convert string to float: 'one'"),
         ("failures.json", '{"a": 1}', "failures.json: not a list of objects with 'model' and"),
         ("failures.json", '[{"model": "rf"}]', "failures.json: not a list of objects with"),
         ("experiment.json", "\xff", "experiment.json: 'utf-8' codec can't decode"),
@@ -679,42 +709,54 @@ class TestCli:
         run_experiment(tiny_config(n_runs=1), out_dir=str(out))
         path = out / ("run_000" if name != "experiment.json" else "") / name
         path.write_bytes(text.encode("latin-1"))
-        assert main(["report", "--in", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and message in err
-
-    @pytest.mark.parametrize("text, message", [
-        ('{"model": "rf"}', "KeyError: 'curve'"),
-        ('{"model": "rf", "curve": 3}', "TypeError: "),
-        ('{"model": "rf", "curve": {}}', "KeyError: 'cl'"),
-    ])
-    def test_report_names_a_report_it_cannot_aggregate(self, tmp_path, capsys, text, message):
-        # these once died with a traceback from evaluate.aggregate_runs
-        out = tmp_path / "out"
-        run_experiment(tiny_config(n_runs=2), out_dir=str(out))
-        path = out / "run_000" / "rf_report.json"
-        path.write_text(text)
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert main(["report", "--in", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: cannot aggregate: {message}")
+        assert err.startswith(f"error: {path}: ") and message in err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda report: report["width_stats"].popitem(), "KeyError: '0.8'"),
-        (lambda report: report["curve"]["cl"].pop(), "ValueError: reports have mismatched cl"),
-    ])
-    def test_report_names_the_report_that_disagrees_with_the_first(self, tmp_path, capsys,
-                                                                   edit, message):
-        # each edited report aggregates on its own, but not beside run 0's
+    def test_report_rejects_a_run_whose_levels_disagree_with_the_first(self, tmp_path, capsys):
         out = tmp_path / "out"
         run_experiment(tiny_config(n_runs=2), out_dir=str(out))
-        path = out / "run_001" / "rf_report.json"
-        report = json.loads(path.read_text())
-        edit(report)
-        path.write_text(json.dumps(report))
+        path = out / "run_001" / "rf_levels.csv"
+        header, _half, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([header, *rest]))  # without level 0.5
+        (out / "run_000" / "rf_report.json").unlink()  # and not written again
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert main(["report", "--in", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {path}: cannot aggregate: {message}")
+        assert capsys.readouterr().err == "error: reports have mismatched cl grids\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_report_rewrites_a_deleted_or_corrupted_report(self, tmp_path):
+        out = tmp_path / "out"
+        run_experiment(tiny_config(n_runs=2), out_dir=str(out))
+        written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        (out / "run_000" / "rf_report.json").unlink()
+        (out / "run_001" / "rf_report.json").write_text('{"model": "rf", "rmse": 0.0}\n')
+        assert main(["report", "--in", str(out)]) == 0
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+
+    def test_a_level_with_no_bounded_interval_writes_strict_json(self, tmp_path):
+        # level 0.99 needs more calibration scores than the ~51 out-of-fold
+        # rows of 60 give, so no interval is bounded; its width statistics
+        # were once NaN, which strict JSON rejects
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("synthetic.n = 60\nn_runs = 2\nmodels = rf\nforest.n_trees = 3\n"
+                            "cv_folds = 2\ncl_grid = 0.5,0.99\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        docs = {p.relative_to(out).as_posix(): json.loads(p.read_text(), parse_constant=reject)
+                for p in out.rglob("*.json")}
+        stats = docs["run_000/rf_report.json"]["width_stats"]["0.99"]
+        assert stats == {"mean": None, "median": None, "q1": None, "q3": None, "min": None,
+                         "max": None, "fraction_unbounded": 1.0, "n_finite": 0}
+        agg = docs["summary.json"]["models"]["rf"]
+        assert agg["mean_width"]["0.99"] == {"mean": None, "std": None, "n": 0}
+        assert agg["mean_width"]["0.5"]["n"] == 2
 
     def test_report_keeps_the_bytes_of_a_directory_with_failures(self, tmp_path):
         out = tmp_path / "out"
@@ -918,7 +960,7 @@ class TestCli:
                                         rmse_gate=100.0))
         with pytest.raises(RuntimeError, match="stopped"):
             run_experiment(cfg, out_dir=str(out))
-        assert (out / "run_001.partial" / "dnn_p0.25_report.json").exists()
+        assert (out / "run_001.partial" / "dnn_p0.25_test.csv").exists()
         assert not (out / "run_001").exists()
         assert main(["report", "--in", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
@@ -1033,7 +1075,7 @@ def _rebuilt_interval_table(run_dir, prefix, path):
                   encoding="utf-8") as fh:
             return list(zip(*list(csv.reader(fh))[1:]))
 
-    ids, y_hat, _sigma, scale = read("test")
+    ids, _y, y_hat, _sigma, scale = read("test")
     y_hat, scale = np.array(y_hat, dtype=float), np.array(scale, dtype=float)
     blocks = []
     for cl, _k, alpha, _unbounded in zip(*read("levels")):
@@ -1044,6 +1086,12 @@ def _rebuilt_interval_table(run_dir, prefix, path):
     write_csv(path, _INTERVAL_HEADER, blocks)
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _test_set(ids):
+    """A Dataset of the given test ids, labels 0, 1, 2, ..."""
+    return Dataset(ids=ids, labels=np.arange(len(ids), dtype=float),
+                   features=np.zeros((len(ids), 1)))
 
 
 def _conformal_result(n_cal, n_test, cls, seed=0):
@@ -1098,7 +1146,7 @@ class TestWriteCsv:
         (tmp_path / "old").mkdir()
         (tmp_path / "new").mkdir()
         _old_dump_conformal("m", result, tmp_path / "old")
-        _dump_conformal("m", result, ids, tmp_path / "new")
+        _dump_conformal("m", result, _test_set(ids), tmp_path / "new")
         name = "m_calibration.csv"
         assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
         assert (tmp_path / "new" / "m_levels.csv").read_bytes() == (
@@ -1113,8 +1161,8 @@ class TestWriteCsv:
         ids = ("c,0", 'q"1', "n\n2", "r\r3", "plain")
         result = _conformal_result(n_cal=3, n_test=5, cls=(0.5, 0.8))
         write_csv(tmp_path / "t.csv", ["id", "y"], [[ids, np.arange(5.0)]])
-        _dump_conformal("m", result, ids, tmp_path)
-        for name, width in (("t.csv", 2), ("m_test.csv", 4)):
+        _dump_conformal("m", result, _test_set(ids), tmp_path)
+        for name, width in (("t.csv", 2), ("m_test.csv", 5)):
             with open(tmp_path / name, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
             assert all(len(row) == width for row in rows)
@@ -1134,7 +1182,7 @@ class TestWriteCsv:
                 out = tmp_path / f"{n_test}_{len(cls)}"
                 out.mkdir()
                 _dump_conformal("m", _conformal_result(n_cal=10, n_test=n_test, cls=cls),
-                                tuple(f"s{i:06d}" for i in range(n_test)), out)
+                                _test_set(tuple(f"s{i:06d}" for i in range(n_test))), out)
                 sizes[n_test, len(cls)] = {
                     name: os.path.getsize(out / f"m_{name}.csv") for name in ("test", "levels")}
         # the test file does not depend on the levels nor the levels file on the rows
