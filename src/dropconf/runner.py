@@ -284,7 +284,8 @@ def reaggregate(out_dir) -> RunArtifacts:
     """Evaluate every model of every run_<digits> directory from its factored
     files and take its failures from failures.json, in index order, then write
     the reports, summary.json, the flat aggregate CSVs and the manifest. It
-    raises before writing, naming the file, for one it cannot read."""
+    raises before writing, naming the file, for one it cannot read and for a
+    levels file of other levels than the model's first run's."""
     record_path, summary_path, curve_path, width_path, retrieval_path = (
         os.path.join(out_dir, name) for name in TOP_FILES)
     record = _read_json(record_path)
@@ -294,7 +295,7 @@ def reaggregate(out_dir) -> RunArtifacts:
         raise ValueError(f"{record_path}: not an object with 'seed', an integer 'n_runs', "
                          "a float 'default_cl' and a list of float 'cutoffs'")
     run_dirs = _run_dirs(out_dir)
-    reports_by_model, written, failures = {}, [], []
+    reports_by_model, first_levels, written, failures = {}, {}, [], []
     for r, rd in run_dirs:
         run_dir = os.path.join(out_dir, rd)
         for name in sorted(os.listdir(run_dir)):
@@ -302,6 +303,10 @@ def reaggregate(out_dir) -> RunArtifacts:
             if name.endswith("_test.csv"):
                 model = name.removesuffix("_test.csv")
                 report = _evaluate_run(run_dir, model, record["default_cl"], record["cutoffs"])
+                levels = os.path.join(run_dir, f"{model}_levels.csv")
+                first, grid = first_levels.setdefault(model, (levels, report["curve"]["cl"]))
+                if report["curve"]["cl"] != grid:
+                    raise ValueError(f"{levels}: other levels than {first}")
                 reports_by_model.setdefault(model, []).append(report)
                 written.append((os.path.join(run_dir, f"{model}_report.json"), report))
             elif name == "failures.json":

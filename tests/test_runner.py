@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -715,16 +716,27 @@ class TestCli:
         assert err.startswith(f"error: {path}: ") and message in err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
-    def test_report_rejects_a_run_whose_levels_disagree_with_the_first(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit, error", [
+        (lambda rows: rows[:1] + rows[2:], ValueError),  # without level 0.5
+        (lambda rows: [rows[0], "0.55" + rows[1][len("0.5"):], *rows[2:]], ValueError),
+    ])
+    def test_report_names_the_report_that_disagrees_with_the_first(self, tmp_path, capsys,
+                                                                   edit, error):
+        # run 1's levels evaluate on their own, but not beside run 0's; the
+        # error once named no file
         out = tmp_path / "out"
         run_experiment(tiny_config(n_runs=2), out_dir=str(out))
         path = out / "run_001" / "rf_levels.csv"
-        header, _half, *rest = path.read_text().splitlines(keepends=True)
-        path.write_text("".join([header, *rest]))  # without level 0.5
+        rows = path.read_text().splitlines(keepends=True)
+        assert rows[1].startswith("0.5,")
+        path.write_text("".join(edit(rows)))
         (out / "run_000" / "rf_report.json").unlink()  # and not written again
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        message = f"{path}: other levels than {out / 'run_000' / 'rf_levels.csv'}"
+        with pytest.raises(error, match=re.escape(message)):
+            reaggregate(str(out))
         assert main(["report", "--in", str(out)]) == 2
-        assert capsys.readouterr().err == "error: reports have mismatched cl grids\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_report_rewrites_a_deleted_or_corrupted_report(self, tmp_path):
