@@ -1,14 +1,16 @@
 """Validity, efficiency, accuracy, and virtual-screening retrieval metrics.
 
 A run's report is the plain JSON-ready dict that evaluate_model builds from
-a run directory's factored interval files: it is written as-is to
-``<model>_report.json``, an output only, and aggregate_runs takes those dicts.
+a run directory's factored interval files, in one pass per model over all its
+levels (level_metrics): it is written as-is to ``<model>_report.json``, an
+output only, and aggregate_runs takes those dicts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .conformal import Intervals
 
 CATEGORIES = ("true_positive", "false_positive", "false_negative", "true_negative", "uncertain")
 
@@ -29,8 +31,8 @@ def _bounds(intervals):
 
 def _labels(y_true, n: int) -> np.ndarray:
     y_true = np.asarray(y_true, dtype=np.float64)
-    if len(y_true) != n:
-        raise ValueError("intervals and labels must have the same length")
+    if len(y_true) != n or n == 0:
+        raise ValueError("intervals and labels must be equal-length and non-empty")
     return y_true
 
 
@@ -41,12 +43,41 @@ def coverage(intervals, y_true) -> float:
     so a calibration point sitting exactly on its own bound still counts as
     covered; unbounded intervals cover everything.
     """
-    lower, upper = _bounds(intervals)
-    y = _labels(y_true, len(lower))
-    magnitude = np.maximum(np.abs(lower), np.abs(upper))
-    slack = 1e-12 * np.maximum(magnitude, np.maximum(np.abs(y), 1.0))
-    hits = int(np.count_nonzero((lower - slack <= y) & (y <= upper + slack)))
-    return hits / len(y)
+    return level_metrics([intervals], y_true)[0][0]
+
+
+def width_stats(intervals) -> dict:
+    """Summary of interval widths; unbounded intervals counted separately,
+    and every statistic None when no interval is bounded."""
+    return level_metrics([intervals], np.zeros(len(intervals)))[1][0]  # any labels
+
+
+def level_metrics(levels, y_true) -> tuple:
+    """(coverages, width stats) of each level's (n, 2) bounds, as coverage and
+    width_stats give one level's. Level by level, coverage is counted and the
+    widths fill one (levels, n) array; each statistic is then one call over all
+    levels whose widths are all finite, and one per level with some."""
+    n = len(levels[0])
+    y = _labels(y_true, n)
+    widths, covs, y_magnitude = np.empty((len(levels), n)), [], np.maximum(np.abs(y), 1.0)
+    for bounds, row in zip(levels, widths):
+        lower, upper = _bounds(bounds)
+        slack = 1e-12 * np.maximum(np.maximum(np.abs(lower), np.abs(upper)), y_magnitude)
+        covs.append(int(np.count_nonzero((lower - slack <= y) & (y <= upper + slack))) / n)
+        np.subtract(upper, lower, out=row)
+    finite = np.isfinite(widths)
+    n_finite, rows = finite.sum(axis=1).tolist(), {}
+    whole = [i for i, k in enumerate(n_finite) if k == n]
+    groups = [(whole, widths if len(whole) == len(widths) else widths[whole])]  # no copy if all
+    groups += [([i], widths[i][finite[i]][None]) for i, k in enumerate(n_finite) if 0 < k < n]
+    for at, w in groups:
+        mean, low, high = w.mean(axis=1), w.min(axis=1), w.max(axis=1)  # then w is reordered
+        median = np.median(w, axis=1, overwrite_input=True)
+        q1, q3 = np.percentile(w, [25, 75], axis=1, overwrite_input=True)
+        rows.update(zip(at, np.column_stack((mean, median, q1, q3, low, high)).tolist()))
+    keys = ("mean", "median", "q1", "q3", "min", "max")
+    return covs, [{**dict(zip(keys, rows.get(i, [None] * 6))), "fraction_unbounded": 1.0 - k / n,
+                   "n_finite": k} for i, k in enumerate(n_finite)]
 
 
 def calibration_curve(intervals_by_cl: dict, y_true, cl_grid) -> dict:
@@ -57,34 +88,15 @@ def calibration_curve(intervals_by_cl: dict, y_true, cl_grid) -> dict:
     in coverage across the grid).
     """
     cls = [float(c) for c in cl_grid]
-    covs = [coverage(intervals_by_cl[c], y_true) for c in cls]
+    return _curve(cls, [coverage(intervals_by_cl[c], y_true) for c in cls])
+
+
+def _curve(cls: list, covs: list) -> dict:
     r2 = None
     if len(cls) >= 2 and np.ptp(covs) > 0 and np.ptp(cls) > 0:
         r = np.corrcoef(cls, covs)[0, 1]
         r2 = float(r * r)
     return {"cl": cls, "coverage": covs, "r_squared": r2}
-
-
-def width_stats(intervals) -> dict:
-    """Summary of interval widths; unbounded intervals counted separately,
-    and every statistic None when no interval is bounded."""
-    lower, upper = _bounds(intervals)
-    if len(lower) == 0:
-        raise ValueError("width_stats requires at least one interval")
-    widths = upper - lower
-    finite = widths[np.isfinite(widths)]
-    frac_unbounded = 1.0 - len(finite) / len(widths)
-    stats = dict.fromkeys(("mean", "median", "q1", "q3", "min", "max"), None)
-    if len(finite):
-        stats = {
-            "mean": float(finite.mean()),
-            "median": float(np.median(finite)),
-            "q1": float(np.percentile(finite, 25)),
-            "q3": float(np.percentile(finite, 75)),
-            "min": float(finite.min()),
-            "max": float(finite.max()),
-        }
-    return {**stats, "fraction_unbounded": frac_unbounded, "n_finite": len(finite)}
 
 
 def screen_counts(intervals, y_true, cutoffs=(5, 6, 7, 8, 9)) -> list:
@@ -99,8 +111,6 @@ def screen_counts(intervals, y_true, cutoffs=(5, 6, 7, 8, 9)) -> list:
     """
     lower, upper = _bounds(intervals)
     y = _labels(y_true, len(lower))
-    if len(y) == 0:
-        raise ValueError("intervals and labels must be equal-length and non-empty")
     if not np.isfinite(y).all():
         raise ValueError("y_true must be finite")
     out = []
@@ -135,22 +145,24 @@ def sigma_error_pairs(y_hat, sigma, y_true):
     return abs_err, corr
 
 
-def evaluate_model(model_name: str, intervals: dict, y_hat, sigma, y, default_cl: float,
+def evaluate_model(model_name: str, y_hat, scale, alpha: dict, sigma, y, default_cl: float,
                    cutoffs) -> dict:
-    """Full per-run report from the intervals (cl -> (n_test, 2) bounds, its
-    keys the levels), the test predictions, their sigma and the labels, as
-    the JSON-ready dict written to ``<model>_report.json``. Width stats are
-    keyed by repr(cl); retrieval counts are taken at the default cl."""
-    cls = sorted(intervals)
-    if float(default_cl) not in intervals:
+    """Full per-run report from the interval factors (the test predictions,
+    their scale and alpha: cl -> score, its keys the levels), the test sigma
+    and the labels, as the JSON-ready dict written to ``<model>_report.json``.
+    Width stats are keyed by repr(cl); retrieval counts are at the default cl."""
+    cls = sorted(alpha)
+    if float(default_cl) not in alpha:
         raise ValueError(f"no intervals at the default cl {default_cl!r}")
     abs_err, corr = sigma_error_pairs(y_hat, sigma, y)
+    intervals = Intervals(y_hat, scale, alpha)
+    covs, widths = level_metrics([intervals[c] for c in cls], y)
     return {
         "model": model_name,
         "rmse": rmse(y, y_hat),
         "default_cl": float(default_cl),
-        "curve": calibration_curve(intervals, y, cls),
-        "width_stats": {repr(c): width_stats(intervals[c]) for c in cls},
+        "curve": _curve(cls, covs),
+        "width_stats": dict(zip(map(repr, cls), widths)),
         "retrieval": screen_counts(intervals[float(default_cl)], y, cutoffs),
         "sigma": sigma.tolist(),
         "abs_error": abs_err.tolist(),

@@ -7,10 +7,10 @@ divergence (a non-finite training loss), and returns its log either way.
 Dropout is the inverted kind: kept activations are rescaled by 1/(1-p) so
 stochastic and deterministic passes share the same expectation scale.
 Training steps, validation and dropout passes run the hidden layers through
-one loop, ``_hidden_layers``. Training holds three weight-sized arrays
-(weights, velocity, best-epoch snapshot): ``train`` forms each weight
-gradient from its two factors one block of rows at a time, in a small reused
-buffer, and takes the Nesterov step on those rows while they are in cache.
+one loop, ``_hidden_layers``. Every weight and bias is a view of one flat
+vector; training holds two more (velocity, best-epoch snapshot) and steps all
+three a chunk at a time: a weight's block of rows, or a run of small weights
+and biases, whose gradients it forms in a small reused buffer while in cache.
 """
 
 from __future__ import annotations
@@ -70,14 +70,18 @@ class TrainingLog:
 
 
 def init_mlp(input_dim: int, config: NetConfig, seed: int) -> MLPModel:
-    """He-initialized network: weight std sqrt(2/fan_in), zero biases."""
+    """He-initialized network: weight std sqrt(2/fan_in), zero biases, each
+    weight and bias a view of one flat vector laid out W0, b0, W1, b1, ..."""
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
     rng = rng_for(seed, "init")
     dims = [input_dim] + list(config.hidden_sizes) + [1]
-    weights = [rng.standard_normal((i, o)) * math.sqrt(2.0 / i) for i, o in zip(dims, dims[1:])]
-    biases = [np.zeros(o) for o in dims[1:]]
-    return MLPModel(weights=weights, biases=biases, config=config)
+    sizes = [size for i, o in zip(dims, dims[1:]) for size in (i * o, o)]
+    views = np.split(np.zeros(sum(sizes)), np.cumsum(sizes)[:-1])
+    weights = [rng.standard_normal(out=v.reshape(i, o)) for v, i, o in zip(views[::2], dims, dims[1:])]
+    for w in weights:
+        w *= math.sqrt(2.0 / len(w))  # drawn into its view: the stream and bits of a fresh draw
+    return MLPModel(weights=weights, biases=views[1::2], config=config)
 
 
 def draw_masks(model: MLPModel, n: int, rng: np.random.Generator) -> list:
@@ -85,7 +89,7 @@ def draw_masks(model: MLPModel, n: int, rng: np.random.Generator) -> list:
     from one draw in the stream order of one draw per layer."""
     p, widths = model.config.dropout_p, model.config.hidden_sizes
     keep = rng.random(n * sum(widths)) >= p if p else np.ones(n * sum(widths), dtype=bool)
-    return [k.reshape(n, w) for k, w in zip(np.split(keep, n * np.cumsum(widths)[:-1]), widths)]
+    return [keep[n * (e - w) : n * e].reshape(n, w) for e, w in zip(np.cumsum(widths).tolist(), widths)]
 
 
 def _relu_layer(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,12 +200,27 @@ def _row_blocks(fan_in: int, fan_out: int, batch: int) -> list:
     return blocks if same else [(0, fan_in)]
 
 
+def _chunks(weights: list, batch: int) -> list:
+    """Each weight's row blocks on ``batch`` rows, then its bias, packed in order
+    into chunks of at most _BLOCK elements unless one piece is larger: lists of
+    (layer, r, e, lo, hi), gradient rows r:e (bias if r is None) for flat [lo, hi)."""
+    chunks, at = [], 0
+    for layer, w in enumerate(weights):
+        for r, e in [*_row_blocks(*w.shape, batch), (None, None)]:
+            hi = at + w.shape[1] * (1 if r is None else e - r)
+            if not chunks or hi - chunks[-1][0][3] > _BLOCK:
+                chunks.append([])
+            chunks[-1].append((layer, r, e, at, hi))
+            at = hi
+    return chunks
+
+
 def _nesterov_step(w, v, g, mu: float, lr: float, scratch) -> None:
     """w -= lr * (g + mu * v) after v = mu * v + g, in place and with their bits
     (products and sums commute exactly); ``scratch`` holds g.size floats."""
     v *= mu
     v += g
-    step = np.multiply(v, mu, out=scratch[: g.size].reshape(g.shape))
+    step = np.multiply(v, mu, out=scratch[: g.size])
     step += g
     step *= lr
     w -= step
@@ -223,14 +242,12 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
     batch_size = max(1, math.ceil(config.batch_fraction * n))
     rng = rng_for(seed, "train")
 
-    weights, biases = model.weights, model.biases  # the live arrays, updated in place
-    # blocks by batch length (full, shorter last), probed before vel and best exist
-    lengths = {batch_size, n % batch_size} - {0}
-    blocks = {k: [_row_blocks(*w.shape, k) for w in weights] for k in lengths}
-    size = max(w[r:e].size for k in blocks for w, wb in zip(weights, blocks[k]) for r, e in wb)
+    params = model.weights[0].base  # the flat vector of every weight and bias, stepped in place
+    # chunks by batch length (full, shorter last), probed before vel and best exist
+    chunks = {k: _chunks(model.weights, k) for k in {batch_size, n % batch_size} - {0}}
+    size = max(c[-1][4] - c[0][3] for k in chunks for c in chunks[k])
     grad, step = np.empty(size), np.empty(size)
-    vel = [np.zeros_like(a) for a in weights + biases]
-    best = [a.copy() for a in weights + biases]  # overwritten in place by each better epoch
+    vel, best = np.zeros_like(params), params.copy()  # best: overwritten by each better epoch
 
     log = TrainingLog(learning_rates=[], train_losses=[], val_rmses=[], best_epoch=-1)
 
@@ -245,12 +262,16 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
                 masks = draw_masks(model, len(idx), rng)
                 acts, deltas, b_grads, loss = compute_gradients(model, X[idx], y[idx], masks)
                 sq_err_sum += loss * len(idx)
-                for w, v, a, d, wb in zip(weights, vel, acts, deltas, blocks[len(idx)]):
-                    for r, e in wb:
-                        g = np.matmul(a.T[r:e], d, out=grad[: w[r:e].size].reshape(e - r, -1))
-                        _nesterov_step(w[r:e], v[r:e], g, config.momentum, lr, step)
-                for b, v, g in zip(biases, vel[len(weights) :], b_grads):
-                    _nesterov_step(b, v, g, config.momentum, lr, step)
+                for parts in chunks[len(idx)]:
+                    at, end = parts[0][3], parts[-1][4]
+                    for layer, r, e, lo, hi in parts:
+                        g = grad[lo - at : hi - at]
+                        if r is None:
+                            np.copyto(g, b_grads[layer])
+                        else:
+                            np.matmul(acts[layer].T[r:e], deltas[layer], out=g.reshape(e - r, -1))
+                    _nesterov_step(params[at:end], vel[at:end], grad[: end - at], config.momentum,
+                                   lr, step)
             epoch_loss = sq_err_sum / n
             if not math.isfinite(epoch_loss):
                 log.stop_reason = "diverged"
@@ -264,13 +285,11 @@ def train(train_set: Dataset, val_set: Dataset, config: NetConfig, seed: int):
 
             if val_rmse < log.best_val_rmse:
                 log.best_val_rmse, log.best_epoch = val_rmse, epoch
-                for kept, a in zip(best, weights + biases):
-                    np.copyto(kept, a)
+                np.copyto(best, params)
             elif epoch - log.best_epoch >= config.patience:
                 log.stop_reason = "early_stop"
                 break
 
-    model.weights, model.biases = best[: len(weights)], best[len(weights) :]
+    np.copyto(params, best)
     log.converged = log.stop_reason != "diverged" and log.best_val_rmse < config.rmse_gate
     return model, log
-

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, dnn_key
-from .conformal import ConformalResult, Intervals, dropout_icp, rank_at_level, rf_ccp
+from .conformal import ConformalResult, dropout_icp, rank_at_level, rf_ccp
 from .data import DataError, Dataset, _csv_rows, load_table, make_synthetic, random_split
 from .evaluate import CATEGORIES, aggregate_runs, evaluate_model
 from .net import train
@@ -47,13 +47,13 @@ def _format_column(column) -> list:
 
     Float arrays go through repr() of plain Python floats, so every bit
     survives; integer arrays through str(). Other columns keep a per-cell
-    rule: repr(float(v)) for floats (numpy float64 scalars included, never
-    their numpy repr), str(v) for anything else, quoted as csv.writer's
-    QUOTE_MINIMAL quotes it when it holds a comma, quote, CR or LF.
+    rule: repr(float(v)) for floats (never a numpy float64's numpy repr), ""
+    for None and str(v) for anything else, each as csv.writer writes and, by
+    QUOTE_MINIMAL, quotes it: when it holds a comma, quote, CR or LF.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
         return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
-    cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in column)
+    cells = ("" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in column)
     return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
 
 
@@ -257,7 +257,7 @@ def _read_json(path):
 
 
 def _evaluate_run(run_dir, model, default_cl, cutoffs) -> dict:
-    """evaluate_model on the bounds rebuilt from the model's factored files.
+    """evaluate_model on the interval factors read from the model's files.
     A ValueError names the file of another header or width, or with a cell
     that is not a number, and the test file for any other error."""
     columns = []
@@ -273,9 +273,9 @@ def _evaluate_run(run_dir, model, default_cl, cutoffs) -> dict:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     y, y_hat, sigma, scale, cls, _k, alpha, _unbounded = columns
-    intervals = Intervals(y_hat, scale, dict(zip(cls.tolist(), alpha.tolist())))
     try:
-        return evaluate_model(model, intervals, y_hat, sigma, y, default_cl, cutoffs)
+        return evaluate_model(model, y_hat, scale, dict(zip(cls.tolist(), alpha.tolist())), sigma,
+                              y, default_cl, cutoffs)
     except ValueError as exc:
         raise ValueError(f"{os.path.join(run_dir, model)}_test.csv: {exc}") from None
 

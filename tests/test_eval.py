@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dropconf.conformal import Intervals
 from dropconf.ensemble import from_passes
 from dropconf.evaluate import (
     CATEGORIES,
     aggregate_runs,
     calibration_curve,
     coverage,
+    evaluate_model,
+    level_metrics,
     rmse,
     screen_counts,
     sigma_error_pairs,
@@ -109,6 +112,69 @@ class TestWidthStats:
         ws = width_stats([interval(-math.inf, math.inf)] * 2)
         assert ws == {"mean": None, "median": None, "q1": None, "q3": None, "min": None,
                       "max": None, "fraction_unbounded": 1.0, "n_finite": 0}
+
+
+def oracle_coverage(intervals, y_true) -> float:
+    """coverage as it was computed one level at a time, the byte oracle."""
+    bounds = np.asarray(intervals, dtype=np.float64).reshape(len(intervals), 2)
+    lower, upper = bounds[:, 0], bounds[:, 1]
+    y = np.asarray(y_true, dtype=np.float64)
+    magnitude = np.maximum(np.abs(lower), np.abs(upper))
+    slack = 1e-12 * np.maximum(magnitude, np.maximum(np.abs(y), 1.0))
+    hits = int(np.count_nonzero((lower - slack <= y) & (y <= upper + slack)))
+    return hits / len(y)
+
+
+def oracle_width_stats(intervals) -> dict:
+    """width_stats as it was computed one level at a time, the byte oracle."""
+    bounds = np.asarray(intervals, dtype=np.float64).reshape(len(intervals), 2)
+    widths = bounds[:, 1] - bounds[:, 0]
+    finite = widths[np.isfinite(widths)]
+    frac_unbounded = 1.0 - len(finite) / len(widths)
+    stats = dict.fromkeys(("mean", "median", "q1", "q3", "min", "max"), None)
+    if len(finite):
+        stats = {
+            "mean": float(finite.mean()),
+            "median": float(np.median(finite)),
+            "q1": float(np.percentile(finite, 25)),
+            "q3": float(np.percentile(finite, 75)),
+            "min": float(finite.min()),
+            "max": float(finite.max()),
+        }
+    return {**stats, "fraction_unbounded": frac_unbounded, "n_finite": len(finite)}
+
+
+class TestLevelMetrics:
+    @pytest.mark.parametrize("n", [1, 2, 3, 750])
+    def test_every_level_matches_the_per_level_oracle_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        y_hat = rng.standard_normal(n) * 3.0
+        # scales of eleven values tie widths; a scale of 1e300 makes
+        # scale * alpha overflow at alpha 1e9, and the width at alpha 1e8
+        scale = np.exp(np.round(rng.random(n), 1))
+        scale[::3] = 1e300
+        y = y_hat + scale * rng.standard_normal(n)
+        # labels on the upper bound at alpha 1.0, and past it by 5x the 1e-12 slack
+        edge = y_hat + scale * 1.0
+        y[1::4], y[2::4] = edge[1::4], edge[2::4] + 5e-12 * np.maximum(np.abs(edge[2::4]), 1.0)
+        alpha = {0.1: 0.0, 0.2: 0.5, 0.3: 1.0, 0.5: 2.5, 0.7: 1e8, 0.8: 1e9, 0.9: math.inf}
+        with np.errstate(over="ignore"):
+            intervals = Intervals(y_hat, scale, alpha)
+            report = evaluate_model("m", y_hat, scale, alpha, np.zeros(n), y, 0.5, (0.0, 5.0))
+            covs, stats = report["curve"]["coverage"], list(report["width_stats"].values())
+            assert repr(covs) == repr([oracle_coverage(intervals[cl], y) for cl in alpha])
+            assert repr(stats) == repr([oracle_width_stats(intervals[cl]) for cl in alpha])
+        assert report["retrieval"] == screen_counts(intervals[0.5], y, (0.0, 5.0))
+        kinds = {(s["n_finite"] == n, s["n_finite"] == 0) for s in stats}
+        assert kinds == ({(True, False), (False, True)} if n == 1
+                         else {(True, False), (False, False), (False, True)})
+
+    def test_one_level_is_coverage_and_width_stats(self):
+        ivs = [interval(0, 1), interval(0, 3), interval(-math.inf, math.inf), interval(2, 2)]
+        y = [0.5, 4.0, 7.0, 2.0]
+        (cov,), (stats,) = level_metrics([ivs], y)
+        assert cov == coverage(ivs, y) == oracle_coverage(ivs, y) == 0.75
+        assert stats == width_stats(ivs) == oracle_width_stats(ivs)
 
 
 class TestScreenClassify:

@@ -406,21 +406,25 @@ def oracle_train(train_set, val_set, config, seed):
 # is merged into the block before it
 ORACLE_WIDTHS = ((3, (5,)), (37, (1100, 20)), (33, (600, 3)))
 ORACLE_BATCHES = (1, 2, 7, 36)
+# (input width, hidden sizes, training rows, batch rows): every width at every
+# batch size over 36 rows, and the dense_grid benchmark network, 3,500 rows in
+# batches of 525 and a 350-row tail, whose weights and biases share one chunk
+ORACLE_CASES = [(d, hidden, 36, batch) for d, hidden in ORACLE_WIDTHS
+                for batch in ORACLE_BATCHES] + [(8, (16, 8), 3500, 525)]
 
 
 def oracle_mismatches() -> list:
-    """Every (width, batch size, dropout p) of the grid at which train and
-    oracle_train differ in any weight, bias or log entry."""
+    """Every (width, hidden sizes, batch size, dropout p) of the grid at which
+    train and oracle_train differ in any weight, bias or log entry."""
     bad = []
-    for (d, hidden), batch, p in ((w, b, p) for w in ORACLE_WIDTHS
-                                  for b in ORACLE_BATCHES for p in (0.0, 0.25)):
+    for (d, hidden, n, batch), p in ((c, p) for c in ORACLE_CASES for p in (0.0, 0.25)):
         rng = np.random.default_rng(d + batch)
-        X = rng.standard_normal((48, d))
-        y = X[:, 0] + 0.5 * rng.standard_normal(48)
-        tr = Dataset(ids=tuple(range(36)), labels=y[:36], features=X[:36])
-        va = Dataset(ids=tuple(range(12)), labels=y[36:], features=X[36:])
-        # ceil((batch - 0.5) / 36 * 36) == batch rows per step
-        cfg = NetConfig(hidden_sizes=hidden, dropout_p=p, batch_fraction=(batch - 0.5) / 36,
+        X = rng.standard_normal((n + n // 3, d))
+        y = X[:, 0] + 0.5 * rng.standard_normal(len(X))
+        tr = Dataset(ids=tuple(range(n)), labels=y[:n], features=X[:n])
+        va = Dataset(ids=tuple(range(n // 3)), labels=y[n:], features=X[n:])
+        # ceil((batch - 0.5) / n * n) == batch rows per step
+        cfg = NetConfig(hidden_sizes=hidden, dropout_p=p, batch_fraction=(batch - 0.5) / n,
                         max_epochs=3, patience=3)
         (m1, log1), (m2, log2) = train(tr, va, cfg, seed=batch), oracle_train(tr, va, cfg, seed=batch)
         same = all(np.array_equal(a, b) for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases))
@@ -451,6 +455,34 @@ class TestBlockedTraining:
         assert net._row_blocks(33, 600, 36) == [(0, 16), (16, 33)]
         assert net._row_blocks(100, 100, 36) == [(0, 100)]
         assert all(r % 16 == 0 for r, _ in net._row_blocks(1024, 1000, 36))
+
+    def test_chunks_tile_the_flat_parameter_vector(self):
+        # pieces pack in order while a chunk stays within _BLOCK elements: the
+        # two row blocks of the 33 x 600 weight (9,600 and 10,200) do not share
+        # one, and all pieces of a small network do
+        model = init_mlp(33, NetConfig(hidden_sizes=(600, 3)), 0)
+        chunks = net._chunks(model.weights, 36)
+        assert [[part[:3] for part in c] for c in chunks] == [
+            [(0, 0, 16)],
+            [(0, 16, 33), (0, None, None), (1, 0, 600), (1, None, None), (2, 0, 3), (2, None, None)]]
+        parts = [part for c in chunks for part in c]
+        assert [p[3] for p in parts] == [0] + [p[4] for p in parts[:-1]]
+        assert parts[-1][4] == model.weights[0].base.size
+        wide = init_mlp(1024, NetConfig(hidden_sizes=(1000, 100)), 0)
+        assert max(c[-1][4] - c[0][3] for c in net._chunks(wide.weights, 36)) <= net._BLOCK
+        assert len(net._chunks(init_mlp(8, NetConfig(hidden_sizes=(16, 8)), 0).weights, 525)) == 1
+
+    def test_parameters_are_views_of_one_flat_vector(self):
+        model = init_mlp(5, NetConfig(hidden_sizes=(4, 3)), 2)
+        flat = model.weights[0].base
+        rng = rng_for(2, "init")
+        at = 0
+        for w, b in zip(model.weights, model.biases):
+            assert w.base is flat and b.base is flat
+            assert np.array_equal(w, rng.standard_normal(w.shape) * math.sqrt(2.0 / w.shape[0]))
+            assert np.shares_memory(w, flat[at : at + w.size]) and not b.any()
+            at += w.size + b.size
+        assert at == flat.size
 
     @pytest.mark.parametrize("threads", ["1", None])
     def test_matches_dense_oracle_bit_for_bit(self, threads):

@@ -770,6 +770,20 @@ class TestCli:
         assert agg["mean_width"]["0.99"] == {"mean": None, "std": None, "n": 0}
         assert agg["mean_width"]["0.5"]["n"] == 2
 
+    def test_a_level_no_run_bounded_is_an_empty_cell(self, tmp_path):
+        # every run leaves level 0.99 unbounded (see the test above); its
+        # width_stats.csv cells were once the text None
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("synthetic.n = 60\nmodels = rf\nforest.n_trees = 3\ncv_folds = 2\n"
+                            "cl_grid = 0.5,0.99\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 0
+        text = (out / "width_stats.csv").read_text()
+        assert text.splitlines()[-1] == "rf,0.99,,,1.0" and "None" not in text
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["models"]["rf"]["mean_width"]["0.99"] == {"mean": None, "std": None,
+                                                                 "n": 0}
+
     def test_report_keeps_the_bytes_of_a_directory_with_failures(self, tmp_path):
         out = tmp_path / "out"
         run_experiment(failing_config(), out_dir=str(out))
@@ -1036,8 +1050,11 @@ class TestCli:
 
 
 def _old_write_csv(path, header, rows):
-    """The row-wise writer write_csv replaced, kept as the byte oracle."""
+    """The row-wise writer write_csv replaced, kept as the byte oracle; None
+    is an empty cell, as csv.writer writes it."""
     def _fmt(value):
+        if value is None:
+            return ""
         if isinstance(value, float):
             return repr(float(value))
         return str(value)
@@ -1140,7 +1157,7 @@ class TestWriteCsv:
         ]
         old, new = self._both(tmp_path, list("abcde"), blocks)
         assert new == old
-        assert b"x,0.1,3,1,0.5\n" in new and b"None" in new
+        assert b"x,0.1,3,1,0.5\n" in new and b"z,,5,True,-2.0\n" in new and b"None" not in new
 
     @pytest.mark.parametrize("blocks", [[], [[[], np.array([])]]])
     def test_zero_rows_write_the_header_only(self, tmp_path, blocks):
