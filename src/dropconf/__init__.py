@@ -18,14 +18,7 @@ from .conformal import (
     dropout_icp,
     rf_ccp,
 )
-from .evaluate import (
-    rmse,
-    coverage,
-    calibration_curve,
-    width_stats,
-    screen_counts,
-    aggregate_runs,
-)
+from .evaluate import rmse, screen_counts, aggregate_runs
 from .config import ExperimentConfig, parse_config
 from .runner import run_experiment
 

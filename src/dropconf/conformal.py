@@ -7,9 +7,9 @@ The score for an instance is |y - y_hat| / e^sigma, where sigma is the
 ensemble standard deviation of that instance's own passes. Since e^sigma >= 1
 every score is bounded by the raw residual, so the largest calibration score
 never exceeds the largest calibration residual. The interval at level cl is
-y_hat +/- e^sigma * alpha_cl, kept as an (n_test, 2) array of
-[lower, upper] per level, next to its two factors: scale = e^sigma per test
-instance and alpha_cl per level.
+y_hat +/- e^sigma * alpha_cl. A pipeline returns only its two factors, scale
+= e^sigma per test instance and alpha_cl per level; intervals_for forms the
+(n, 2) bounds from them where a report is evaluated.
 
 e^sigma is taken with math.exp, one instance at a time: np.exp can differ
 from it in the last bit, and every emitted byte derives from these values.
@@ -43,26 +43,15 @@ class Calibration:
     alpha: np.ndarray
 
 
-class Intervals(dict):
-    """cl -> (n_test, 2) array of [lower, upper] = y_hat -/+ scale * alpha[cl],
-    holding its factors: ``scale`` per test instance and ``alpha`` (cl ->
-    score, +inf for the whole line) per level."""
-
-    def __init__(self, y_hat: np.ndarray, scale: np.ndarray, alpha: dict):
-        super().__init__()
-        for cl, a in alpha.items():
-            half = scale * a
-            self[cl] = np.column_stack((y_hat - half, y_hat + half))
-        self.scale, self.alpha = scale, alpha
-
-
 @dataclass
 class ConformalResult:
-    """Intervals per confidence level with their factors, and the calibration."""
+    """The sorted calibration, the test predictions and the interval factors:
+    ``scale`` per test instance and ``alpha`` (cl -> score) per level."""
 
-    intervals: Intervals
     calibration: Calibration
     test_prediction: EnsemblePrediction
+    scale: np.ndarray
+    alpha: dict
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -121,22 +110,28 @@ def alpha_at_level(alphas: np.ndarray, cl: float) -> float:
     return float(alphas[k - 1])
 
 
-def intervals_for(preds: EnsemblePrediction, alphas: np.ndarray, cl_list) -> Intervals:
-    """Intervals y_hat +/- e^sigma * alpha_cl per confidence level from the
-    ascending scores, each an (n_test, 2) array of [lower, upper]; +inf alpha
-    gives the whole line. Each level's alpha is looked up once."""
+def interval_factors(preds: EnsemblePrediction, alphas: np.ndarray, cl_list) -> tuple:
+    """(scale, alpha) of the test predictions from the ascending scores:
+    scale = math.exp(min(sigma, 700)) per test instance and alpha: cl -> the
+    score alpha_at_level gives, looked up once per level."""
     if not np.isfinite(preds.means).all():
         raise ValueError("y_hat must be finite")
-    return Intervals(preds.means, _exp(np.minimum(preds.stds, 700.0)),
-                     {float(cl): alpha_at_level(alphas, cl) for cl in cl_list})
+    return (_exp(np.minimum(preds.stds, 700.0)),
+            {float(cl): alpha_at_level(alphas, cl) for cl in cl_list})
+
+
+def intervals_for(y_hat: np.ndarray, scale: np.ndarray, alpha: dict) -> dict:
+    """cl -> (n, 2) array of [lower, upper] = y_hat -/+ scale * alpha[cl], the
+    product taken first; +inf alpha gives the whole line."""
+    halves = ((cl, scale * a) for cl, a in alpha.items())  # one level's alive at a time
+    return {cl: np.column_stack((y_hat - h, y_hat + h)) for cl, h in halves}
 
 
 def _conformal(cal_set: Dataset, cal_pred, test_pred, cl_list) -> ConformalResult:
     """The conformal step shared by both pipelines: score the calibration
-    rows, then set the test intervals from the sorted scores."""
+    rows, then take the test intervals' factors from the sorted scores."""
     cal = build_calibration(cal_set.labels, cal_pred, ids=cal_set.ids)
-    return ConformalResult(intervals=intervals_for(test_pred, cal.alpha, cl_list),
-                           calibration=cal, test_prediction=test_pred)
+    return ConformalResult(cal, test_pred, *interval_factors(test_pred, cal.alpha, cl_list))
 
 
 def dropout_icp(
@@ -149,9 +144,9 @@ def dropout_icp(
 ) -> ConformalResult:
     """Inductive conformal prediction from test-time dropout ensembles.
 
-    Calibrates on the validation set's dropout passes, then builds intervals
-    for the test set from an independent pass stream. Point predictions are
-    the test-pass means.
+    Calibrates on the validation set's dropout passes, then takes the test
+    set's interval factors from an independent pass stream. Point predictions
+    are the test-pass means.
     """
     val_pred = mc_dropout_predict(model, val.features, n_passes, derive_seed(seed, "cal"))
     test_pred = mc_dropout_predict(model, test.features, n_passes, derive_seed(seed, "test"))

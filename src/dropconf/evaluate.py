@@ -1,16 +1,16 @@
 """Validity, efficiency, accuracy, and virtual-screening retrieval metrics.
 
 A run's report is the plain JSON-ready dict that evaluate_model builds from
-a run directory's factored interval files, in one pass per model over all its
-levels (level_metrics): it is written as-is to ``<model>_report.json``, an
-output only, and aggregate_runs takes those dicts.
+a run directory's factored interval files, forming the bounds once
+(intervals_for) and scoring all levels in one pass (level_metrics): it is
+written as-is to ``<model>_report.json``, an output only, for aggregate_runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .conformal import Intervals
+from .conformal import intervals_for
 
 CATEGORIES = ("true_positive", "false_positive", "false_negative", "true_negative", "uncertain")
 
@@ -36,26 +36,14 @@ def _labels(y_true, n: int) -> np.ndarray:
     return y_true
 
 
-def coverage(intervals, y_true) -> float:
-    """Fraction of instances with lower <= y <= upper (closed intervals).
-
-    A relative slack of 1e-12 absorbs the rounding of the e^sigma round trip,
-    so a calibration point sitting exactly on its own bound still counts as
-    covered; unbounded intervals cover everything.
-    """
-    return level_metrics([intervals], y_true)[0][0]
-
-
-def width_stats(intervals) -> dict:
-    """Summary of interval widths; unbounded intervals counted separately,
-    and every statistic None when no interval is bounded."""
-    return level_metrics([intervals], np.zeros(len(intervals)))[1][0]  # any labels
-
-
 def level_metrics(levels, y_true) -> tuple:
-    """(coverages, width stats) of each level's (n, 2) bounds, as coverage and
-    width_stats give one level's. Level by level, coverage is counted and the
-    widths fill one (levels, n) array; each statistic is then one call over all
+    """(coverages, width stats) of each level's (n, 2) [lower, upper] bounds.
+    Coverage is the fraction of labels with lower <= y <= upper (closed): a
+    relative slack of 1e-12 absorbs the rounding of the e^sigma round trip, so
+    a calibration point on its own bound still counts as covered, and
+    unbounded intervals cover everything. Width stats are None when no
+    interval is bounded. Level by level, coverage is counted and the widths
+    fill one (levels, n) array; each statistic is then one call over all
     levels whose widths are all finite, and one per level with some."""
     n = len(levels[0])
     y = _labels(y_true, n)
@@ -78,25 +66,6 @@ def level_metrics(levels, y_true) -> tuple:
     keys = ("mean", "median", "q1", "q3", "min", "max")
     return covs, [{**dict(zip(keys, rows.get(i, [None] * 6))), "fraction_unbounded": 1.0 - k / n,
                    "n_finite": k} for i, k in enumerate(n_finite)]
-
-
-def calibration_curve(intervals_by_cl: dict, y_true, cl_grid) -> dict:
-    """{"cl", "coverage", "r_squared"}: empirical coverage per grid cl and the
-    squared Pearson correlation between cl and coverage across the grid.
-
-    r_squared is None when undefined (fewer than 2 points, or zero variance
-    in coverage across the grid).
-    """
-    cls = [float(c) for c in cl_grid]
-    return _curve(cls, [coverage(intervals_by_cl[c], y_true) for c in cls])
-
-
-def _curve(cls: list, covs: list) -> dict:
-    r2 = None
-    if len(cls) >= 2 and np.ptp(covs) > 0 and np.ptp(cls) > 0:
-        r = np.corrcoef(cls, covs)[0, 1]
-        r2 = float(r * r)
-    return {"cl": cls, "coverage": covs, "r_squared": r2}
 
 
 def screen_counts(intervals, y_true, cutoffs=(5, 6, 7, 8, 9)) -> list:
@@ -150,18 +119,28 @@ def evaluate_model(model_name: str, y_hat, scale, alpha: dict, sigma, y, default
     """Full per-run report from the interval factors (the test predictions,
     their scale and alpha: cl -> score, its keys the levels), the test sigma
     and the labels, as the JSON-ready dict written to ``<model>_report.json``.
-    Width stats are keyed by repr(cl); retrieval counts are at the default cl."""
+    The curve's r_squared is the squared Pearson correlation of cl and
+    coverage, None when undefined (under 2 levels, or no variance). Width
+    stats are keyed by repr(cl); retrieval counts are at the default cl.
+    Non-finite y_hat, sigma or scale is a ValueError: a report is strict JSON."""
     cls = sorted(alpha)
     if float(default_cl) not in alpha:
         raise ValueError(f"no intervals at the default cl {default_cl!r}")
+    for name, values in (("y_hat", y_hat), ("sigma", sigma), ("scale", scale)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
     abs_err, corr = sigma_error_pairs(y_hat, sigma, y)
-    intervals = Intervals(y_hat, scale, alpha)
+    intervals = intervals_for(y_hat, scale, alpha)
     covs, widths = level_metrics([intervals[c] for c in cls], y)
+    r2 = None
+    if len(cls) >= 2 and np.ptp(covs) > 0 and np.ptp(cls) > 0:
+        r = np.corrcoef(cls, covs)[0, 1]
+        r2 = float(r * r)
     return {
         "model": model_name,
         "rmse": rmse(y, y_hat),
         "default_cl": float(default_cl),
-        "curve": _curve(cls, covs),
+        "curve": {"cl": cls, "coverage": covs, "r_squared": r2},
         "width_stats": dict(zip(map(repr, cls), widths)),
         "retrieval": screen_counts(intervals[float(default_cl)], y, cutoffs),
         "sigma": sigma.tolist(),

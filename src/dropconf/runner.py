@@ -102,18 +102,18 @@ def train_with_retry(train_set, val_set, net_cfg, seed, retry_limit):
 
 
 def _dump_conformal(prefix: str, result: ConformalResult, test: Dataset, run_dir) -> None:
-    """The calibration rows, then the intervals as one row per test instance
-    and one per level: bounds y_hat -/+ scale * alpha, the line if alpha = inf."""
-    cal, pred, iv = result.calibration, result.test_prediction, result.intervals
+    """The calibration rows, then the interval factors, one row per test
+    instance and one per level: bounds y_hat -/+ scale * alpha, the line if alpha = inf."""
+    cal, pred = result.calibration, result.test_prediction
     write_csv(
         os.path.join(run_dir, f"{prefix}_calibration.csv"),
         ["id", "y", "y_hat", "sigma", "alpha"],
         [[cal.ids, cal.y, cal.y_hat, cal.sigma, cal.alpha]],
     )
     write_csv(os.path.join(run_dir, f"{prefix}_test.csv"), TEST_HEADER,
-              [[test.ids, test.labels, pred.means, pred.stds, iv.scale]])
-    cls = sorted(iv.alpha)
-    alpha = np.array([iv.alpha[cl] for cl in cls])
+              [[test.ids, test.labels, pred.means, pred.stds, result.scale]])
+    cls = sorted(result.alpha)
+    alpha = np.array([result.alpha[cl] for cl in cls])
     ks = np.array([rank_at_level(len(cal.alpha), cl) for cl in cls])
     write_csv(os.path.join(run_dir, f"{prefix}_levels.csv"), LEVELS_HEADER,
               [[np.array(cls), ks, alpha, np.isinf(alpha).astype(int)]])

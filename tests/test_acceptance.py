@@ -16,13 +16,14 @@ import pytest
 from dropconf.conformal import (
     alpha_at_level,
     dropout_icp,
+    interval_factors,
     intervals_for,
     nonconformity,
     rf_ccp,
 )
 from dropconf.data import make_synthetic, random_split
 from dropconf.ensemble import EnsemblePrediction, mc_dropout_predict
-from dropconf.evaluate import CATEGORIES, calibration_curve, coverage, rmse, screen_counts
+from dropconf.evaluate import CATEGORIES, evaluate_model, level_metrics, rmse, screen_counts
 from dropconf.forest import ForestConfig, fit_cart, fit_forest, forest_predict
 from dropconf.net import NetConfig, compute_gradients, draw_masks, init_mlp, lr_at_epoch, train
 from dropconf.seeds import rng_for
@@ -47,6 +48,27 @@ def summary(y_hat, sigma):
     y_hat = np.asarray(y_hat, dtype=np.float64)
     return EnsemblePrediction(means=y_hat, stds=np.asarray(sigma, dtype=np.float64),
                               passes=y_hat[:, None], n_members=1)
+
+
+def bounds(y_hat, sigma, alphas, cl):
+    """The (n, 2) bounds at level cl from the ascending scores: the interval
+    factors, then intervals_for."""
+    preds = summary(y_hat, sigma)
+    return intervals_for(preds.means, *interval_factors(preds, alphas, [cl]))[cl]
+
+
+def result_bounds(result):
+    """cl -> (n_test, 2) bounds of a pipeline result, from its factors."""
+    return intervals_for(result.test_prediction.means, result.scale, result.alpha)
+
+
+def report_curve(result, test_set):
+    """The calibration curve evaluate_model writes into a pipeline's report."""
+    pred = result.test_prediction
+    curve = evaluate_model("m", pred.means, result.scale, result.alpha, pred.stds,
+                           test_set.labels, 0.8, ())["curve"]
+    assert curve["cl"] == list(GRID)
+    return curve
 
 
 def coverage_floor_ok(curve, n_test):
@@ -85,7 +107,7 @@ def rf_result(hetero_data):
 
 def test_criterion_01_dropout_validity(dnn_icp):
     result, test_set = dnn_icp
-    curve = calibration_curve(result.intervals, test_set.labels, GRID)
+    curve = report_curve(result, test_set)
     ok, detail = coverage_floor_ok(curve, test_set.n_rows)
     assert ok, f"coverage below floor at {detail}"
     assert curve["r_squared"] is not None and curve["r_squared"] > 0.99
@@ -95,7 +117,7 @@ def test_criterion_01_dropout_validity(dnn_icp):
 @pytest.mark.slow  # uses the n=3000, 100-tree RF fixture
 def test_criterion_02_rf_validity(rf_result):
     result, test_set = rf_result
-    curve = calibration_curve(result.intervals, test_set.labels, GRID)
+    curve = report_curve(result, test_set)
     ok, detail = coverage_floor_ok(curve, test_set.n_rows)
     assert ok, f"coverage below floor at {detail}"
     assert curve["r_squared"] is not None and curve["r_squared"] > 0.99
@@ -174,7 +196,7 @@ def test_criterion_06_self_calibration_count():
         for cl in (0.5, 0.8, 0.9):
             a_cl = alpha_at_level(cal, cl)
             assert math.isfinite(a_cl)
-            covered = round(coverage(intervals_for(summary(y_hat, sigma), cal, [cl])[cl], y) * n)
+            covered = round(level_metrics([bounds(y_hat, sigma, cal, cl)], y)[0][0] * n)
             assert covered == math.ceil(cl * (n + 1) - 1e-9)
     report(6, "self-calibration covers exactly k = ceil(cl*(n+1)) instances")
 
@@ -201,12 +223,11 @@ def test_criterion_08_equation_unit_examples():
     assert nonconformity(7.0, 6.0, math.log(2)) == pytest.approx(0.5, abs=1e-12)
     assert nonconformity(3.0, 3.0, 5.0) == pytest.approx(0.0, abs=1e-12)
     half = np.full(9, 0.5)  # alpha_0.8 = 0.5
-    (lower, upper), (lower2, upper2) = intervals_for(
-        summary([6.0, 7.0], [0.0, math.log(2)]), half, [0.8])[0.8]
+    (lower, upper), (lower2, upper2) = bounds([6.0, 7.0], [0.0, math.log(2)], half, 0.8)
     assert lower == pytest.approx(5.5, abs=1e-12) and upper == pytest.approx(6.5, abs=1e-12)
     assert lower2 == pytest.approx(6.0, abs=1e-12) and upper2 == pytest.approx(8.0, abs=1e-12)
     one = np.array([0.5])  # k = 2 > n: alpha = inf
-    ((lower, upper),) = intervals_for(summary([6.0], [0.0]), one, [0.8])[0.8]
+    ((lower, upper),) = bounds([6.0], [0.0], one, 0.8)
     assert lower == -math.inf and upper == math.inf
     report(8, "score and interval unit examples exact to 1e-12")
 
@@ -214,7 +235,8 @@ def test_criterion_08_equation_unit_examples():
 @pytest.mark.slow  # uses the n=3000, 100-tree RF fixture
 def test_criterion_09_retrieval_partition(dnn_icp, rf_result):
     for result, test_set in (dnn_icp, rf_result):
-        counts = screen_counts(result.intervals[0.8], test_set.labels, cutoffs=(5, 6, 7, 8, 9))
+        counts = screen_counts(result_bounds(result)[0.8], test_set.labels,
+                               cutoffs=(5, 6, 7, 8, 9))
         for rc in counts:
             assert sum(rc[c] for c in CATEGORIES) == test_set.n_rows
 

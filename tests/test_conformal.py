@@ -8,6 +8,7 @@ from dropconf.conformal import (
     alpha_at_level,
     build_calibration,
     dropout_icp,
+    interval_factors,
     intervals_for,
     nonconformity,
     rank_at_level,
@@ -15,7 +16,7 @@ from dropconf.conformal import (
 )
 from dropconf.data import make_synthetic, random_split
 from dropconf.ensemble import EnsemblePrediction, from_passes
-from dropconf.evaluate import coverage
+from dropconf.evaluate import level_metrics
 from dropconf.forest import ForestConfig
 from dropconf.net import NetConfig, train
 
@@ -140,12 +141,23 @@ def summary(y_hat, sigma):
                               passes=y_hat[:, None], n_members=1)
 
 
+def bounds_at(preds, alphas, cl):
+    """The (n, 2) bounds at level cl from the ascending scores: the interval
+    factors, then intervals_for."""
+    return intervals_for(preds.means, *interval_factors(preds, alphas, [cl]))[cl]
+
+
+def result_bounds(res):
+    """cl -> (n_test, 2) bounds of a pipeline result, from its factors."""
+    return intervals_for(res.test_prediction.means, res.scale, res.alpha)
+
+
 def one_interval(y_hat, sigma, alpha_cl, cl=0.8):
     """[lower, upper] for one instance, from a calibration whose score at
     level cl is alpha_cl (a single score when alpha_cl is inf: k = 2 > n)."""
     alphas = np.full(9, alpha_cl) if math.isfinite(alpha_cl) else np.zeros(1)
     assert alpha_at_level(alphas, cl) == alpha_cl
-    return intervals_for(summary([y_hat], [sigma]), alphas, [cl])[cl][0]
+    return bounds_at(summary([y_hat], [sigma]), alphas, cl)[0]
 
 
 class TestArrayFormulas:
@@ -160,10 +172,20 @@ class TestArrayFormulas:
         ]
         alphas = np.sort(rng.random(50))
         a_cl = alpha_at_level(alphas, 0.8)
+        scale, alpha = interval_factors(summary(y_hat, sigma), alphas, [0.8])
+        assert scale.tolist() == [math.exp(min(s, 700.0)) for s in sigma]
+        assert alpha == {0.8: a_cl}
         half = [math.exp(min(s, 700.0)) * a_cl for s in sigma]
-        bounds = intervals_for(summary(y_hat, sigma), alphas, [0.8])[0.8]
+        bounds = intervals_for(y_hat, scale, alpha)[0.8]
         assert bounds[:, 0].tolist() == [m - h for m, h in zip(y_hat, half)]
         assert bounds[:, 1].tolist() == [m + h for m, h in zip(y_hat, half)]
+
+    def test_factors_clamp_sigma_at_700_and_reject_non_finite_y_hat(self):
+        alphas = np.array([0.5])
+        scale, alpha = interval_factors(summary([1.0, 2.0], [700.0, 5000.0]), alphas, [0.3, 0.8])
+        assert scale.tolist() == [math.exp(700.0)] * 2 and alpha == {0.3: 0.5, 0.8: math.inf}
+        with pytest.raises(ValueError, match="y_hat must be finite"):
+            interval_factors(summary([1.0, math.nan], [0.0, 0.0]), alphas, [0.8])
 
 
 class TestPredictInterval:
@@ -179,7 +201,7 @@ class TestPredictInterval:
     def test_unbounded(self):
         lower, upper = one_interval(6.0, 0.0, math.inf, 0.8)
         assert lower == -math.inf and upper == math.inf
-        assert coverage([(lower, upper)], [1e300]) == 1.0
+        assert level_metrics([[(lower, upper)]], [1e300])[0] == [1.0]
 
     def test_symmetry(self):
         lower, upper = one_interval(2.5, 0.3, 0.7, 0.8)
@@ -213,8 +235,8 @@ class TestProperties:
             alphas = np.array([nonconformity(a, b, s) for a, b, s in zip(y, y_hat, sigma)])
             assert len(np.unique(alphas)) == n
             for cl in (0.5, 0.8, 0.9):
-                bounds = intervals_for(summary(y_hat, sigma), np.sort(alphas), [cl])[cl]
-                covered = round(coverage(bounds, y) * n)
+                bounds = bounds_at(summary(y_hat, sigma), np.sort(alphas), cl)
+                covered = round(level_metrics([bounds], y)[0][0] * n)
                 assert covered == math.ceil(cl * (n + 1))
 
 
@@ -233,7 +255,7 @@ class TestPipelines:
         res = dropout_icp(model, ds.subset(sp.validation), ds.subset(sp.test),
                           n_passes=10, cl_list=[0.8], seed=2)
         # all sigma are 0, so every interval shares the same half-width
-        ivs = res.intervals[0.8]
+        ivs = result_bounds(res)[0.8]
         widths = {round(upper - lower, 12) for lower, upper in ivs}
         assert len(widths) == 1
         alphas = np.sort(res.calibration.alpha)
@@ -248,10 +270,10 @@ class TestPipelines:
         args = (model, ds.subset(sp.validation), ds.subset(sp.test))
         r1 = dropout_icp(*args, n_passes=20, cl_list=[0.5, 0.8], seed=4)
         r2 = dropout_icp(*args, n_passes=20, cl_list=[0.5, 0.8], seed=4)
-        assert set(r1.intervals) == {0.5, 0.8}
-        assert len(r1.intervals[0.8]) == ds.subset(sp.test).n_rows
+        assert set(r1.alpha) == {0.5, 0.8}
+        assert len(r1.scale) == ds.subset(sp.test).n_rows
         assert np.array_equal(r1.test_prediction.passes, r2.test_prediction.passes)
-        assert np.array_equal(r1.intervals[0.8], r2.intervals[0.8])
+        assert np.array_equal(r1.scale, r2.scale) and r1.alpha == r2.alpha
 
     def test_interval_widths_monotone_in_cl(self, toy_setup):
         ds, sp = toy_setup
@@ -259,8 +281,9 @@ class TestPipelines:
         model, _ = train(ds.subset(sp.train), ds.subset(sp.validation), cfg, seed=5)
         res = dropout_icp(model, ds.subset(sp.validation), ds.subset(sp.test),
                           n_passes=20, cl_list=[0.6, 0.7, 0.8, 0.9], seed=6)
+        bounds = result_bounds(res)
         for lo, hi in zip([0.6, 0.7, 0.8], [0.7, 0.8, 0.9]):
-            narrow, wide = np.diff(res.intervals[lo]), np.diff(res.intervals[hi])
+            narrow, wide = np.diff(bounds[lo]), np.diff(bounds[hi])
             assert np.all(wide >= narrow)
 
     def test_rf_ccp_constant_labels_degenerate(self):
@@ -272,7 +295,7 @@ class TestPipelines:
         res = rf_ccp(ds.subset(range(20)), ds.subset(range(20, 24)),
                      ForestConfig(n_trees=3), k=2, cl_list=[0.5], seed=8)
         assert np.all(res.test_prediction.means == 4.5)
-        assert np.all(res.intervals[0.5] == 4.5)  # half width 0
+        assert np.all(result_bounds(res)[0.5] == 4.5)  # half width 0
 
     def test_rf_ccp_deterministic(self, toy_setup):
         ds, sp = toy_setup
@@ -281,4 +304,5 @@ class TestPipelines:
         r1 = rf_ccp(train_view, test_view, ForestConfig(n_trees=5), k=3, cl_list=[0.8], seed=9)
         r2 = rf_ccp(train_view, test_view, ForestConfig(n_trees=5), k=3, cl_list=[0.8], seed=9)
         assert np.array_equal(np.sort(r1.calibration.alpha), np.sort(r2.calibration.alpha))
-        assert np.array_equal(r1.intervals[0.8], r2.intervals[0.8])
+        assert np.array_equal(r1.test_prediction.means, r2.test_prediction.means)
+        assert np.array_equal(r1.scale, r2.scale) and r1.alpha == r2.alpha

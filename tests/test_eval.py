@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dropconf.conformal import Intervals
+from dropconf.conformal import intervals_for
 from dropconf.ensemble import from_passes
 from dropconf.evaluate import (
     CATEGORIES,
     aggregate_runs,
-    calibration_curve,
-    coverage,
     evaluate_model,
     level_metrics,
     rmse,
     screen_counts,
     sigma_error_pairs,
-    width_stats,
 )
 
 
@@ -55,67 +52,67 @@ class TestRmse:
 class TestCoverage:
     def test_unbounded_always_cover(self):
         ivs = [interval(-math.inf, math.inf)] * 3
-        assert coverage(ivs, [0, 100, -100]) == 1.0
+        assert level_metrics([ivs], [0, 100, -100])[0] == [1.0]
 
     def test_boundary_is_covered(self):
-        assert coverage([interval(0, 1)], [1.0]) == 1.0
-        assert coverage([interval(0, 1)], [0.0]) == 1.0
+        assert level_metrics([[interval(0, 1)]], [1.0])[0] == [1.0]
+        assert level_metrics([[interval(0, 1)]], [0.0])[0] == [1.0]
 
     def test_half_covered(self):
-        assert coverage([interval(0, 1), interval(0, 1)], [0.5, 2.0]) == 0.5
+        assert level_metrics([[interval(0, 1), interval(0, 1)]], [0.5, 2.0])[0] == [0.5]
+
+
+def curve(y_hat, alpha, y):
+    """The calibration curve evaluate_model reports for unit scales."""
+    n = len(y_hat)
+    return evaluate_model("m", np.asarray(y_hat, dtype=float), np.ones(n), alpha, np.zeros(n),
+                          y, max(alpha), ())["curve"]
 
 
 class TestCalibrationCurve:
     def test_perfect_calibration(self):
+        # residual i + 1 for instance i: the level with alpha 10 * cl covers cl of them
         grid = [0.2, 0.5, 0.8]
-        n = 10
-        intervals_by_cl = {}
-        y = list(range(n))
-        for cl in grid:
-            hit = int(round(cl * n))
-            intervals_by_cl[cl] = [interval(v - 0.5, v + 0.5) for v in y[:hit]] + [
-                interval(v + 10, v + 11) for v in y[hit:]
-            ]
-        curve = calibration_curve(intervals_by_cl, y, grid)
-        assert curve["coverage"] == grid
-        assert curve["r_squared"] == pytest.approx(1.0, abs=1e-12)
+        y = np.arange(10.0)
+        got = curve(y - np.arange(1.0, 11.0), {cl: 10 * cl for cl in grid}, y)
+        assert got["cl"] == grid and got["coverage"] == grid
+        assert got["r_squared"] == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_constant_coverage(self):
-        grid = [0.2, 0.8]
-        ivs = [interval(-math.inf, math.inf)]
-        curve = calibration_curve({0.2: ivs, 0.8: ivs}, [0.0], grid)
-        assert curve["r_squared"] is None
+        got = curve([0.0], {0.2: math.inf, 0.8: math.inf}, [0.0])
+        assert got["coverage"] == [1.0, 1.0] and got["r_squared"] is None
 
     def test_single_point_grid(self):
-        curve = calibration_curve({0.8: [interval(0, 1)]}, [0.5], [0.8])
-        assert curve["r_squared"] is None
+        got = curve([0.5], {0.8: 0.5}, [0.5])
+        assert got == {"cl": [0.8], "coverage": [1.0], "r_squared": None}
 
 
 class TestWidthStats:
     def test_constant_widths(self):
-        ws = width_stats([interval(0, 1)] * 4)
+        _, (ws,) = level_metrics([[interval(0, 1)] * 4], np.zeros(4))
         assert ws["mean"] == 1.0 and ws["median"] == 1.0 and ws["q3"] - ws["q1"] == 0.0
 
     def test_even_count_median(self):
         ivs = [interval(0, w) for w in (1, 2, 3, 4)]
-        assert width_stats(ivs)["median"] == 2.5
+        assert level_metrics([ivs], np.zeros(4))[1][0]["median"] == 2.5
 
     def test_unbounded_bookkeeping(self):
         ivs = [interval(0, 1), interval(0, 2), interval(0, 3), interval(-math.inf, math.inf)]
-        ws = width_stats(ivs)
+        _, (ws,) = level_metrics([ivs], np.zeros(4))
         assert ws["fraction_unbounded"] == 0.25
         assert ws["n_finite"] == 3
         assert ws["mean"] == 2.0
 
     def test_no_bounded_interval_gives_no_statistics(self):
         # these were NaN, which json.dump writes as the non-standard NaN
-        ws = width_stats([interval(-math.inf, math.inf)] * 2)
+        _, (ws,) = level_metrics([[interval(-math.inf, math.inf)] * 2], np.zeros(2))
         assert ws == {"mean": None, "median": None, "q1": None, "q3": None, "min": None,
                       "max": None, "fraction_unbounded": 1.0, "n_finite": 0}
 
 
 def oracle_coverage(intervals, y_true) -> float:
-    """coverage as it was computed one level at a time, the byte oracle."""
+    """One level's coverage as it was computed one level at a time, the byte
+    oracle."""
     bounds = np.asarray(intervals, dtype=np.float64).reshape(len(intervals), 2)
     lower, upper = bounds[:, 0], bounds[:, 1]
     y = np.asarray(y_true, dtype=np.float64)
@@ -126,7 +123,8 @@ def oracle_coverage(intervals, y_true) -> float:
 
 
 def oracle_width_stats(intervals) -> dict:
-    """width_stats as it was computed one level at a time, the byte oracle."""
+    """One level's width stats as they were computed one level at a time, the
+    byte oracle."""
     bounds = np.asarray(intervals, dtype=np.float64).reshape(len(intervals), 2)
     widths = bounds[:, 1] - bounds[:, 0]
     finite = widths[np.isfinite(widths)]
@@ -159,7 +157,7 @@ class TestLevelMetrics:
         y[1::4], y[2::4] = edge[1::4], edge[2::4] + 5e-12 * np.maximum(np.abs(edge[2::4]), 1.0)
         alpha = {0.1: 0.0, 0.2: 0.5, 0.3: 1.0, 0.5: 2.5, 0.7: 1e8, 0.8: 1e9, 0.9: math.inf}
         with np.errstate(over="ignore"):
-            intervals = Intervals(y_hat, scale, alpha)
+            intervals = intervals_for(y_hat, scale, alpha)
             report = evaluate_model("m", y_hat, scale, alpha, np.zeros(n), y, 0.5, (0.0, 5.0))
             covs, stats = report["curve"]["coverage"], list(report["width_stats"].values())
             assert repr(covs) == repr([oracle_coverage(intervals[cl], y) for cl in alpha])
@@ -173,8 +171,20 @@ class TestLevelMetrics:
         ivs = [interval(0, 1), interval(0, 3), interval(-math.inf, math.inf), interval(2, 2)]
         y = [0.5, 4.0, 7.0, 2.0]
         (cov,), (stats,) = level_metrics([ivs], y)
-        assert cov == coverage(ivs, y) == oracle_coverage(ivs, y) == 0.75
-        assert stats == width_stats(ivs) == oracle_width_stats(ivs)
+        assert cov == oracle_coverage(ivs, y) == 0.75
+        assert stats == oracle_width_stats(ivs)
+
+
+class TestEvaluateModel:
+    @pytest.mark.parametrize("name, value", [("y_hat", math.nan), ("sigma", math.nan),
+                                             ("scale", math.inf), ("scale", math.nan)])
+    def test_non_finite_factors_rejected(self, name, value):
+        # a report of them was not strict JSON, and an infinite scale passed
+        columns = {"y_hat": np.zeros(3), "sigma": np.zeros(3), "scale": np.ones(3)}
+        columns[name][1] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            evaluate_model("m", columns["y_hat"], columns["scale"], {0.8: 1.0},
+                           columns["sigma"], np.zeros(3), 0.8, (5.0,))
 
 
 class TestScreenClassify:

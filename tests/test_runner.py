@@ -17,9 +17,10 @@ import pytest
 
 from dropconf.cli import main
 from dropconf.config import _KEYS, ConfigError, ExperimentConfig, parse_config, parse_config_text
-from dropconf.conformal import ConformalResult, Intervals, build_calibration
+from dropconf.conformal import ConformalResult, build_calibration, intervals_for
 from dropconf.data import Dataset
 from dropconf.ensemble import from_passes
+from dropconf.evaluate import evaluate_model
 from dropconf.forest import ForestConfig
 from dropconf.net import NetConfig
 from dropconf.runner import _dump_conformal, reaggregate, run_experiment, write_csv
@@ -578,6 +579,24 @@ class TestRunExperiment:
         summaries = ((tmp_path / f"w{w}" / "summary.json").read_bytes() for w in (1, 2))
         assert len(set(summaries)) == 1
 
+    def test_a_run_forms_no_bounds(self, tmp_path, monkeypatch):
+        # run_single once formed every level's (n_test, 2) bounds, which no
+        # file holds: only the evaluation of a report reads bounds
+        from dropconf import conformal
+
+        def refuse(*args):
+            raise AssertionError("a run formed interval bounds")
+
+        monkeypatch.setattr(conformal, "intervals_for", refuse)
+        cfg = tiny_config(n_runs=1, models=("dnn", "rf"), dropout_p=(0.25,),
+                          net=NetConfig(hidden_sizes=(4,), max_epochs=5, patience=5,
+                                        rmse_gate=math.inf))
+        artifacts = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        assert sorted(artifacts.reports) == ["dnn_p0.25", "rf"] and artifacts.failures == []
+        # the manifest this config wrote when runs formed the bounds
+        assert hashlib.sha256((tmp_path / "out" / "manifest.json").read_bytes()).hexdigest() == (
+            "bce9935262b9aa7d067bdebd8f789dde9142fc74546e326e504eb4ddf6b55f89")
+
     def test_reaggregate_matches(self, tmp_path):
         cfg = tiny_config()
         artifacts = run_experiment(cfg, out_dir=str(tmp_path / "out"))
@@ -664,6 +683,30 @@ class TestCli:
             assert rebuilt == (oracle_dir / f"{run}_{prefix}.csv").read_bytes()
             assert hashlib.sha256(rebuilt).hexdigest() == digest
 
+    def test_in_memory_evaluation_equals_the_written_report(self, tmp_path, monkeypatch):
+        # acceptance criteria 01 and 02 evaluate a pipeline's factors in
+        # memory; the reports are evaluated from the files those factors wrote
+        from dropconf import runner
+
+        cfg = parse_config(os.path.join(FIXTURES, "synthetic.cfg"))
+        expected, dump = {}, runner._dump_conformal
+
+        def dump_and_evaluate(prefix, result, test, run_dir):
+            dump(prefix, result, test, run_dir)
+            pred, run = result.test_prediction, os.path.basename(run_dir).removesuffix(".partial")
+            expected[f"{run}/{prefix}_report.json"] = evaluate_model(
+                prefix, pred.means, result.scale, result.alpha, pred.stds, test.labels,
+                cfg.default_cl, cfg.cutoffs)
+
+        monkeypatch.setattr(runner, "_dump_conformal", dump_and_evaluate)
+        out = tmp_path / "out"
+        run_experiment(cfg, out_dir=str(out))
+        assert sorted(expected) == sorted(n for n in FIXTURE_FILE_DIGESTS if "/" in n)
+        for name, report in expected.items():
+            text = json.dumps(report, sort_keys=True, indent=1, allow_nan=False) + "\n"
+            assert (out / name).read_text() == text, name
+            assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_FILE_DIGESTS[name]
+
     def test_run_and_report(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(
@@ -696,6 +739,14 @@ class TestCli:
         ("rf_test.csv", "id,y,y_hat,sigma,scale\nt0,1.0,2.0\n",
          "rf_test.csv: not a table of the 5 columns id,y,y_hat,sigma,scale"),
         ("rf_test.csv", "id,y,y_hat,sigma,scale\n\xff", "rf_test.csv: not a readable UTF-8 CSV"),
+        # a report of these once stopped part way through its JSON, naming no
+        # file, or was written with an infinite scale
+        ("rf_test.csv", "id,y,y_hat,sigma,scale\nt0,1.0,nan,0.5,1.6\n",
+         "rf_test.csv: y_hat must be finite"),
+        ("rf_test.csv", "id,y,y_hat,sigma,scale\nt0,1.0,2.0,nan,1.6\n",
+         "rf_test.csv: sigma must be finite"),
+        ("rf_test.csv", "id,y,y_hat,sigma,scale\nt0,1.0,2.0,0.5,inf\n",
+         "rf_test.csv: scale must be finite"),
         ("rf_levels.csv", "cl,alpha\n0.8,1.0\n",
          "rf_levels.csv: not a table of the 4 columns cl,k,alpha,unbounded"),
         ("rf_levels.csv", "cl,k,alpha,unbounded\n0.8,3,one,0\n",
@@ -1087,9 +1138,10 @@ def _interval_table(path, result, test_ids):
     """The interval table _dump_conformal wrote before the factored files,
     one row per (test instance, level), levels ascending: the byte oracle."""
     y_hat = result.test_prediction.means
+    bounds = intervals_for(y_hat, result.scale, result.alpha)
     blocks = []
-    for cl in sorted(result.intervals):
-        lower, upper = result.intervals[cl].T
+    for cl in sorted(bounds):
+        lower, upper = bounds[cl].T
         half = upper - y_hat
         blocks.append([test_ids, [float(cl)] * len(y_hat), y_hat, half, lower, upper,
                        np.isinf(half).astype(int)])
@@ -1132,8 +1184,8 @@ def _conformal_result(n_cal, n_test, cls, seed=0):
                             ids=[f"c{i}" for i in range(n_cal)])
     test_pred = from_passes(rng.standard_normal((n_test, 4)))
     alpha = {float(cl): math.inf if cl > 0.9 else float(cl) for cl in cls}
-    intervals = Intervals(test_pred.means, np.exp(test_pred.stds), alpha)
-    return ConformalResult(intervals=intervals, calibration=cal, test_prediction=test_pred)
+    return ConformalResult(calibration=cal, test_prediction=test_pred,
+                           scale=np.exp(test_pred.stds), alpha=alpha)
 
 
 class TestWriteCsv:
