@@ -154,7 +154,7 @@ def _converter(default):
 
 def _key_table() -> dict:
     """key -> (target field path, converter) for each config field but
-    NetConfig.dropout_p, which run_single sets to each rate of dropout_p."""
+    NetConfig.dropout_p, which each network's model job sets to its rate."""
     table = {}
     for prefix, cls in (("", ExperimentConfig), ("net.", NetConfig), ("forest.", ForestConfig)):
         for f in fields(cls):

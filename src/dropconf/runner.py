@@ -1,5 +1,5 @@
-"""Experiment orchestration: repeated splits, training with retry, both
-conformal pipelines, evaluation, and deterministic report emission.
+"""Experiment orchestration: each run is its split plus one job per model;
+reports are evaluated from the run files and emitted deterministically.
 
 Every output byte is a function of (config, seed): floats are written with
 repr(), JSON keys are sorted, and no timestamps are recorded, so rerunning
@@ -90,17 +90,6 @@ def load_experiment_dataset(cfg: ExperimentConfig) -> Dataset:
     return dataset
 
 
-def train_with_retry(train_set, val_set, net_cfg, seed, retry_limit):
-    """Retrain with derived seeds while the convergence gate fails (the attempt
-    diverged or missed rmse_gate). Returns the last attempt's (model, log) and
-    the number of attempts; the model passed the gate iff log.converged."""
-    for attempt in range(retry_limit + 1):
-        model, log = train(train_set, val_set, net_cfg, derive_seed(seed, "attempt", attempt))
-        if log.converged:
-            break
-    return model, log, attempt + 1
-
-
 def _dump_conformal(prefix: str, result: ConformalResult, test: Dataset, run_dir) -> None:
     """The calibration rows, then the interval factors, one row per test
     instance and one per level: bounds y_hat -/+ scale * alpha, the line if alpha = inf."""
@@ -119,9 +108,41 @@ def _dump_conformal(prefix: str, result: ConformalResult, test: Dataset, run_dir
               [[np.array(cls), ks, alpha, np.isinf(alpha).astype(int)]])
 
 
+def _model_job(cfg: ExperimentConfig, dataset: Dataset, split, r: int, run_dir, p=None):
+    """Fit, calibrate and write one model of run r into run_dir, as its own
+    <key>_* files: the network at dropout rate p, retrained with derived seeds
+    while it misses the convergence gate (it diverged or missed rmse_gate), or
+    the forest if p is None. Returns the model's failure record, or None."""
+    test_set = dataset.subset(split.test)
+    if p is None:  # fits on train + validation; calibrates on the out-of-fold residuals in it
+        key, result = "rf", rf_ccp(
+            dataset.subset(np.concatenate([split.train, split.validation])), test_set,
+            cfg.forest, cfg.cv_folds, cfg.cl_grid, derive_seed(cfg.seed, "run", r, "rf"))
+    else:
+        key, net_cfg = dnn_key(p), replace(cfg.net, dropout_p=p)
+        train_set, val_set = dataset.subset(split.train), dataset.subset(split.validation)
+        seed = derive_seed(cfg.seed, "run", r, key, "train")
+        for attempt in range(cfg.retry_limit + 1):
+            model, log = train(train_set, val_set, net_cfg, derive_seed(seed, "attempt", attempt))
+            if log.converged:
+                break
+        write_csv(
+            os.path.join(run_dir, f"{key}_training_log.csv"),
+            ["epoch", "lr", "train_loss", "val_rmse"],
+            [[range(log.n_epochs), log.learning_rates, log.train_losses, log.val_rmses]],
+        )
+        if not log.converged:
+            return {"model": key, "reason": f"not converged after {attempt + 1} attempts"}
+        result = dropout_icp(model, val_set, test_set, cfg.n_passes, cfg.cl_grid,
+                             derive_seed(cfg.seed, "run", r, key, "icp"))
+    _dump_conformal(key, result, test_set, run_dir)
+    return None
+
+
 def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir: str) -> None:
-    """One split/train/calibrate cycle, written to run_<r>.partial and renamed
-    to run_<r>; failures.json lists the models that failed, if any."""
+    """Run r's split, written to run_<r>.partial, then one _model_job per model
+    in config order: each dropout rate ascending, then rf. failures.json lists
+    the models that failed, if any, before the directory becomes run_<r>."""
     run_dir = os.path.join(out_dir, f"run_{run_index:03d}.partial")
     os.makedirs(run_dir)
     split = random_split(
@@ -135,43 +156,10 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
         ["index", "partition"],
         [[np.arange(dataset.n_rows), partition]],
     )
-    train_set = dataset.subset(split.train)
-    val_set = dataset.subset(split.validation)
-    test_set = dataset.subset(split.test)
-    failures = []
-
-    if "dnn" in cfg.models:
-        for p in cfg.dropout_p:
-            key = dnn_key(p)
-            net_cfg = replace(cfg.net, dropout_p=p)
-            model, log, attempts = train_with_retry(
-                train_set, val_set, net_cfg,
-                derive_seed(cfg.seed, "run", run_index, key, "train"),
-                cfg.retry_limit,
-            )
-            write_csv(
-                os.path.join(run_dir, f"{key}_training_log.csv"),
-                ["epoch", "lr", "train_loss", "val_rmse"],
-                [[range(log.n_epochs), log.learning_rates, log.train_losses, log.val_rmses]],
-            )
-            if not log.converged:
-                failures.append({"model": key,
-                                 "reason": f"not converged after {attempts} attempts"})
-                continue
-            _dump_conformal(key, dropout_icp(
-                model, val_set, test_set, cfg.n_passes, cfg.cl_grid,
-                derive_seed(cfg.seed, "run", run_index, key, "icp"),
-            ), test_set, run_dir)
-
-    if "rf" in cfg.models:
-        # RF uses train + validation for fitting; calibration comes from the
-        # out-of-fold residuals inside that combined set.
-        trainval = dataset.subset(np.concatenate([split.train, split.validation]))
-        _dump_conformal("rf", rf_ccp(
-            trainval, test_set, cfg.forest, cfg.cv_folds, cfg.cl_grid,
-            derive_seed(cfg.seed, "run", run_index, "rf"),
-        ), test_set, run_dir)
-
+    rates = cfg.dropout_p if "dnn" in cfg.models else ()
+    jobs = (_model_job(cfg, dataset, split, run_index, run_dir, p)
+            for p in ([*rates, None] if "rf" in cfg.models else rates))  # None: the forest
+    failures = [failure for failure in jobs if failure is not None]
     if failures:
         write_json(os.path.join(run_dir, "failures.json"), failures)
     os.rename(run_dir, run_dir.removesuffix(".partial"))
@@ -257,9 +245,9 @@ def _read_json(path):
 
 
 def _evaluate_run(run_dir, model, default_cl, cutoffs) -> dict:
-    """evaluate_model on the interval factors read from the model's files.
-    A ValueError names the file of another header or width, or with a cell
-    that is not a number, and the test file for any other error."""
+    """evaluate_model on the interval factors read from the model's files. A
+    ValueError names the file of another header or width, a cell not a number
+    or a levels row no run writes, and the test file for any other error."""
     columns = []
     for path, header in ((os.path.join(run_dir, f"{model}_test.csv"), TEST_HEADER),
                          (os.path.join(run_dir, f"{model}_levels.csv"), LEVELS_HEADER)):
@@ -272,7 +260,9 @@ def _evaluate_run(run_dir, model, default_cl, cutoffs) -> dict:
             columns += [np.array(c, dtype=np.float64) for name, c in zip(header, cells) if name != "id"]
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    y, y_hat, sigma, scale, cls, _k, alpha, _unbounded = columns
+    y, y_hat, sigma, scale, cls, _k, alpha, unbounded = columns
+    if not (np.all(alpha >= 0) and np.array_equal(unbounded, np.isinf(alpha))):
+        raise ValueError(f"{path}: alpha must be >= 0, and unbounded 1 exactly where alpha is inf")
     try:
         return evaluate_model(model, y_hat, scale, dict(zip(cls.tolist(), alpha.tolist())), sigma,
                               y, default_cl, cutoffs)

@@ -291,7 +291,7 @@ class TestConfigInvariants:
             NetConfig(decay_factor=1.0)
 
     def test_dropout_p_interval(self):
-        # not a config key: run_single sets it to each rate of dropout_p
+        # not a config key: each network's model job sets it to its rate
         with pytest.raises(ValueError, match=r"^dropout_p: 1\.0 not in \[0, 1\)$"):
             NetConfig(dropout_p=1.0)
 

@@ -215,7 +215,7 @@ class TestParseConfig:
         assert getattr(_field_owner(cfg, section), name) == value
 
     def test_net_dropout_p_is_not_a_key(self):
-        # run_single replaces it with each rate of dropout_p
+        # each network's model job sets it to that network's rate
         with pytest.raises(ConfigError, match="unknown key 'net.dropout_p'"):
             parse_config_text("dataset = x.csv\nnet.dropout_p = 0.3\n")
 
@@ -597,6 +597,44 @@ class TestRunExperiment:
         assert hashlib.sha256((tmp_path / "out" / "manifest.json").read_bytes()).hexdigest() == (
             "bce9935262b9aa7d067bdebd8f789dde9142fc74546e326e504eb4ddf6b55f89")
 
+    @pytest.mark.parametrize("p, over, failure, names", [
+        (None, {}, None, ["rf_calibration.csv", "rf_levels.csv", "rf_test.csv"]),
+        (0.25, {"net": NetConfig(hidden_sizes=(4,), max_epochs=5, patience=5, rmse_gate=math.inf)},
+         None, [f"dnn_p0.25_{n}.csv" for n in ("calibration", "levels", "test", "training_log")]),
+        (0.25, {"retry_limit": 0},
+         {"model": "dnn_p0.25", "reason": "not converged after 1 attempts"},
+         ["dnn_p0.25_training_log.csv"]),
+    ])
+    def test_a_model_job_writes_only_its_files_and_returns_its_failure(self, tmp_path, p, over,
+                                                                     failure, names):
+        # a run is its split plus one job per model (the forest if p is None);
+        # the run, not the job, writes failures.json
+        from dropconf import runner
+        from dropconf.data import random_split
+
+        cfg = failing_config(n_runs=1, **over)
+        dataset = runner.load_experiment_dataset(cfg)
+        split = random_split(dataset.n_rows, cfg.fractions, 3)
+        assert runner._model_job(cfg, dataset, split, 0, str(tmp_path), p) == failure
+        assert sorted(os.listdir(tmp_path)) == names
+
+    def test_a_models_files_do_not_depend_on_the_other_models(self, tmp_path):
+        # each (run, model) draws only from its own seeds, so a model's files,
+        # and the split, are the same bytes whatever else the config lists
+        net = NetConfig(hidden_sizes=(4,), max_epochs=5, patience=5, rmse_gate=math.inf)
+        configs = [(("dnn", "rf"), (0.25,)), (("dnn", "rf"), (0.1, 0.25)), (("rf",), (0.25,)),
+                   (("dnn",), (0.25, 0.5))]
+        files = []
+        for i, (models, rates) in enumerate(configs):
+            out = tmp_path / str(i)
+            run_experiment(tiny_config(models=models, dropout_p=rates, net=net), out_dir=str(out))
+            files.append({str(f.relative_to(out)): f.read_bytes() for f in out.glob("run_*/*")})
+        for prefix, where in (("rf_", [0, 1, 2]), ("dnn_p0.25_", [0, 1, 3]),
+                              ("split.csv", [0, 1, 2, 3])):
+            mine = [{k: v for k, v in files[i].items() if os.path.basename(k).startswith(prefix)}
+                    for i in where]
+            assert len(mine[0]) >= 2 and all(m == mine[0] for m in mine), prefix
+
     def test_reaggregate_matches(self, tmp_path):
         cfg = tiny_config()
         artifacts = run_experiment(cfg, out_dir=str(tmp_path / "out"))
@@ -635,6 +673,12 @@ class TestCli:
         for name, want in FIXTURE_FILE_DIGESTS.items():
             with open(os.path.join(out, name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == want, name
+
+    def test_readme_pins_the_fixture_digest(self):
+        # the README's demo digest once stayed behind when this one moved
+        with open(os.path.join(FIXTURES, os.pardir, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        assert re.findall(r"manifest\.json sha256 ([0-9a-f]{64})", readme) == [FIXTURE_DIGEST]
 
     def test_manifest_lists_only_the_files_run_writes(self, tmp_path, capsys):
         # every file under --out was once hashed, foreign ones included
@@ -788,6 +832,23 @@ class TestCli:
             reaggregate(str(out))
         assert main(["report", "--in", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("column, value", [(2, "nan"), (2, "-2.0"), (3, "1"), (2, "inf")])
+    def test_report_rejects_a_levels_row_no_run_writes(self, tmp_path, capsys, column, value):
+        # report once exited 0 on each, rewriting the reports with coverage 0
+        # or negative widths at level 0.5
+        out = tmp_path / "out"
+        run_experiment(tiny_config(n_runs=1), out_dir=str(out))
+        path = out / "run_000" / "rf_levels.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows[1][0] == "0.5" and float(rows[1][2]) >= 0 and rows[1][3] == "0"
+        rows[1][column] = value
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(["report", "--in", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: alpha must be >= 0, and unbounded 1 exactly where alpha is inf\n")
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_report_rewrites_a_deleted_or_corrupted_report(self, tmp_path):
