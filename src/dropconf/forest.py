@@ -92,46 +92,37 @@ def _best_splits(Xt, cols, y, P, st, m, allowed, min_leaf: int):
     or the lower value where the midpoint is not strictly between them. Ties
     break to the lowest feature index, then the lowest threshold.
 
-    All cuts are scored in one block from running sums of y and y^2 over the
-    whole array, minus each block's offset; a block whose sums that could
-    blur by tol/4 is re-summed on its own. Candidates within rounding error
-    ``tol`` of a node's minimum are re-scored exactly so ties resolve
-    consistently, unless they all cut the node into the same two row sets
-    and the split clears the parent by more than ``tol``: then the first wins.
+    All cuts are scored in one block from one running sum of y over the
+    whole array, minus each block's offset, and each node's totals of y and
+    y^2; a block that the running sum could blur by tol/4 is re-summed alone.
+    Candidates within rounding error ``tol`` of a node's minimum are
+    re-scored exactly so ties resolve consistently, unless they all cut the
+    node into the same two row sets and the split clears the parent by more
+    than ``tol``: then the first wins.
     """
     d, M, k = P.shape[0] - 1, P.shape[1], len(st)
     seg, ends = np.repeat(np.arange(k), m), st + m
     nl = np.arange(1, M + 1) - st[seg]  # left rows of the cut after each column
     nr = m[seg] - nl
-    ys = y[P[:d]]
-    cum, cum2 = np.zeros((d, M + 1)), np.zeros((d, M + 1))
-    np.cumsum(ys, axis=1, out=cum[:, 1:])
-    np.cumsum(np.square(ys, out=ys), axis=1, out=cum2[:, 1:])
-    del ys  # the scoring block's peak holds three (d, M) arrays, not four
-    reach = cum2[:, ends].max(axis=0)
+    cum = np.zeros((d, M + 1))
+    np.cumsum(y[P[:d]], axis=1, out=cum[:, 1:])
     cum[:, 1:] -= np.repeat(cum[:, st], m, axis=1)
-    cum2[:, 1:] -= np.repeat(cum2[:, st], m, axis=1)
-    cum, cum2 = cum[:, 1:], cum2[:, 1:]
-    tot, tot2 = cum[0, ends - 1], cum2[0, ends - 1]
+    ys = y[P[d]]
+    tot, tot2 = np.add.reduceat(ys, st), np.add.reduceat(np.square(ys, out=ys), st)
+    del ys
     tol = 1e-9 * (tot2 + tot * tot / m) + 1e-300
+    cum, reach = cum[:, 1:], np.cumsum(tot2)  # a block's y^2 prefix is the same in every row
     # the global prefix puts at most 3 m eps (reach + sqrt(M reach tot2)) of
     # rounding error into a block's SSE
     for s in np.flatnonzero(~(3 * m * _EPS * (reach + np.sqrt(M * reach * tot2)) < tol / 4)):
-        a, b = st[s], ends[s]
-        np.cumsum(y[P[:d, a:b]], axis=1, out=cum[:, a:b])
-        np.cumsum(np.square(y[P[:d, a:b]]), axis=1, out=cum2[:, a:b])
-        ysub = y[P[d, a:b]]
-        tot[s], tot2[s] = ysub.sum(), (ysub * ysub).sum()
-        tol[s] = 1e-9 * (tot2[s] + tot[s] * tot[s] / m[s]) + 1e-300
-    # sse = (cum2 - cum^2 / nl) + ((tot2 - cum2) - (tot - cum)^2 / nr), in place
+        np.cumsum(y[P[:d, st[s] : ends[s]]], axis=1, out=cum[:, st[s] : ends[s]])
+    # sse = tot2 - cum^2 / nl - (tot - cum)^2 / nr, in place
     sse = np.square(cum)
     sse /= nl
-    np.subtract(cum2, sse, out=sse)
+    np.subtract(tot2[seg], sse, out=sse)
     np.square(np.subtract(tot[seg], cum, out=cum), out=cum)
-    np.subtract(tot2[seg], cum2, out=cum2)
-    cum2 -= np.divide(cum, np.maximum(nr, 1), out=cum)
-    sse += cum2
-    del cum, cum2
+    sse -= np.divide(cum, np.maximum(nr, 1), out=cum)
+    del cum
     # one flat gather: the 2-D fancy index Xt[rows, cols[P[:d]]] took twice as long
     xs = Xt.ravel()[cols[P[:d]] + Xt.shape[1] * np.arange(d)[:, None]]
     invalid = np.ones((d, M), dtype=bool)

@@ -227,10 +227,13 @@ def build_manifest(out_dir) -> dict:
 def _run_dirs(out_dir, partial=False) -> list:
     """(run index, name) of every run_<digits> directory in out_dir, with
     ``partial`` every run_<digits>.partial one too, in run index order;
-    ValueError names an entry of such a name that is not a directory."""
+    ValueError names such an entry not a directory or not named run_<r:03d>."""
     match = re.compile(r"run_(\d+)(\.partial)?" if partial else r"run_(\d+)").fullmatch
     runs = sorted((int(m[1]), m[0]) for m in map(match, os.listdir(out_dir)) if m)
-    for path in (os.path.join(out_dir, name) for _, name in runs):
+    for r, name in runs:
+        path = os.path.join(out_dir, name)
+        if name.removesuffix(".partial") != f"run_{r:03d}":
+            raise ValueError(f"{path}: named as a run, but run {r} is named run_{r:03d}")
         if not os.path.isdir(path):
             raise ValueError(f"{path}: named as a run but not a directory")
     return runs
@@ -247,7 +250,7 @@ def _read_json(path):
 def _evaluate_run(run_dir, model, default_cl, cutoffs) -> dict:
     """evaluate_model on the interval factors read from the model's files. A
     ValueError names the file of another header or width, a cell not a number
-    or a levels row no run writes, and the test file for any other error."""
+    or levels no run writes, and the test file for any other error."""
     columns = []
     for path, header in ((os.path.join(run_dir, f"{model}_test.csv"), TEST_HEADER),
                          (os.path.join(run_dir, f"{model}_levels.csv"), LEVELS_HEADER)):
@@ -263,6 +266,8 @@ def _evaluate_run(run_dir, model, default_cl, cutoffs) -> dict:
     y, y_hat, sigma, scale, cls, _k, alpha, unbounded = columns
     if not (np.all(alpha >= 0) and np.array_equal(unbounded, np.isinf(alpha))):
         raise ValueError(f"{path}: alpha must be >= 0, and unbounded 1 exactly where alpha is inf")
+    if not (default_cl in cls.tolist() and np.all(np.diff(cls) > 0) and 0 < cls[0] and cls[-1] < 1):
+        raise ValueError(f"{path}: cl must rise strictly within (0, 1) and include {default_cl!r}")
     try:
         return evaluate_model(model, y_hat, scale, dict(zip(cls.tolist(), alpha.tolist())), sigma,
                               y, default_cl, cutoffs)

@@ -319,6 +319,22 @@ class TestBatchedForest:
         ds = Dataset(ids=tuple(f"r{i}" for i in range(200)), labels=y, features=X)
         assert_forest_matches_reference(ds, ForestConfig(n_trees=8), seed=9)
 
+    @pytest.mark.parametrize("cap", [250, 8192])
+    @pytest.mark.parametrize("config", [
+        ForestConfig(n_trees=8, max_features=2, min_samples_leaf=2),
+        ForestConfig(n_trees=8, bootstrap=False, min_samples_split=4),
+    ], ids=["max_features_2", "no_bootstrap"])
+    def test_re_summed_blocks_match_reference(self, monkeypatch, config, cap):
+        # labels 1e6 + r beside 1e-6 (1 + r): the small labels' blocks, offset
+        # by the large ones before them in the batch, are re-summed on their
+        # own, with drawn features or at every node of a tree
+        monkeypatch.setattr(forest_module, "_BATCH_ROWS", cap)
+        rng = np.random.default_rng(16)
+        X, r = rng.random((200, 3)), rng.random(200)
+        y = np.where(X[:, 0] < 0.5, 1e6 + r, 1e-6 * (1 + r))
+        ds = Dataset(ids=tuple(f"r{i}" for i in range(200)), labels=y, features=X)
+        assert_forest_matches_reference(ds, config, seed=17)
+
     def test_batched_forest_numbering_and_predict(self, monkeypatch):
         # 300 rows a batch: 10 trees of 60 rows grow 5 and 5 at a time
         monkeypatch.setattr(forest_module, "_BATCH_ROWS", 300)

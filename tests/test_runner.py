@@ -851,6 +851,28 @@ class TestCli:
             f"error: {path}: alpha must be >= 0, and unbounded 1 exactly where alpha is inf\n")
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("edit", [
+        lambda rows: [rows[0], rows[1], ["0.5", rows[1][1], "99.0", "0"], *rows[2:]],  # 0.5 twice
+        lambda rows: [*rows, ["1.5", rows[-1][1], "5.0", "0"]],
+        lambda rows: [rows[0], *rows[:0:-1]],  # out of order
+        lambda rows: rows[:2],  # without default_cl 0.8
+        lambda rows: rows[:1],
+    ], ids=["repeated", "above_one", "descending", "no_default_cl", "header_only"])
+    def test_report_rejects_levels_no_run_writes(self, tmp_path, capsys, edit):
+        # report once exited 0 on the first three, taking the last row of a
+        # repeated level, and named the test file for the header alone
+        out = tmp_path / "out"
+        run_experiment(tiny_config(n_runs=1), out_dir=str(out))
+        path = out / "run_000" / "rf_levels.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert [row[0] for row in rows] == ["cl", "0.5", "0.8"]
+        path.write_text("".join(",".join(row) + "\n" for row in edit(rows)))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(["report", "--in", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: cl must rise strictly within (0, 1) and include 0.8\n")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_report_rewrites_a_deleted_or_corrupted_report(self, tmp_path):
         out = tmp_path / "out"
         run_experiment(tiny_config(n_runs=2), out_dir=str(out))
@@ -1034,6 +1056,22 @@ class TestCli:
             assert capsys.readouterr().err == f"error: {out / name}: named as a run but not a directory\n"
             assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
         assert main(["report", "--in", str(out)]) == (0 if name.endswith(".partial") else 2)
+
+    def test_a_run_name_of_other_digits_stops_run_and_report(self, tmp_path, capsys):
+        # a copy of run_001 named run_0001 was once read as a third run of two
+        cfg_file, out = tmp_path / "rf.cfg", tmp_path / "out"
+        cfg_file.write_text("synthetic.n = 120\nsynthetic.d = 3\nseed = 3\nmodels = rf\nn_runs = 2\n"
+                            "forest.n_trees = 5\ncv_folds = 3\ncl_grid = 0.5,0.8\n")
+        argv = ["run", "--config", str(cfg_file), "--out", str(out)]
+        assert main(argv) == 0
+        shutil.copytree(out / "run_001", out / "run_0001")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        for command in (argv, argv + ["--only-run", "0"], ["report", "--in", str(out)]):
+            capsys.readouterr()
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                f"error: {out / 'run_0001'}: named as a run, but run 1 is named run_001\n")
+            assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_only_run_keeps_summary_of_all_runs(self, tmp_path):
         # the failing dnn model also checks that the other run's failure stays
