@@ -6,7 +6,7 @@ spread plays the same role as dropout-pass spread in the network pipeline.
 Trees grow breadth-first, a fixed number of array passes per depth over row
 ids presorted once per tree (SLIQ's layout, Mehta et al. 1996); features
 drawn under ``max_features`` are keyed to each node's place in the tree. A
-forest is one set of node arrays, numbered level by level.
+forest is three node arrays (feature, left, value), numbered level by level.
 """
 
 from __future__ import annotations
@@ -41,14 +41,12 @@ class ForestConfig:
 
 @dataclass
 class Forest:
-    """Every tree's nodes in flat arrays numbered level by level: feature[i]
-    == -1 marks a leaf, a split's children are left[i] and right[i] ==
-    left[i] + 1, and tree t's root is roots[t]."""
+    """Every tree's nodes, numbered level by level; tree t's root is roots[t].
+    A leaf has feature[i] == left[i] == -1 and predicts value[i]. Split i sends
+    x[feature[i]] <= value[i] to left[i], the rest (NaN too) to left[i] + 1."""
 
     feature: np.ndarray
-    threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     roots: np.ndarray
     n_features: int
@@ -68,8 +66,8 @@ class Forest:
         while pairs.size:
             pairs = pairs[self.feature[node[pairs]] >= 0]
             at = node[pairs]
-            go_left = X[pairs // trees, self.feature[at]] <= self.threshold[at]
-            node[pairs] = np.where(go_left, self.left[at], self.right[at])
+            go_left = X[pairs // trees, self.feature[at]] <= self.value[at]
+            node[pairs] = self.left[at] + ~go_left
         return self.value[node].reshape(X.shape[0], trees)
 
 
@@ -206,7 +204,7 @@ def _grow(Xt, labels, trees, config: ForestConfig, offset: int = 0) -> list:
         grow = (sizes >= config.min_samples_split) & (
             np.minimum.reduceat(yv, starts) < np.maximum.reduceat(yv, starts))
         feature = np.full(len(sizes), -1, dtype=np.int32)
-        threshold, value = np.zeros(len(sizes)), np.zeros(len(sizes))
+        value = np.zeros(len(sizes))  # a split's threshold or a leaf's mean
         P, m = np.compress(np.repeat(grow, sizes), P, axis=1), sizes[grow]
         if grow.any():
             allowed = None
@@ -215,7 +213,7 @@ def _grow(Xt, labels, trees, config: ForestConfig, offset: int = 0) -> list:
                 for j, node in enumerate(np.flatnonzero(grow)):
                     feats = np.random.default_rng(keys[node]).choice(d, size=n_feat, replace=False)
                     allowed[feats, j] = True
-            feature[grow], threshold[grow] = _best_splits(
+            feature[grow], value[grow] = _best_splits(
                 Xt, cols, y, P, np.cumsum(m) - m, m, allowed, config.min_samples_leaf)
         split = feature >= 0
         # + 0.0 makes a sum of one or two rows the bits of yv[a:b].sum()
@@ -224,7 +222,7 @@ def _grow(Xt, labels, trees, config: ForestConfig, offset: int = 0) -> list:
             value[i] = yv[starts[i] : starts[i] + sizes[i]].sum() / sizes[i]
         left = np.where(split, nodes + 2 * (np.cumsum(split) - 1), -1).astype(np.int32)
         nodes += 2 * np.count_nonzero(split)
-        levels.append((feature, threshold, left, left + split, value))  # right: left + 1, -1 at a leaf
+        levels.append((feature, left, value))  # a split's right child is left + 1
         if not split.any():
             return [np.concatenate(a) for a in zip(*levels)] + [np.arange(offset, offset + len(trees))]
         # a stable sort by (node, side) moves each splitting block's columns to
@@ -232,7 +230,7 @@ def _grow(Xt, labels, trees, config: ForestConfig, offset: int = 0) -> list:
         P, m = np.compress(np.repeat(split[grow], m), P, axis=1), sizes[split]
         seg = np.repeat(np.arange(len(m), dtype=np.min_scalar_type(2 * len(m))), m)
         right = np.zeros(n, dtype=bool)
-        right[P[d]] = ~(Xt[feature[split][seg], cols[P[d]]] <= threshold[split][seg])
+        right[P[d]] = ~(Xt[feature[split][seg], cols[P[d]]] <= value[split][seg])
         key = 2 * seg + right[P]
         P = P[np.arange(d + 1)[:, None], np.argsort(key, axis=1, kind="stable")]
         sizes = np.bincount(key[d], minlength=2 * len(m))  # left, right per split

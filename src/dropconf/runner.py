@@ -247,10 +247,11 @@ def _read_json(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _evaluate_run(run_dir, model, default_cl, cutoffs) -> dict:
+def _evaluate_run(run_dir, model, default_cl, cutoffs, n_test) -> dict:
     """evaluate_model on the interval factors read from the model's files. A
     ValueError names the file of another header or width, a cell not a number
-    or levels no run writes, and the test file for any other error."""
+    or levels no run writes, and the test file for any other error, such as
+    rows other than the n_test distinct ids of the run's test split."""
     columns = []
     for path, header in ((os.path.join(run_dir, f"{model}_test.csv"), TEST_HEADER),
                          (os.path.join(run_dir, f"{model}_levels.csv"), LEVELS_HEADER)):
@@ -260,19 +261,22 @@ def _evaluate_run(run_dir, model, default_cl, cutoffs) -> dict:
             raise ValueError(f"{path}: not a table of the {len(header)} columns {','.join(header)}")
         cells = list(zip(*rows[1:])) or [()] * len(header)  # by column, the header's count
         try:
-            columns += [np.array(c, dtype=np.float64) for name, c in zip(header, cells) if name != "id"]
+            columns += [c if name == "id" else np.array(c, float) for name, c in zip(header, cells)]
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    y, y_hat, sigma, scale, cls, _k, alpha, unbounded = columns
+    ids, y, y_hat, sigma, scale, cls, _k, alpha, unbounded = columns
     if not (np.all(alpha >= 0) and np.array_equal(unbounded, np.isinf(alpha))):
         raise ValueError(f"{path}: alpha must be >= 0, and unbounded 1 exactly where alpha is inf")
     if not (default_cl in cls.tolist() and np.all(np.diff(cls) > 0) and 0 < cls[0] and cls[-1] < 1):
         raise ValueError(f"{path}: cl must rise strictly within (0, 1) and include {default_cl!r}")
     try:
-        return evaluate_model(model, y_hat, scale, dict(zip(cls.tolist(), alpha.tolist())), sigma,
-                              y, default_cl, cutoffs)
+        report = evaluate_model(model, y_hat, scale, dict(zip(cls.tolist(), alpha.tolist())), sigma,
+                                y, default_cl, cutoffs)
+        if not len(ids) == len(set(ids)) == n_test:
+            raise ValueError(f"{len(ids)} rows of {len(set(ids))} ids; split.csv has {n_test} test rows")
     except ValueError as exc:
         raise ValueError(f"{os.path.join(run_dir, model)}_test.csv: {exc}") from None
+    return report
 
 
 def reaggregate(out_dir) -> RunArtifacts:
@@ -280,7 +284,8 @@ def reaggregate(out_dir) -> RunArtifacts:
     files and take its failures from failures.json, in index order, then write
     the reports, summary.json, the flat aggregate CSVs and the manifest. It
     raises before writing, naming the file, for one it cannot read and for a
-    levels file of other levels than the model's first run's."""
+    levels file of other levels than the model's first run's. Each run's
+    split.csv gives the test rows that its models' test files must hold."""
     record_path, summary_path, curve_path, width_path, retrieval_path = (
         os.path.join(out_dir, name) for name in TOP_FILES)
     record = _read_json(record_path)
@@ -293,11 +298,13 @@ def reaggregate(out_dir) -> RunArtifacts:
     reports_by_model, first_levels, written, failures = {}, {}, [], []
     for r, rd in run_dirs:
         run_dir = os.path.join(out_dir, rd)
+        with open(os.path.join(run_dir, "split.csv"), "r", encoding="utf-8", newline="") as fh:
+            n_test = sum(row[1:] == ["test"] for row in _csv_rows(fh, fh.name))
         for name in sorted(os.listdir(run_dir)):
             path = os.path.join(run_dir, name)
             if name.endswith("_test.csv"):
                 model = name.removesuffix("_test.csv")
-                report = _evaluate_run(run_dir, model, record["default_cl"], record["cutoffs"])
+                report = _evaluate_run(run_dir, model, record["default_cl"], record["cutoffs"], n_test)
                 levels = os.path.join(run_dir, f"{model}_levels.csv")
                 first, grid = first_levels.setdefault(model, (levels, report["curve"]["cl"]))
                 if report["curve"]["cl"] != grid:

@@ -102,10 +102,8 @@ def reference_fit_cart(X, y, config, rng):
         stack.append((right[node], rows[~go_left], 2 * heap + 1))
     return Forest(
         feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
         left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64),
+        value=np.where(np.array(feature) >= 0, threshold, value),
         roots=np.array([0]),
         n_features=d,
     )
@@ -117,25 +115,25 @@ def walk_predict(tree, X, root=0):
     for row in np.atleast_2d(X):
         node = root
         while tree.feature[node] >= 0:
-            go_left = row[tree.feature[node]] <= tree.threshold[node]
-            node = tree.left[node] if go_left else tree.right[node]
+            go_left = row[tree.feature[node]] <= tree.value[node]
+            node = tree.left[node] if go_left else tree.left[node] + 1
         out.append(tree.value[node])
     return np.array(out, dtype=np.float64)
 
 
 def nested(tree, node):
-    """The subtree at ``node`` as nested (feature, threshold, value, left,
-    right) tuples, with None below a leaf."""
-    if node < 0:
-        return None
-    return (int(tree.feature[node]), float(tree.threshold[node]), float(tree.value[node]),
-            nested(tree, tree.left[node]), nested(tree, tree.right[node]))
+    """The subtree at ``node`` as nested (feature, value, left, right)
+    tuples: a leaf is (-1, value, None, None)."""
+    if tree.feature[node] < 0:
+        return (-1, float(tree.value[node]), None, None)
+    return (int(tree.feature[node]), float(tree.value[node]),
+            nested(tree, tree.left[node]), nested(tree, tree.left[node] + 1))
 
 
 def assert_same_tree(forest, t, reference):
     """Tree t of ``forest`` is the reference tree node for node, bit for bit,
     walked from its root in the forest and from node 0 in the reference."""
-    for name in ("feature", "threshold", "left", "right", "value"):
+    for name in ("feature", "left", "value"):
         x, y = getattr(forest, name), getattr(reference, name)
         assert x.dtype == y.dtype, name
     assert nested(forest, forest.roots[t]) == nested(reference, 0)
@@ -172,7 +170,7 @@ class TestFitCart:
         y = np.array([0.0, 1.0])
         tree = fit_cart(X, y, ForestConfig(), rng_for(0))
         assert tree.n_nodes == 3
-        assert tree.threshold[0] == 0.5
+        assert tree.value[0] == 0.5
         assert sorted(tree.value[tree.feature < 0]) == [0.0, 1.0]
 
     def test_constant_labels_single_leaf(self):
@@ -210,7 +208,7 @@ class TestFitCart:
         for i in range(12):
             node = 0
             while tree.feature[node] >= 0:
-                node = tree.left[node] if X[i, tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+                node = tree.left[node] + (X[i, tree.feature[node]] > tree.value[node])
             leaf_of.setdefault(node, 0)
             leaf_of[node] += 1
         assert min(leaf_of.values()) >= 3
@@ -255,7 +253,7 @@ class TestReferenceEquivalence:
         tree = fit_cart(X, y, config, rng_for(6))
         depth = np.zeros(tree.n_nodes, dtype=int)
         for i in np.flatnonzero(tree.feature >= 0):  # children come after their parent
-            depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+            depth[tree.left[i]] = depth[tree.left[i] + 1] = depth[i] + 1
         assert depth.max() == 79
         assert set(tree.feature[tree.feature >= 0]) == {0, 1}
         assert_same_tree(tree, 0, reference_fit_cart(X, y, config, rng_for(6)))
@@ -341,18 +339,17 @@ class TestBatchedForest:
         ds = make_synthetic(60, 4, "heteroscedastic", 0.5, seed=13)
         forest = fit_forest(ds, ForestConfig(n_trees=10, max_features=2), seed=14)
         split = np.flatnonzero(forest.feature >= 0)
-        assert np.array_equal(forest.right[split], forest.left[split] + 1)
         assert np.all(forest.left[split] > split)  # children come after their parent
-        parents = np.bincount(np.concatenate([forest.left[split], forest.right[split]]),
+        parents = np.bincount(np.concatenate([forest.left[split], forest.left[split] + 1]),
                               minlength=forest.n_nodes)
         is_root = np.isin(np.arange(forest.n_nodes), forest.roots)
         assert len(forest.roots) == 10 and np.all(parents == ~is_root)
         leaf = forest.feature < 0
-        assert np.all(forest.left[leaf] == -1) and np.all(forest.right[leaf] == -1)
+        assert np.all(forest.left[leaf] == -1)
 
         rng = np.random.default_rng(15)
         ties = rng.random((len(split), 4))  # one row on each split's threshold
-        ties[np.arange(len(split)), forest.feature[split]] = forest.threshold[split]
+        ties[np.arange(len(split)), forest.feature[split]] = forest.value[split]
         nans = np.where(rng.random((6, 4)) < 0.5, np.nan, rng.random((6, 4)))
         queries = np.vstack([ds.features, rng.random((20, 4)) * 4 - 2, ties, nans,
                              np.full((1, 4), np.nan)])
@@ -389,7 +386,7 @@ class TestPredict:
                         ForestConfig(), rng_for(0))
         inner = tree.feature >= 0
         at_threshold = np.zeros((inner.sum(), 2))
-        at_threshold[np.arange(inner.sum()), tree.feature[inner]] = tree.threshold[inner]
+        at_threshold[np.arange(inner.sum()), tree.feature[inner]] = tree.value[inner]
         queries = np.vstack([at_threshold, [[np.nan, np.nan], [np.nan, 0.0], [0.0, np.nan]]])
         assert np.array_equal(tree.predict(queries)[:, 0], walk_predict(tree, queries))
         assert tree.predict([[np.nan, np.nan]])[0, 0] == walk_predict(tree, [[np.inf, np.inf]])[0]
@@ -454,8 +451,8 @@ class TestForest:
 
     def test_two_tree_spread(self):
         leaves = np.full(2, -1, dtype=np.int32)
-        forest = Forest(feature=leaves, threshold=np.zeros(2), left=leaves, right=leaves,
-                        value=np.array([0.0, 2.0]), roots=np.array([0, 1]), n_features=1)
+        forest = Forest(feature=leaves, left=leaves, value=np.array([0.0, 2.0]),
+                        roots=np.array([0, 1]), n_features=1)
         pred = forest_predict(forest, np.array([[0.0]]))
         assert pred.means[0] == 1.0 and pred.stds[0] == 1.0
 
@@ -475,7 +472,7 @@ from dropconf.forest import ForestConfig, fit_cart
 from dropconf.seeds import rng_for
 X = np.array(json.loads(sys.argv[1]))
 tree = fit_cart(X, np.array([0.0, 1.0]), ForestConfig(), rng_for(0))
-print(json.dumps([tree.feature.tolist(), tree.threshold.tolist(), tree.value.tolist()]))
+print(json.dumps([tree.feature.tolist(), tree.value.tolist()]))
 """
 
 FIT_NAN_ROWS = """
@@ -508,9 +505,9 @@ class TestUnrepresentableMidpoint:
         (-1.5e308, -1e308),  # a + b overflows to -inf
     ])
     def test_split_uses_lower_value(self, a, b):
-        feature, threshold, value = json.loads(run_child(FIT_TWO_ROWS, json.dumps([[a], [b]])))
+        feature, value = json.loads(run_child(FIT_TWO_ROWS, json.dumps([[a], [b]])))
         assert feature == [0, -1, -1]
-        assert threshold[0] == a
+        assert value[0] == a
         assert value[1:] == [0.0, 1.0]
 
 
@@ -585,6 +582,22 @@ class TestOofCalibration:
         finally:
             tracemalloc.stop()
         assert peak < 2.8e6
+
+    def test_nodes_take_16_bytes_and_bound_the_peak(self):
+        # a node is its feature, left child and value, 4 + 4 + 8 bytes; with
+        # 60 trees of 400 rows the fold forests' nodes dominate the peak. The
+        # bound was fixed before this test first ran.
+        ds = make_synthetic(500, 8, "heteroscedastic", 0.5, seed=4)
+        forest = fit_forest(ds, ForestConfig(n_trees=3), seed=5)
+        arrays = [a for a in vars(forest).values() if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in arrays if a is not forest.roots) == 16 * forest.n_nodes
+        tracemalloc.start()
+        try:
+            oof_calibration(ds, ForestConfig(n_trees=60), k=5, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.0e6
 
     def test_exclusivity(self):
         # an instance's own fold never contributes to the forest predicting it:

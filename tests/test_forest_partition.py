@@ -26,7 +26,7 @@ def test_a_depth_of_more_than_32767_splits_keeps_every_row():
     while level.size:
         level = level[tree.feature[level] >= 0]
         widest = max(widest, level.size)
-        level = np.concatenate([tree.left[level], tree.right[level]])
+        level = np.concatenate([tree.left[level], tree.left[level] + 1])
     assert widest > 32_767 and np.min_scalar_type(2 * widest) == np.uint32
     assert tree.n_nodes == 2 * n - 1
     assert np.array_equal(tree.predict(X)[:, 0], y)

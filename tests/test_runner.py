@@ -873,6 +873,35 @@ class TestCli:
             f"error: {path}: cl must rise strictly within (0, 1) and include 0.8\n")
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("edit, counts", [
+        (lambda rows: rows + rows[-1:] * 30, "48 rows of 18 ids"),
+        (lambda rows: [rows[0], rows[1], rows[1], *rows[3:]], "18 rows of 17 ids"),  # one id twice
+    ], ids=["appended_rows", "repeated_id"])
+    def test_report_rejects_test_rows_no_run_writes(self, tmp_path, capsys, edit, counts):
+        # report once exited 0 on both; the first rewrote rf's rmse from 0.6441
+        # to 0.4080
+        out = tmp_path / "out"
+        run_experiment(tiny_config(n_runs=1), out_dir=str(out))
+        path = out / "run_000" / "rf_test.csv"
+        rows = path.read_text().splitlines(keepends=True)
+        assert len(rows) == 19
+        path.write_text("".join(edit(rows)))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(["report", "--in", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {counts}; split.csv has 18 test rows\n")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_report_names_a_missing_split(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_experiment(tiny_config(n_runs=1), out_dir=str(out))
+        path = out / "run_000" / "split.csv"
+        path.unlink()
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(["report", "--in", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_report_rewrites_a_deleted_or_corrupted_report(self, tmp_path):
         out = tmp_path / "out"
         run_experiment(tiny_config(n_runs=2), out_dir=str(out))
