@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dropconf import forest as forest_module
 from dropconf.data import Dataset, make_synthetic
@@ -370,6 +372,120 @@ class TestBatchedForest:
         finally:
             tracemalloc.stop()
         assert peak < 2.2e6
+
+
+def assert_draws_match_reference(X, y, samples, config, seed):
+    """_grow fits one tree per sample of row ids (repeats allowed) of (X, y);
+    tree t equals the reference tree grown on its drawn sample with the same
+    stream, rng_for(seed, t)."""
+    trees = [(np.asarray(rows), rng_for(seed, t)) for t, rows in enumerate(samples)]
+    forest = Forest(*forest_module._grow(np.ascontiguousarray(X.T), y, trees, config), n_features=X.shape[1])
+    for t, rows in enumerate(samples):
+        assert_same_tree(forest, t, reference_fit_cart(X[rows], y[rows], config, rng_for(seed, t)))
+    return forest
+
+
+class TestWeightedDraws:
+    # a tree grows on its distinct rows weighted by their draw counts; every
+    # tree must still be the reference tree of the drawn sample, bit for bit
+
+    @pytest.mark.parametrize("config", [
+        ForestConfig(),
+        ForestConfig(min_samples_leaf=3, min_samples_split=5),
+        ForestConfig(max_features=2),
+    ], ids=["default", "leaf_3_split_5", "max_features_2"])
+    def test_few_rows_drawn_hundreds_of_times(self, config):
+        rng = np.random.default_rng(20)
+        X, y = rng.random((6, 3)), rng.random(6)
+        samples = [rng.integers(0, 6, size=400), rng.choice(6, size=600, p=[0.5, 0.3, 0.1, 0.05, 0.03, 0.02]),
+                   rng.integers(0, 3, size=300), np.repeat([4], 250)]
+        forest = assert_draws_match_reference(X, y, samples, config, seed=21)
+        assert forest.n_nodes > len(samples)
+
+    def test_leaves_of_eight_or_more_draws_sum_in_draw_order(self):
+        # rows 0-2 share their features, so no cut parts them: each tree's
+        # leaf of them holds many draws of three labels, summed pairwise by
+        # numpy in draw order
+        rng = np.random.default_rng(22)
+        X = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        y = np.array([0.1, 1e-3 * math.pi, 7.0 / 3.0, 5.0])
+        samples = [rng.permutation(np.append(rng.integers(0, 3, size=k), 3))
+                   for k in (8, 13, 40, 150, 333)]
+        forest = assert_draws_match_reference(X, y, samples, ForestConfig(), seed=23)
+        orders_differ = 0
+        for t, rows in enumerate(samples):
+            drawn = y[rows[rows < 3]]
+            assert forest.predict(X[:1])[0, t] == drawn.sum() / len(drawn)
+            by_row = np.repeat(y[:3], np.bincount(rows[rows < 3], minlength=3))
+            orders_differ += by_row.sum() != drawn.sum()
+        assert orders_differ > 0  # a sum in row order would not give these bits
+
+    @pytest.mark.parametrize("rows, n_nodes", [
+        ([0, 0, 0, 1, 1, 1], 3),  # 6 draws, 3 a side
+        ([0, 1, 0, 1, 1], 1),  # 5 draws, 2 left
+        ([1, 1, 0, 0], 1),  # 4 draws
+    ])
+    def test_min_samples_count_copies(self, rows, n_nodes):
+        # two distinct rows: a split needs 5 draws and 3 on each side
+        X, y = np.array([[0.0], [1.0]]), np.array([0.0, 1.0])
+        config = ForestConfig(min_samples_leaf=3, min_samples_split=5)
+        forest = assert_draws_match_reference(X, y, [rows], config, seed=24)
+        assert forest.n_nodes == n_nodes
+
+    def test_max_features_2_with_tied_values(self):
+        rng = np.random.default_rng(25)
+        X = rng.integers(0, 3, size=(30, 4)).astype(np.float64)
+        X[:, 3] = X[:, 0]  # a duplicated column as well
+        y = rng.integers(0, 4, size=30) + 0.5 * rng.random(30)
+        samples = [rng.integers(0, 30, size=k) for k in (30, 60, 200)] + [rng.integers(0, 8, size=120)]
+        for seed in range(3):
+            config = ForestConfig(max_features=2, min_samples_leaf=2)
+            assert_draws_match_reference(X, y, samples, config, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), d=st.integers(1, 3))
+    def test_small_duplicate_heavy_tables_match_reference(self, data, n, d):
+        values = st.sampled_from([0.0, 1.0, 2.0, 0.5, -1.0])
+        X = np.array(data.draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 0.1, 1e6, 1e6 + 0.3, -2.5]),
+                                        min_size=n, max_size=n)))
+        draws = st.lists(st.integers(0, n - 1), min_size=1, max_size=60)
+        samples = data.draw(st.lists(draws, min_size=1, max_size=3))
+        config = ForestConfig(max_features=data.draw(st.sampled_from(["all", 1, 2])),
+                              min_samples_split=data.draw(st.integers(2, 6)),
+                              min_samples_leaf=data.draw(st.integers(1, 4)))
+        assert_draws_match_reference(X, y, [np.array(r) for r in samples], config, seed=26)
+
+    def test_depth_zero_block_holds_each_distinct_draw_once(self, monkeypatch):
+        # 10 bootstraps of 200 rows grow in one batch; depth 0 scores one
+        # column per distinct (tree, row) pair, not one per draw
+        blocks, best_splits = [], forest_module._best_splits
+        def spy(*args):
+            blocks.append(inspect.signature(best_splits).bind(*args).arguments["P"].shape[1])
+            return best_splits(*args)
+        monkeypatch.setattr(forest_module, "_best_splits", spy)
+        ds = make_synthetic(200, 4, "heteroscedastic", 0.5, seed=27)
+        fit_forest(ds, ForestConfig(n_trees=10), seed=28)
+        distinct = sum(len(np.unique(rng_for(28, "tree", t).integers(0, 200, size=200))) for t in range(10))
+        assert blocks[0] == distinct < 0.7 * 10 * 200
+
+    def test_label_offset_does_not_add_exact_rescores(self, monkeypatch):
+        # labels rising with the one feature, centred or offset by 1e6: the
+        # tie tolerance scales with each node's centred sums, so both trees
+        # re-score about as many near-ties exactly. The bound was fixed
+        # before this test first ran.
+        n, calls, exact_sse = 4000, [], forest_module._exact_sse
+        monkeypatch.setattr(forest_module, "_exact_sse", lambda v: calls.append(1) or exact_sse(v))
+        X = np.random.default_rng(3).permutation(n).astype(np.float64)[:, None]
+        trees = []
+        for y in (0.5 * X[:, 0] - 0.25 * (n - 1), 1e6 + 0.5 * X[:, 0]):
+            calls.clear()
+            trees.append((fit_cart(X, y, ForestConfig(), rng_for(4)), len(calls)))
+        (centred, n_centred), (offset, n_offset) = trees
+        assert 0 < n_offset <= 1.1 * n_centred
+        split = centred.feature >= 0
+        assert np.array_equal(centred.feature, offset.feature) and np.array_equal(centred.left, offset.left)
+        assert np.array_equal(centred.value[split], offset.value[split])
 
 
 class TestPredict:

@@ -16,8 +16,8 @@ from dropconf.seeds import rng_for
 def test_a_depth_of_more_than_32767_splits_keeps_every_row():
     # labels rising with the one feature cut each node near its middle, so
     # depth 15 of 70,000 rows holds 32,768 nodes of two or three rows. The
-    # jitter keeps the two cuts of a three-row node from tying exactly, and
-    # centred labels send fewer nodes to the exact re-scoring of near-ties.
+    # jitter keeps the two cuts of a three-row node from tying exactly, so
+    # few nodes go to the exact re-scoring of near-ties.
     n, rng = 70_000, np.random.default_rng(3)
     X = rng.permutation(n).astype(np.float64)[:, None]
     y = X[:, 0] - n / 2 + 0.3 * rng.random(n)
