@@ -106,12 +106,11 @@ def screen_counts(intervals, y_true, cutoffs=(5, 6, 7, 8, 9)) -> list:
 
 
 def sigma_error_pairs(y_hat, sigma, y_true):
-    """|error| per instance plus its Pearson correlation with sigma (or None)."""
+    """The Pearson correlation of sigma with |error| per instance, or None."""
     abs_err = np.abs(y_hat - np.asarray(y_true, dtype=np.float64))
-    corr = None
     if len(abs_err) >= 2 and np.ptp(sigma) > 0 and np.ptp(abs_err) > 0:
-        corr = float(np.corrcoef(sigma, abs_err)[0, 1])
-    return abs_err, corr
+        return float(np.corrcoef(sigma, abs_err)[0, 1])
+    return None
 
 
 def evaluate_model(model_name: str, y_hat, scale, alpha: dict, sigma, y, default_cl: float,
@@ -129,7 +128,6 @@ def evaluate_model(model_name: str, y_hat, scale, alpha: dict, sigma, y, default
     for name, values in (("y_hat", y_hat), ("sigma", sigma), ("scale", scale)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite")
-    abs_err, corr = sigma_error_pairs(y_hat, sigma, y)
     intervals = intervals_for(y_hat, scale, alpha)
     covs, widths = level_metrics([intervals[c] for c in cls], y)
     r2 = None
@@ -144,8 +142,7 @@ def evaluate_model(model_name: str, y_hat, scale, alpha: dict, sigma, y, default
         "width_stats": dict(zip(map(repr, cls), widths)),
         "retrieval": screen_counts(intervals[float(default_cl)], y, cutoffs),
         "sigma": sigma.tolist(),
-        "abs_error": abs_err.tolist(),
-        "sigma_error_correlation": corr,
+        "sigma_error_correlation": sigma_error_pairs(y_hat, sigma, y),
     }
 
 

@@ -37,8 +37,14 @@ class RunArtifacts:
 # the files written to the top of an output directory, manifest.json aside
 TOP_FILES = ("experiment.json", "summary.json", "calibration_curve.csv", "width_stats.csv",
              "retrieval_counts.csv")
-TEST_HEADER = ["id", "y", "y_hat", "sigma", "scale"]
-LEVELS_HEADER = ["cl", "k", "alpha", "unbounded"]
+# each CSV a run writes, by name ({} is a model key): its header
+RUN_CSVS = {
+    "split.csv": ["id", "partition"],
+    "{}_calibration.csv": ["id", "y", "y_hat", "sigma", "alpha"],
+    "{}_test.csv": ["id", "y", "y_hat", "sigma", "scale"],
+    "{}_levels.csv": ["cl", "k", "alpha", "unbounded"],
+    "{}_training_log.csv": ["epoch", "lr", "train_loss", "val_rmse"],
+}
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
@@ -94,18 +100,14 @@ def _dump_conformal(prefix: str, result: ConformalResult, test: Dataset, run_dir
     """The calibration rows, then the interval factors, one row per test
     instance and one per level: bounds y_hat -/+ scale * alpha, the line if alpha = inf."""
     cal, pred = result.calibration, result.test_prediction
-    write_csv(
-        os.path.join(run_dir, f"{prefix}_calibration.csv"),
-        ["id", "y", "y_hat", "sigma", "alpha"],
-        [[cal.ids, cal.y, cal.y_hat, cal.sigma, cal.alpha]],
-    )
-    write_csv(os.path.join(run_dir, f"{prefix}_test.csv"), TEST_HEADER,
-              [[test.ids, test.labels, pred.means, pred.stds, result.scale]])
     cls = sorted(result.alpha)
     alpha = np.array([result.alpha[cl] for cl in cls])
     ks = np.array([rank_at_level(len(cal.alpha), cl) for cl in cls])
-    write_csv(os.path.join(run_dir, f"{prefix}_levels.csv"), LEVELS_HEADER,
-              [[np.array(cls), ks, alpha, np.isinf(alpha).astype(int)]])
+    for name, columns in (
+            ("{}_calibration.csv", [cal.ids, cal.y, cal.y_hat, cal.sigma, cal.alpha]),
+            ("{}_test.csv", [test.ids, test.labels, pred.means, pred.stds, result.scale]),
+            ("{}_levels.csv", [np.array(cls), ks, alpha, np.isinf(alpha).astype(int)])):
+        write_csv(os.path.join(run_dir, name.format(prefix)), RUN_CSVS[name], [columns])
 
 
 def _model_job(cfg: ExperimentConfig, dataset: Dataset, split, r: int, run_dir, p=None):
@@ -126,11 +128,8 @@ def _model_job(cfg: ExperimentConfig, dataset: Dataset, split, r: int, run_dir, 
             model, log = train(train_set, val_set, net_cfg, derive_seed(seed, "attempt", attempt))
             if log.converged:
                 break
-        write_csv(
-            os.path.join(run_dir, f"{key}_training_log.csv"),
-            ["epoch", "lr", "train_loss", "val_rmse"],
-            [[range(log.n_epochs), log.learning_rates, log.train_losses, log.val_rmses]],
-        )
+        write_csv(os.path.join(run_dir, f"{key}_training_log.csv"), RUN_CSVS["{}_training_log.csv"],
+                  [[range(log.n_epochs), log.learning_rates, log.train_losses, log.val_rmses]])
         if not log.converged:
             return {"model": key, "reason": f"not converged after {attempt + 1} attempts"}
         result = dropout_icp(model, val_set, test_set, cfg.n_passes, cfg.cl_grid,
@@ -151,11 +150,7 @@ def run_single(cfg: ExperimentConfig, dataset: Dataset, run_index: int, out_dir:
     partition = np.empty(dataset.n_rows, dtype=object)
     for name in ("train", "validation", "test"):
         partition[getattr(split, name)] = name
-    write_csv(
-        os.path.join(run_dir, "split.csv"),
-        ["index", "partition"],
-        [[np.arange(dataset.n_rows), partition]],
-    )
+    write_csv(os.path.join(run_dir, "split.csv"), RUN_CSVS["split.csv"], [[dataset.ids, partition]])
     rates = cfg.dropout_p if "dnn" in cfg.models else ()
     jobs = (_model_job(cfg, dataset, split, run_index, run_dir, p)
             for p in ([*rates, None] if "rf" in cfg.models else rates))  # None: the forest
@@ -247,35 +242,47 @@ def _read_json(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _evaluate_run(run_dir, model, default_cl, cutoffs, n_test) -> dict:
-    """evaluate_model on the interval factors read from the model's files. A
-    ValueError names the file of another header or width, a cell not a number
-    or levels no run writes, and the test file for any other error, such as
-    rows other than the n_test distinct ids of the run's test split."""
-    columns = []
-    for path, header in ((os.path.join(run_dir, f"{model}_test.csv"), TEST_HEADER),
-                         (os.path.join(run_dir, f"{model}_levels.csv"), LEVELS_HEADER)):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(_csv_rows(fh, path))
-        if rows[:1] != [header] or any(len(row) != len(header) for row in rows):
-            raise ValueError(f"{path}: not a table of the {len(header)} columns {','.join(header)}")
-        cells = list(zip(*rows[1:])) or [()] * len(header)  # by column, the header's count
-        try:
-            columns += [c if name == "id" else np.array(c, float) for name, c in zip(header, cells)]
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    ids, y, y_hat, sigma, scale, cls, _k, alpha, unbounded = columns
-    if not (np.all(alpha >= 0) and np.array_equal(unbounded, np.isinf(alpha))):
+def _read_run_csv(run_dir, name, model=None) -> tuple:
+    """The path of run file ``name`` ({} the model) and its columns by name: id
+    and partition as text, the rest as floats. A ValueError names the file for
+    a header not its RUN_CSVS one, a row of another width or a cell not a number."""
+    path, header = os.path.join(run_dir, name.format(model)), RUN_CSVS[name]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(_csv_rows(fh, path))
+    if rows[:1] != [header] or any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: not a table of the {len(header)} columns {','.join(header)}")
+    try:  # each column of rows is its name, then its cells
+        return path, {col: cells if col in ("id", "partition") else np.array(cells, float)
+                      for col, *cells in zip(*rows)}
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _evaluate_run(run_dir, model, record, test_ids, first_levels) -> dict:
+    """evaluate_model on the factors read from the model's files. A ValueError names
+    a file _read_run_csv rejects, a levels file no run writes or unlike the model's
+    first_levels, or else the test file, e.g. for ids other than test_ids, each once."""
+    test_path, test = _read_run_csv(run_dir, "{}_test.csv", model)
+    path, levels = _read_run_csv(run_dir, "{}_levels.csv", model)
+    cls, alpha, default_cl = levels["cl"], levels["alpha"], record["default_cl"]
+    if not (np.all(alpha >= 0) and np.array_equal(levels["unbounded"], np.isinf(alpha))):
         raise ValueError(f"{path}: alpha must be >= 0, and unbounded 1 exactly where alpha is inf")
     if not (default_cl in cls.tolist() and np.all(np.diff(cls) > 0) and 0 < cls[0] and cls[-1] < 1):
         raise ValueError(f"{path}: cl must rise strictly within (0, 1) and include {default_cl!r}")
     try:
-        report = evaluate_model(model, y_hat, scale, dict(zip(cls.tolist(), alpha.tolist())), sigma,
-                                y, default_cl, cutoffs)
+        report = evaluate_model(model, test["y_hat"], test["scale"],
+                                dict(zip(cls.tolist(), alpha.tolist())), test["sigma"], test["y"],
+                                default_cl, record["cutoffs"])
+        ids, n_test = test["id"], len(test_ids)
         if not len(ids) == len(set(ids)) == n_test:
             raise ValueError(f"{len(ids)} rows of {len(set(ids))} ids; split.csv has {n_test} test rows")
+        if foreign := set(ids).difference(test_ids):
+            raise ValueError(f"id {min(foreign)!r} is not a test row of split.csv")
     except ValueError as exc:
-        raise ValueError(f"{os.path.join(run_dir, model)}_test.csv: {exc}") from None
+        raise ValueError(f"{test_path}: {exc}") from None
+    first, grid = first_levels.setdefault(model, (path, report["curve"]["cl"]))
+    if report["curve"]["cl"] != grid:
+        raise ValueError(f"{path}: other levels than {first}")
     return report
 
 
@@ -283,9 +290,8 @@ def reaggregate(out_dir) -> RunArtifacts:
     """Evaluate every model of every run_<digits> directory from its factored
     files and take its failures from failures.json, in index order, then write
     the reports, summary.json, the flat aggregate CSVs and the manifest. It
-    raises before writing, naming the file, for one it cannot read and for a
-    levels file of other levels than the model's first run's. Each run's
-    split.csv gives the test rows that its models' test files must hold."""
+    raises before writing, naming the file, for one it cannot read and for one
+    _evaluate_run rejects against the run's split.csv and the model's first run."""
     record_path, summary_path, curve_path, width_path, retrieval_path = (
         os.path.join(out_dir, name) for name in TOP_FILES)
     record = _read_json(record_path)
@@ -298,17 +304,15 @@ def reaggregate(out_dir) -> RunArtifacts:
     reports_by_model, first_levels, written, failures = {}, {}, [], []
     for r, rd in run_dirs:
         run_dir = os.path.join(out_dir, rd)
-        with open(os.path.join(run_dir, "split.csv"), "r", encoding="utf-8", newline="") as fh:
-            n_test = sum(row[1:] == ["test"] for row in _csv_rows(fh, fh.name))
+        path, split = _read_run_csv(run_dir, "split.csv")
+        if set(split["partition"]) != {"train", "validation", "test"}:
+            raise ValueError(f"{path}: not a split of the rows into train, validation and test")
+        test_ids = [i for i, part in zip(split["id"], split["partition"]) if part == "test"]
         for name in sorted(os.listdir(run_dir)):
             path = os.path.join(run_dir, name)
             if name.endswith("_test.csv"):
                 model = name.removesuffix("_test.csv")
-                report = _evaluate_run(run_dir, model, record["default_cl"], record["cutoffs"], n_test)
-                levels = os.path.join(run_dir, f"{model}_levels.csv")
-                first, grid = first_levels.setdefault(model, (levels, report["curve"]["cl"]))
-                if report["curve"]["cl"] != grid:
-                    raise ValueError(f"{levels}: other levels than {first}")
+                report = _evaluate_run(run_dir, model, record, test_ids, first_levels)
                 reports_by_model.setdefault(model, []).append(report)
                 written.append((os.path.join(run_dir, f"{model}_report.json"), report))
             elif name == "failures.json":
@@ -331,15 +335,11 @@ def reaggregate(out_dir) -> RunArtifacts:
     # Flat aggregate CSVs, one per table and one block per model.
     curve, width, retrieval = [], [], []
     for key, agg in sorted(aggregate["models"].items()):
-        cls = sorted(agg["coverage"], key=float)
-        curve.append([[key] * len(cls), [float(cl) for cl in cls],
-                      [agg["coverage"][cl]["mean"] for cl in cls],
-                      [agg["coverage"][cl]["std"] for cl in cls]])
-        cls = sorted(agg["mean_width"], key=float)
-        width.append([[key] * len(cls), [float(cl) for cl in cls],
-                      [agg["mean_width"][cl]["mean"] for cl in cls],
-                      [agg["mean_width"][cl]["std"] for cl in cls],
-                      [agg["fraction_unbounded"][cl]["mean"] for cl in cls]])
+        cls = sorted(agg["coverage"], key=float)  # the keys of mean_width too
+        head = [[key] * len(cls), [float(cl) for cl in cls]]
+        curve.append(head + [[agg["coverage"][cl][s] for cl in cls] for s in ("mean", "std")])
+        width.append(head + [[agg["mean_width"][cl][s] for cl in cls] for s in ("mean", "std")]
+                     + [[agg["fraction_unbounded"][cl]["mean"] for cl in cls]])
         cutoffs = sorted(agg["retrieval"], key=float)
         retrieval.append([[key] * len(cutoffs), [float(c) for c in cutoffs]]
                          + [[agg["retrieval"][c][cat]["mean"] for c in cutoffs]

@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import fnmatch
 import hashlib
 import json
 import math
@@ -23,18 +24,19 @@ from dropconf.ensemble import from_passes
 from dropconf.evaluate import evaluate_model
 from dropconf.forest import ForestConfig
 from dropconf.net import NetConfig
-from dropconf.runner import _dump_conformal, reaggregate, run_experiment, write_csv
+from dropconf.runner import (RUN_CSVS, _dump_conformal, _read_run_csv, reaggregate,
+                             run_experiment, write_csv)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 # sha256 of the manifest.json the fixture config writes at seed 7
-FIXTURE_DIGEST = "529447185e22eb688376c3b2fd4a38bd32bf33243da2992d630432127e1999c9"
+FIXTURE_DIGEST = "86c7feb440c8a29da850c1367f41af6fd86661489e2ba41b3106fa7ce6046018"
 # and of its reports and aggregate files, which were kept when reports came
 # to be evaluated from the factored files rather than in memory
 FIXTURE_FILE_DIGESTS = {
-    "run_000/dnn_p0.25_report.json": "5642ae2a37ea2a4e53507bf69627bd44902a92e52f66fe0bd3bd11bc11e9228a",
-    "run_000/rf_report.json": "70bb47ec232caefccaa8e615c8537fa635553bfcd862aae6e3793ebfd6edd9ba",
-    "run_001/dnn_p0.25_report.json": "0f42f784d08dafc02ae2b559015cb869c0b6eabb31654db65f982299fc2a61da",
-    "run_001/rf_report.json": "3fdb88bbba7cb3203819892d550dabe5dd0c9dfad3e985db9bfe69474815bb29",
+    "run_000/dnn_p0.25_report.json": "75e0cd169718f99adedc30ab27065ddc768cc227b09a13808ebe226a95b444d4",
+    "run_000/rf_report.json": "2f5ee2aaaa3154635ef9c4de9d0e48eac00ab54af89b0945e05ebca39a01f814",
+    "run_001/dnn_p0.25_report.json": "5cd31a879f485978b7ff9af924a3b340b3b27f19883b56677878c8cc28d55327",
+    "run_001/rf_report.json": "a27dc9926661119f2b44a36e979dc14874ad03872c3a60bccc7be7973af36811",
     "summary.json": "15b3dcabbe106cb21609d1828be0eeaa712fb9fc5241f8689b07b3ae1ee5c33e",
     "calibration_curve.csv": "f1ea35b470ee33269ab5e7ab22db9c5e0f084cdcb8d51269b49c180f920675fe",
     "width_stats.csv": "aaa45fc1a3aca79d94a9dd03309c3297cc2ad2f2a0c8cebe4e81e4c44aeb1fa5",
@@ -593,9 +595,10 @@ class TestRunExperiment:
                                         rmse_gate=math.inf))
         artifacts = run_experiment(cfg, out_dir=str(tmp_path / "out"))
         assert sorted(artifacts.reports) == ["dnn_p0.25", "rf"] and artifacts.failures == []
-        # the manifest this config wrote when runs formed the bounds
+        # the manifest this config wrote when runs formed the bounds, but with
+        # split.csv's ids and without the reports' abs_error lists
         assert hashlib.sha256((tmp_path / "out" / "manifest.json").read_bytes()).hexdigest() == (
-            "bce9935262b9aa7d067bdebd8f789dde9142fc74546e326e504eb4ddf6b55f89")
+            "404b104ce34ed706d6aedf6098a131c57a39e59b3dfae3fef87d1edb287bd98c")
 
     @pytest.mark.parametrize("p, over, failure, names", [
         (None, {}, None, ["rf_calibration.csv", "rf_levels.csv", "rf_test.csv"]),
@@ -645,6 +648,21 @@ class TestRunExperiment:
             after = json.load(fh)
         assert before == after
 
+    def test_every_run_csv_is_one_declared_file_with_its_header(self, tmp_path):
+        # writers and reader both take headers from RUN_CSVS; a writer with a
+        # header of its own would drift from what report reads back
+        cfg = parse_config(os.path.join(FIXTURES, "synthetic.cfg"))
+        run_experiment(cfg, out_dir=str(tmp_path))
+        seen = set()
+        for path in sorted(tmp_path.glob("run_*/*.csv")):
+            (name,) = [n for n in RUN_CSVS if fnmatch.fnmatchcase(path.name, n.format("*"))]
+            assert path.read_text().splitlines()[0] == ",".join(RUN_CSVS[name]), path
+            model = path.name.removesuffix(name.removeprefix("{}"))
+            read_path, columns = _read_run_csv(str(path.parent), name, model)
+            assert read_path == str(path) and list(columns) == RUN_CSVS[name]
+            seen.add(name)
+        assert seen == set(RUN_CSVS)
+
 
 class TestCli:
     def test_validate_config_ok(self, capsys):
@@ -679,6 +697,14 @@ class TestCli:
         with open(os.path.join(FIXTURES, os.pardir, "README.md"), encoding="utf-8") as fh:
             readme = fh.read()
         assert re.findall(r"manifest\.json sha256 ([0-9a-f]{64})", readme) == [FIXTURE_DIGEST]
+
+    def test_readme_table_documents_every_run_csv(self):
+        # split.csv's columns were once documented nowhere
+        with open(os.path.join(FIXTURES, os.pardir, "README.md"), encoding="utf-8") as fh:
+            section = fh.read().split("## CLI", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("`") for line in section.splitlines() if line.startswith("| `")]
+        assert {row[1].replace("<model>", "{}"): row[3].split(",") for row in rows} == RUN_CSVS
+        assert len(rows) == len(RUN_CSVS)
 
     def test_manifest_lists_only_the_files_run_writes(self, tmp_path, capsys):
         # every file under --out was once hashed, foreign ones included
@@ -892,6 +918,27 @@ class TestCli:
             f"error: {path}: {counts}; split.csv has 18 test rows\n")
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("foreign, y", [("s0", "40.0"), (None, None)],
+                             ids=["s0", "validation_id"])
+    def test_report_rejects_test_ids_no_split_tests(self, tmp_path, capsys, foreign, y):
+        # report once exited 0 on both, as the count of distinct ids held; the
+        # first, with y 40.0, rewrote rf's rmse from 0.6441 to 9.4620
+        out = tmp_path / "out"
+        run_experiment(tiny_config(n_runs=1), out_dir=str(out))
+        path = out / "run_000" / "rf_test.csv"
+        split = [line.split(",") for line in (out / "run_000" / "split.csv").read_text().split()]
+        # None: a validation row's id, a real id of no test row
+        foreign = foreign or next(i for i, part in split if part == "validation")
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert len(rows) == 19 and foreign not in {row[0] for row in rows}
+        rows[1][:2] = [foreign, y or rows[1][1]]
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(["report", "--in", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: id {foreign!r} is not a test row of split.csv\n")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_report_names_a_missing_split(self, tmp_path, capsys):
         out = tmp_path / "out"
         run_experiment(tiny_config(n_runs=1), out_dir=str(out))
@@ -900,6 +947,31 @@ class TestCli:
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert main(["report", "--in", str(out)]) == 2
         assert str(path) in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: "x\n" + text.split("\n", 1)[1], "not a table of the 2 columns id,partition"),
+        (lambda text: text.replace(",train\n", ",zzz\n") + "junk\n",
+         "not a table of the 2 columns id,partition"),
+        (lambda text: text.split("\n", 1)[0] + "\n",
+         "not a split of the rows into train, validation and test"),
+        (lambda text: text.replace(",train\n", ",train,x\n", 1),
+         "not a table of the 2 columns id,partition"),
+        (lambda text: text.replace(",train\n", ",zzz\n"),
+         "not a split of the rows into train, validation and test"),
+    ], ids=["header_x", "zzz_and_junk", "header_only", "three_cells", "zzz"])
+    def test_report_rejects_a_split_no_run_writes(self, tmp_path, capsys, edit, message):
+        # report once exited 0 on each but header_only, for which it named
+        # rf_test.csv ("split.csv has 0 test rows")
+        out = tmp_path / "out"
+        run_experiment(tiny_config(n_runs=1), out_dir=str(out))
+        path = out / "run_000" / "split.csv"
+        text = path.read_text()
+        assert edit(text) != text
+        path.write_text(edit(text))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(["report", "--in", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_report_rewrites_a_deleted_or_corrupted_report(self, tmp_path):
